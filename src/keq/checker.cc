@@ -224,16 +224,35 @@ class Run
         return true;
     }
 
-    /** Conservative satisfiability: Unknown counts as "possibly sat". */
+    /**
+     * Reachability probe for input-side undefined behaviour: true
+     * degrades the verdict to refinement. An Unknown (a timeout, a
+     * killed worker) is not evidence of reachability — counting it as
+     * "possibly sat" would silently turn a lost query into a Refines
+     * verdict with no failure recorded. It aborts instead, classified
+     * like isSat and carrying the backend's raw message.
+     */
     bool
-    possiblySat(Term condition)
+    ubReachable(Term condition)
     {
         checkBudgets();
         if (condition.isTrue())
             return true;
         if (condition.isFalse())
             return false;
-        return solver_.checkSat({condition}) != SatResult::Unsat;
+        SatResult result = solver_.checkSat({condition});
+        if (result != SatResult::Unknown)
+            return result == SatResult::Sat;
+        FailureKind failure = unknownFailure();
+        std::string reason =
+            "solver returned unknown on the input-side undefined "
+            "behaviour reachability check (" +
+            std::string(failureKindName(failure)) + ")";
+        std::string raw = solver_.lastUnknownReason();
+        if (!raw.empty())
+            reason += ": " + raw;
+        throw BudgetExceeded{verdictKindFor(failure), failure,
+                             std::move(reason)};
     }
 
     bool
@@ -613,19 +632,25 @@ class Run
               std::string &why)
     {
         ++stats_.pairsExamined;
-        // If the solver answered "unknown" anywhere while working on
-        // this pair, a failure is inconclusive (the obligation may well
-        // hold); classify it as a timeout instead of a counterexample.
+        // The checker never routes around an Unknown. A failure after
+        // one is inconclusive (the obligation may well hold), and a
+        // pass after one — the next candidate point, the unmerged
+        // hypothesis — would hide a lost query (a solver timeout, a
+        // killed worker) in a verdict that records no failure and whose
+        // accounting depends on the fault. So every solver call below
+        // either aborts on Unknown itself (isSat, ubReachable) or is
+        // followed by this check.
         uint64_t unknowns_before = solver_.stats().unknown;
+        auto abortOnUnknown = [&](const char *during) {
+            if (solver_.stats().unknown == unknowns_before)
+                return;
+            FailureKind failure = unknownFailure();
+            throw BudgetExceeded{verdictKindFor(failure), failure,
+                                 std::string("solver returned unknown ") +
+                                     during + " (" +
+                                     failureKindName(failure) + ")"};
+        };
         auto fail = [&](std::string reason) {
-            if (solver_.stats().unknown > unknowns_before) {
-                FailureKind failure = unknownFailure();
-                throw BudgetExceeded{
-                    verdictKindFor(failure), failure,
-                    "solver returned unknown while discharging "
-                    "obligations (" +
-                        std::string(failureKindName(failure)) + ")"};
-            }
             why = std::move(reason);
             return PairResult::Fail;
         };
@@ -635,7 +660,7 @@ class Run
         // verdict degrades to refinement if this situation is reachable.
         if (a.status == Status::Error &&
             acceptability_.errorAcceptsAnyOutput(a.errorKind)) {
-            if (!refinementFallback_ && possiblySat(a.pathCond))
+            if (!refinementFallback_ && ubReachable(a.pathCond))
                 refinementFallback_ = true;
             recordStep(source, nullptr, a, b,
                        ProofStep::Method::Acceptability, Term(), Term());
@@ -695,14 +720,13 @@ class Run
             // Folding already shows the pair is jointly unreachable; no
             // equivalence attempt needed.
             hypothesis = joint;
-        } else if (provePathImplication(a.pathCond, b.pathCond, family_b,
-                                        b) &&
-                   provePathImplication(b.pathCond, a.pathCond, family_a,
-                                        a)) {
-            hypothesis = a.pathCond;
-            equivalent = true;
         } else {
-            hypothesis = joint;
+            equivalent = provePathImplication(a.pathCond, b.pathCond,
+                                              family_b, b) &&
+                         provePathImplication(b.pathCond, a.pathCond,
+                                              family_a, a);
+            abortOnUnknown("on a path-equivalence check");
+            hypothesis = equivalent ? a.pathCond : joint;
         }
         // Unmerged hypothesis for batched discharge: every candidate
         // point below shares these parts, so an incremental backend
@@ -731,8 +755,10 @@ class Run
                 // extra here.
             }
             uint64_t queries_before = solver_.stats().queries;
-            if (dischargeObligation(hypothesis, hypothesisParts,
-                                    required)) {
+            bool discharged = dischargeObligation(
+                hypothesis, hypothesisParts, required);
+            abortOnUnknown("while discharging obligations");
+            if (discharged) {
                 recordStep(source, q, a, b,
                            solver_.stats().queries == queries_before
                                ? ProofStep::Method::Folded

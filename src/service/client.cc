@@ -4,11 +4,13 @@
 #include <chrono>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <time.h>
 #include <unistd.h>
 
 #include "src/driver/checkpoint.h"
 #include "src/service/job_options.h"
+#include "src/support/journal.h"
 
 namespace keq::service {
 
@@ -285,20 +287,18 @@ DaemonClient::validateFunctions(
     bool deferSubmits = false; // Busy seen; hold resubmits until progress
     breakerTripped_ = false;
 
-    // One deterministic fingerprint per job, computed once: the
-    // idempotency key a failover resubmit rides on. Only a job that
-    // has *already been sent once* claims its fingerprint on the wire
-    // — a first submission carries 0, so identical jobs from distinct
-    // clients still each exercise the daemon's real (cache-warm)
-    // solving path rather than replaying each other's ledger entries.
-    // A v4 daemon never sees the field at all (encodeSubmitJob drops
-    // it for v4 layouts).
+    // A deterministic fingerprint per job is the idempotency key a
+    // failover resubmit rides on. Only a job that has *already been
+    // sent once* claims its fingerprint on the wire — a first
+    // submission carries 0, so identical jobs from distinct clients
+    // still each exercise the daemon's real (cache-warm) solving path
+    // rather than replaying each other's ledger entries. Fingerprints
+    // are therefore computed only for resubmits, and the module text is
+    // hashed at most once per call. A v4 daemon never sees the field at
+    // all (encodeSubmitJob drops it for v4 layouts).
     uint32_t wireVersion = std::min(serverHello_.protocolVersion,
                                     wire::kProtocolVersion);
-    std::vector<uint64_t> fingerprints(n);
-    for (size_t i = 0; i < n; ++i)
-        fingerprints[i] =
-            jobFingerprint(moduleText, functions[i], jobOptions);
+    std::optional<uint64_t> moduleHash;
     std::vector<char> everSubmitted(n, 0);
 
     std::vector<std::chrono::steady_clock::time_point> submitted(n);
@@ -314,7 +314,13 @@ DaemonClient::validateFunctions(
         job.function = functions[idx];
         job.moduleText = moduleText;
         job.options = jobOptions;
-        job.fingerprint = everSubmitted[idx] ? fingerprints[idx] : 0;
+        if (everSubmitted[idx]) {
+            if (!moduleHash)
+                moduleHash = support::fnv1a64(moduleText);
+            job.fingerprint = jobFingerprint(
+                *moduleHash, moduleText.size(), functions[idx],
+                jobOptions);
+        }
         everSubmitted[idx] = 1;
         submitted[idx] = std::chrono::steady_clock::now();
         if (!channel_.sendFrame(wire::encodeSubmitJob(job,

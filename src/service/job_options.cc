@@ -1,6 +1,9 @@
 #include "src/service/job_options.h"
 
 #include <cstdio>
+#include <string>
+
+#include "src/support/journal.h"
 
 namespace keq::service {
 
@@ -89,15 +92,25 @@ fnv1aUpdate(uint64_t &hash, const std::string &bytes)
 } // namespace
 
 uint64_t
-jobFingerprint(const std::string &moduleText,
+jobFingerprint(uint64_t moduleHash, uint64_t moduleLen,
                const std::string &function,
                const smt::wire::JobOptionsFrame &options)
 {
     uint64_t hash = 14695981039346656037ULL; // FNV-1a offset basis
     fnv1aUpdate(hash, jobOptionsKey(options));
     fnv1aUpdate(hash, function);
-    fnv1aUpdate(hash, moduleText);
+    fnv1aUpdate(hash, std::to_string(moduleHash) + ':' +
+                          std::to_string(moduleLen));
     return hash == 0 ? 1 : hash;
+}
+
+uint64_t
+jobFingerprint(const std::string &moduleText,
+               const std::string &function,
+               const smt::wire::JobOptionsFrame &options)
+{
+    return jobFingerprint(support::fnv1a64(moduleText), moduleText.size(),
+                          function, options);
 }
 
 } // namespace keq::service

@@ -217,7 +217,9 @@ Server::executeJob(const JobWork &work)
                       static_cast<unsigned>(waited);
     }
 
-    driver::FunctionReport report = validateJob(work, deadlineCap);
+    uint64_t moduleHash = 0;
+    driver::FunctionReport report =
+        validateJob(work, deadlineCap, moduleHash);
     if (stopping_.load() ||
         report.verdict.failure == FailureKind::Cancelled) {
         // Shutdown interrupted this solve. A Cancelled verdict is not
@@ -237,7 +239,7 @@ Server::executeJob(const JobWork &work)
     // Record before sending: if the client died mid-flight, its
     // failover resubmit of this very job must hit the ledger instead
     // of re-solving (and re-charging) it.
-    ledgerRecord(work, report, frame);
+    ledgerRecord(work, moduleHash, report, frame);
     if (!session->sendVerdict(frame)) {
         // The socket died under us: the client's remaining backlog is
         // unsendable too. Drop it now instead of solving toward a dead
@@ -247,7 +249,8 @@ Server::executeJob(const JobWork &work)
 }
 
 driver::FunctionReport
-Server::validateJob(const JobWork &work, unsigned deadlineMsCap)
+Server::validateJob(const JobWork &work, unsigned deadlineMsCap,
+                    uint64_t &moduleHash)
 {
     driver::FunctionReport report;
     report.function = work.function;
@@ -256,7 +259,7 @@ Server::validateJob(const JobWork &work, unsigned deadlineMsCap)
 
     std::string error;
     std::shared_ptr<const llvmir::Module> module =
-        moduleFor(work.moduleText, error);
+        moduleFor(work.moduleText, error, moduleHash);
     if (module == nullptr) {
         // Clients parse before submitting, so this is version skew or
         // a foreign client — classified, not fatal.
@@ -342,21 +345,27 @@ Server::pipelineFor(const wire::JobOptionsFrame &frameOptions)
 }
 
 std::shared_ptr<const llvmir::Module>
-Server::moduleFor(const std::string &text, std::string &error)
+Server::moduleFor(const std::string &text, std::string &error,
+                  uint64_t &textHash)
 {
     {
         std::lock_guard<std::mutex> lock(modulesMutex_);
         auto it = modules_.find(text);
-        if (it != modules_.end())
-            return it->second;
+        if (it != modules_.end()) {
+            textHash = it->second.textHash;
+            return it->second.module;
+        }
     }
-    // Parse outside the lock (a big module takes a while); a racing
-    // duplicate parse is wasted work, not a correctness problem.
-    std::shared_ptr<llvmir::Module> module;
+    // Parse and hash outside the lock (a big module takes a while); a
+    // racing duplicate parse is wasted work, not a correctness problem.
+    textHash = support::fnv1a64(text);
+    CachedModule cached;
+    cached.textHash = textHash;
     try {
-        module = std::make_shared<llvmir::Module>(
+        auto module = std::make_shared<llvmir::Module>(
             llvmir::parseModule(text));
         llvmir::verifyModuleOrThrow(*module);
+        cached.module = std::move(module);
     } catch (const support::Error &err) {
         error = err.what();
         return nullptr;
@@ -364,8 +373,20 @@ Server::moduleFor(const std::string &text, std::string &error)
     std::lock_guard<std::mutex> lock(modulesMutex_);
     if (modules_.size() >= kMaxCachedModules)
         modules_.clear();
-    auto [it, inserted] = modules_.emplace(text, std::move(module));
-    return it->second;
+    auto [it, inserted] = modules_.emplace(text, std::move(cached));
+    return it->second.module;
+}
+
+uint64_t
+Server::moduleTextHash(const std::string &text)
+{
+    {
+        std::lock_guard<std::mutex> lock(modulesMutex_);
+        auto it = modules_.find(text);
+        if (it != modules_.end())
+            return it->second.textHash;
+    }
+    return support::fnv1a64(text);
 }
 
 bool
@@ -386,7 +407,7 @@ Server::ledgerLookup(const wire::SubmitJobFrame &job,
     if (entry.function != job.function ||
         entry.optionsKey != jobOptionsKey(job.options) ||
         entry.moduleLen != job.moduleText.size() ||
-        entry.moduleHash != support::fnv1a64(job.moduleText))
+        entry.moduleHash != moduleTextHash(job.moduleText))
         return false;
     ledgerLru_.splice(ledgerLru_.begin(), ledgerLru_, entry.lru);
     out.report = entry.report;
@@ -396,7 +417,7 @@ Server::ledgerLookup(const wire::SubmitJobFrame &job,
 }
 
 void
-Server::ledgerRecord(const JobWork &work,
+Server::ledgerRecord(const JobWork &work, uint64_t moduleHash,
                      const driver::FunctionReport &report,
                      const wire::JobVerdictFrame &frame)
 {
@@ -417,8 +438,8 @@ Server::ledgerRecord(const JobWork &work,
     uint64_t fingerprint =
         work.fingerprint != 0
             ? work.fingerprint
-            : jobFingerprint(work.moduleText, work.function,
-                             work.options);
+            : jobFingerprint(moduleHash, work.moduleText.size(),
+                             work.function, work.options);
     std::lock_guard<std::mutex> lock(ledgerMutex_);
     auto it = ledger_.find(fingerprint);
     if (it != ledger_.end()) {
@@ -437,7 +458,7 @@ Server::ledgerRecord(const JobWork &work,
     LedgerEntry entry;
     entry.function = work.function;
     entry.optionsKey = jobOptionsKey(work.options);
-    entry.moduleHash = support::fnv1a64(work.moduleText);
+    entry.moduleHash = moduleHash;
     entry.moduleLen = work.moduleText.size();
     entry.report = frame.report;
     entry.stats = frame.stats;

@@ -215,18 +215,25 @@ class Server
     friend class Session;
 
     void acceptLoop(Listener &listener);
-    /** Records a completed job for future idempotent resubmits. */
-    void ledgerRecord(const JobWork &work,
+    /** Records a completed job for future idempotent resubmits;
+     *  @p moduleHash is fnv1a64 of the job's module text. */
+    void ledgerRecord(const JobWork &work, uint64_t moduleHash,
                       const driver::FunctionReport &report,
                       const smt::wire::JobVerdictFrame &frame);
     /** Pool task: pop one job fairly and execute it. */
     void runOneJob();
     void executeJob(const JobWork &work);
     driver::FunctionReport validateJob(const JobWork &work,
-                                       unsigned deadlineMsCap);
+                                       unsigned deadlineMsCap,
+                                       uint64_t &moduleHash);
     driver::Pipeline &pipelineFor(const smt::wire::JobOptionsFrame &o);
+    /** The parsed module for @p text (null + @p error when rejected)
+     *  and, either way, fnv1a64 of the text in @p textHash. */
     std::shared_ptr<const llvmir::Module>
-    moduleFor(const std::string &text, std::string &error);
+    moduleFor(const std::string &text, std::string &error,
+              uint64_t &textHash);
+    /** fnv1a64 of @p text, reused from the module cache if present. */
+    uint64_t moduleTextHash(const std::string &text);
     std::shared_ptr<Session> sessionFor(uint64_t clientId);
 
     // Session-facing hooks (called from reader threads).
@@ -269,10 +276,17 @@ class Server
     std::unordered_map<std::string, std::unique_ptr<driver::Pipeline>>
         pipelines_;
 
+    /** A parsed module plus fnv1a64 of its text: every job on the
+     *  same text reuses both, so the text is hashed once per distinct
+     *  module rather than on every ledger record and probe. */
+    struct CachedModule
+    {
+        std::shared_ptr<const llvmir::Module> module;
+        uint64_t textHash = 0;
+    };
+
     std::mutex modulesMutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const llvmir::Module>>
-        modules_;
+    std::unordered_map<std::string, CachedModule> modules_;
 
     mutable std::mutex ledgerMutex_;
     std::unordered_map<uint64_t, LedgerEntry> ledger_;

@@ -156,6 +156,14 @@ scanQuery(const std::vector<Term> &assertions)
     return scan;
 }
 
+/** KEQ_CACHE_DEBUG, read once per process rather than per query. */
+bool
+cacheDebug()
+{
+    static const bool enabled = std::getenv("KEQ_CACHE_DEBUG") != nullptr;
+    return enabled;
+}
+
 } // namespace
 
 // --- QueryCache ----------------------------------------------------------
@@ -475,7 +483,7 @@ CachingSolver::tryModelReuse(const std::vector<Term> &assertions,
             return SatResult::Sat;
         }
     }
-    if (std::getenv("KEQ_CACHE_DEBUG") != nullptr) {
+    if (cacheDebug()) {
         std::fprintf(stderr, "NOREUSE sup=%d nv=%zu h=%zx\n",
                      scan.supported ? 1 : 0, scan.vars.size(),
                      std::hash<std::string>{}(key));
@@ -707,7 +715,7 @@ CachingSolver::checkSat(const std::vector<Term> &assertions)
     stats_.crossLaneDisagreements +=
         backend_delta.crossLaneDisagreements;
     stats_.totalSeconds += watch.seconds();
-    if (std::getenv("KEQ_CACHE_DEBUG") != nullptr) {
+    if (cacheDebug()) {
         std::fprintf(stderr, "MISS %8.2f ms  %s  h=%zx  n=%zu  a=%zu\n",
                      watch.seconds() * 1e3,
                      result == SatResult::Sat

@@ -279,6 +279,12 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
             foldNonVerdictStats(stats_, solver->stats() - before);
 
             if (!crashed && result != SatResult::Unknown) {
+                // A definite answer carries no failure, whatever the
+                // attempts before it hit: a sandbox worker ships this
+                // classification with the answer, and its parent only
+                // counts an answer with FailureKind::None as definite.
+                lastFailure_ = FailureKind::None;
+                lastUnknownReason_.clear();
                 if (rung > 0)
                     ++stats_.escalatedResolved;
                 lastAnswering_ = solver;

@@ -13,6 +13,18 @@
 
 namespace keq::smt {
 
+namespace {
+
+/** KEQ_INC_DEBUG, read once per process rather than per query. */
+bool
+incrementalDebug()
+{
+    static const bool enabled = std::getenv("KEQ_INC_DEBUG") != nullptr;
+    return enabled;
+}
+
+} // namespace
+
 struct IncrementalZ3Solver::Impl
 {
     z3::context ctx;
@@ -60,8 +72,7 @@ struct IncrementalZ3Solver::Impl
 
 IncrementalZ3Solver::IncrementalZ3Solver(TermFactory &factory,
                                          BackendTuning tuning)
-    : factory_(factory), impl_(std::make_unique<Impl>()),
-      tuning_(std::move(tuning))
+    : factory_(factory), tuning_(std::move(tuning))
 {}
 
 IncrementalZ3Solver::~IncrementalZ3Solver() = default;
@@ -90,7 +101,7 @@ IncrementalZ3Solver::setMemoryBudgetMb(unsigned budget_mb)
 void
 IncrementalZ3Solver::interruptQuery()
 {
-    impl_->ctx.interrupt();
+    impl_.ifCreated([](Impl &impl) { impl.ctx.interrupt(); });
 }
 
 SatResult
@@ -99,7 +110,7 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
     support::Stopwatch watch;
     lastUnknownReason_.clear();
     lastFailure_ = FailureKind::None;
-    Impl &impl = *impl_;
+    Impl &impl = impl_.get();
     if (!impl.limitsApplied || impl.appliedTimeoutMs != timeoutMs_ ||
         impl.appliedMemoryMb != memoryBudgetMb_) {
         impl.applyLimits(impl.solver, timeoutMs_, memoryBudgetMb_);
@@ -140,7 +151,7 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
 
         support::Stopwatch check_watch;
         z3_result = impl.solver.check();
-        if (std::getenv("KEQ_INC_DEBUG") != nullptr)
+        if (incrementalDebug())
             std::fprintf(stderr, "inc n=%zu prefix=%zu t=%.4f\n",
                          assertions.size(), prefix,
                          check_watch.seconds());
@@ -183,9 +194,13 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
             impl.reset();
         }
     } catch (const z3::exception &error) {
-        // The scope stack may hold a half-pushed assertion; rebuild
-        // before anyone reuses this solver.
-        impl.reset();
+        // The scope stack may hold a half-pushed assertion, and the
+        // context itself may be unusable: an interrupt that lands while
+        // no check runs stays pending and makes every later push throw
+        // "canceled". Drop the whole context (the model first: it
+        // lives in the context); the next query builds a fresh one.
+        model.reset();
+        impl_.reset();
         std::string what = error.msg();
         lastFailure_ = what.find("memory") != std::string::npos
                            ? FailureKind::MemoryBudget

@@ -10,7 +10,8 @@
  * that share long assertion prefixes: the cut-point hypothesis terms
  * accumulate in order, and successive proof obligations differ only in
  * the negated conclusion at the tail. IncrementalZ3Solver keeps one
- * z3::solver alive per worker and mirrors the assertion list onto a
+ * z3::solver alive for its own lifetime (the pipeline builds one per
+ * function validation) and mirrors the assertion list onto a
  * push/pop scope stack — one scope per directly-asserted assertion
  * (plain scoped asserts keep Z3's full preprocessing enabled, unlike an
  * assumption-literal encoding). A new query pops back to the longest
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "src/smt/evaluator.h"
+#include "src/smt/lazy_impl.h"
 #include "src/smt/solver.h"
 #include "src/smt/term_factory.h"
 
@@ -56,7 +58,8 @@ class IncrementalZ3Solver : public Solver
      * thread. Note the Unknown guardrail below *re-enters* Z3 on a
      * fresh fallback solver after an interrupted check — a watchdog
      * that wants the whole call abandoned must keep re-interrupting
-     * until checkSat returns (GuardedSolver's does).
+     * until checkSat returns (GuardedSolver's does). A no-op before
+     * the first query has created the context.
      */
     void interruptQuery() override;
 
@@ -82,7 +85,7 @@ class IncrementalZ3Solver : public Solver
   private:
     struct Impl; // hides <z3++.h> from clients
     TermFactory &factory_;
-    std::unique_ptr<Impl> impl_;
+    LazyImpl<Impl> impl_; ///< created by the first checkSat
     BackendTuning tuning_;
     SolverStats stats_;
     unsigned timeoutMs_ = 0;

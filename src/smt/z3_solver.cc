@@ -18,8 +18,7 @@ struct Z3Solver::Impl
 };
 
 Z3Solver::Z3Solver(TermFactory &factory, BackendTuning tuning)
-    : factory_(factory), impl_(std::make_unique<Impl>()),
-      tuning_(std::move(tuning))
+    : factory_(factory), tuning_(std::move(tuning))
 {}
 
 Z3Solver::~Z3Solver() = default;
@@ -48,7 +47,7 @@ Z3Solver::setMemoryBudgetMb(unsigned budget_mb)
 void
 Z3Solver::interruptQuery()
 {
-    impl_->ctx.interrupt();
+    impl_.ifCreated([](Impl &impl) { impl.ctx.interrupt(); });
 }
 
 SatResult
@@ -57,9 +56,10 @@ Z3Solver::checkSat(const std::vector<Term> &assertions)
     support::Stopwatch watch;
     lastUnknownReason_.clear();
     lastFailure_ = FailureKind::None;
-    z3::solver solver(impl_->ctx);
+    Impl &impl = impl_.get();
+    z3::solver solver(impl.ctx);
     if (timeoutMs_ > 0 || memoryBudgetMb_ > 0) {
-        z3::params params(impl_->ctx);
+        z3::params params(impl.ctx);
         if (timeoutMs_ > 0)
             params.set("timeout", timeoutMs_);
         if (memoryBudgetMb_ > 0)
@@ -67,13 +67,13 @@ Z3Solver::checkSat(const std::vector<Term> &assertions)
         solver.set(params);
     }
     if (!tuning_.empty())
-        applyTuningParams(impl_->ctx, solver, tuning_);
+        applyTuningParams(impl.ctx, solver, tuning_);
     z3::check_result z3_result = z3::unknown;
     try {
         for (const Term &assertion : assertions) {
             KEQ_ASSERT(assertion.sort().isBool(),
                        "checkSat: non-bool assertion");
-            solver.add(impl_->lowering.lower(assertion));
+            solver.add(impl.lowering.lower(assertion));
         }
         z3_result = solver.check();
         if (z3_result == z3::unknown) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/smt/evaluator.h"
+#include "src/smt/lazy_impl.h"
 #include "src/smt/solver.h"
 #include "src/smt/term_factory.h"
 
@@ -38,7 +39,8 @@ class Z3Solver : public Solver
     /**
      * Fires Z3_interrupt on the owning context; safe from another
      * thread (the watchdog). The in-flight check returns Unknown with
-     * reason "canceled".
+     * reason "canceled". A no-op before the first query has created
+     * the context.
      */
     void interruptQuery() override;
 
@@ -69,7 +71,7 @@ class Z3Solver : public Solver
   private:
     struct Impl; // hides <z3++.h> from clients
     TermFactory &factory_;
-    std::unique_ptr<Impl> impl_;
+    LazyImpl<Impl> impl_; ///< created by the first checkSat
     BackendTuning tuning_;
     SolverStats stats_;
     unsigned timeoutMs_ = 0;

@@ -102,8 +102,7 @@ certainFault(unsigned smt::FaultPlan::*rate)
 /** First corpus function whose verdict *depends* on a definite solver
  *  answer: clean validation succeeds with real queries, and an
  *  injected Unknown degrades it to a classified failure. (On a
- *  fold-only function, or one whose only queries are conservative
- *  possiblySat checks, the fault tests below would be vacuous.) */
+ *  fold-only function the fault tests below would be vacuous.) */
 size_t
 queryHeavyIndex()
 {

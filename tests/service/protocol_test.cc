@@ -12,6 +12,7 @@
 
 #include "src/service/job_options.h"
 #include "src/smt/wire.h"
+#include "src/support/journal.h"
 #include "src/support/rng.h"
 #include "src/vcgen/vcgen.h"
 
@@ -457,6 +458,36 @@ TEST(ServiceProtocolTest, JobFingerprintSeparatesJobIdentities)
     EXPECT_NE(base, service::jobFingerprint(moduleA, "@g", options));
     EXPECT_NE(base,
               service::jobFingerprint(moduleA, "@f", optionsTimeout));
+}
+
+/** The hash form a daemon uses (module text hashed once, then reused
+ *  across jobs) agrees with the text form a client uses, so both sides
+ *  of a failover resubmit derive the same key; and both halves of the
+ *  module identity, hash and length, separate jobs on their own. */
+TEST(ServiceProtocolTest, JobFingerprintFromModuleHashMatchesTextForm)
+{
+    namespace service = keq::service;
+    JobOptionsFrame options =
+        service::encodeJobOptions(driver::PipelineOptions{});
+    JobOptionsFrame optionsTimeout = options;
+    optionsTimeout.smtTimeoutMs = 123;
+    for (const std::string &module :
+         {std::string(), std::string("define i32 @f() {\nret i32 0\n}\n"),
+          std::string(4096, 'x')}) {
+        uint64_t hash = support::fnv1a64(module);
+        for (const JobOptionsFrame &opts : {options, optionsTimeout}) {
+            for (const char *fn : {"@f", "@g", ""}) {
+                EXPECT_EQ(service::jobFingerprint(hash, module.size(), fn,
+                                                  opts),
+                          service::jobFingerprint(module, fn, opts))
+                    << module.size() << " " << fn;
+            }
+        }
+    }
+    uint64_t base = service::jobFingerprint(7, 100, "@f", options);
+    EXPECT_NE(base, 0u);
+    EXPECT_NE(base, service::jobFingerprint(8, 100, "@f", options));
+    EXPECT_NE(base, service::jobFingerprint(7, 101, "@f", options));
 }
 
 /** Version skew must be expressible: a v2 hello decodes fine (the

@@ -146,6 +146,10 @@ TEST(GuardedSolverTest, TransientUnknownIsRetriedOnTheSameRung)
     EXPECT_EQ(guard.stats().sat, 1u);
     EXPECT_EQ(guard.stats().unknown, 0u);
     EXPECT_EQ(guard.stats().guardedRetries, 1u);
+    // The rescued answer reports no failure: a sandbox parent would
+    // otherwise discard it as non-definite.
+    EXPECT_EQ(guard.lastFailureKind(), FailureKind::None);
+    EXPECT_EQ(guard.lastUnknownReason(), "");
 }
 
 TEST(GuardedSolverTest, EscalationResolvesOnAFreshRung)
@@ -162,6 +166,7 @@ TEST(GuardedSolverTest, EscalationResolvesOnAFreshRung)
     EXPECT_EQ(guard.stats().unsat, 1u);
     EXPECT_EQ(guard.stats().guardedEscalations, 1u);
     EXPECT_EQ(guard.stats().escalatedResolved, 1u);
+    EXPECT_EQ(guard.lastFailureKind(), FailureKind::None);
 }
 
 TEST(GuardedSolverTest, ExhaustedLadderReportsAClassifiedUnknown)
