@@ -116,8 +116,9 @@ namespace {
  * (factory, semantics, Z3) locally so concurrent invocations share
  * nothing but the optional query cache.
  *
- * @param exec Solver-stack configuration; nullptr selects the plain
- *             cold-start Z3 backend with no preprocessing (the free
+ * @param exec Solver-stack configuration; nullptr selects the backend
+ *             a default ExecutionOptions picks (IncrementalZ3Solver)
+ *             with no cache, preprocessing or guard (the free
  *             validateFunction entry points, used as the unoptimized
  *             reference stack by tests and benches).
  * @param sandbox Non-null routes every query to the out-of-process
@@ -207,7 +208,7 @@ validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
         } else if (lanes.size() == 1) {
             // One explicit lane: no race, but honor its tuning.
             backend = smt::makeLaneBackend(factory, lanes.front());
-        } else if (exec != nullptr && exec->incrementalSolver) {
+        } else if (exec == nullptr || exec->incrementalSolver) {
             backend = std::make_unique<smt::IncrementalZ3Solver>(factory);
         } else {
             backend = std::make_unique<smt::Z3Solver>(factory);
@@ -428,7 +429,7 @@ validateRegAlloc(const llvmir::Module &module, const llvmir::Function &fn,
         post_module.functions.push_back(std::move(allocation.fn));
         vx86::SymbolicSemantics sem_a(pre_module, factory, layout);
         vx86::SymbolicSemantics sem_b(post_module, factory, layout);
-        smt::Z3Solver solver(factory);
+        smt::IncrementalZ3Solver solver(factory);
         sem::IselAcceptability acceptability;
         checker::Checker checker(sem_a, sem_b, acceptability, solver,
                                  options.checker);

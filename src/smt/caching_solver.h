@@ -7,7 +7,7 @@
  *
  * Cut-bisimulation checking re-proves near-identical implications at every
  * synchronization point, and corpus functions repeat whole query shapes —
- * yet each Z3Solver::checkSat cold-starts a fresh z3::solver. The
+ * yet every backend miss costs a Z3 check. The
  * CachingSolver normalizes every query to a canonical key (sorted, deduped
  * assertion fingerprints) and memoizes definitive Sat/Unsat verdicts, so
  * repeated queries are answered without touching the backend.

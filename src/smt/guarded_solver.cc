@@ -98,7 +98,8 @@ GuardedSolver::cancelCurrentQuery()
     queryCancelled_.store(true, std::memory_order_relaxed);
     // Immediate first interrupt so the reap does not wait for the next
     // watchdog poll tick; the watchdog re-fires until the attempt
-    // returns (the incremental backend's Unknown fallback re-enters Z3).
+    // returns (an interrupt that lands before the backend has created
+    // its Z3 context is a no-op).
     interruptQuery();
     watchCv_.notify_all();
 }
@@ -199,9 +200,9 @@ GuardedSolver::watchdogLoop()
                 lock.unlock();
                 target->interruptQuery();
                 lock.lock();
-                // Keep re-firing until the attempt returns: the
-                // incremental backend's Unknown guardrail re-enters Z3
-                // after the first interrupt lands.
+                // Keep re-firing until the attempt returns: an
+                // interrupt that lands before the backend has created
+                // its Z3 context is a no-op.
                 watchCv_.wait_for(lock, 25ms, [&] {
                     return !watchArmed_ ||
                            watchGeneration_ != generation ||

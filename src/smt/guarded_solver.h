@@ -16,8 +16,8 @@
  *    enforced by a dedicated thread that fires the backend's
  *    interruptQuery() (Z3_interrupt) when the deadline or a cooperative
  *    cancellation token trips — and keeps re-firing until the attempt
- *    returns, because the incremental backend's internal Unknown
- *    fallback re-enters Z3 after the first interrupt.
+ *    returns, because an interrupt that lands before the backend has
+ *    created its Z3 context is a no-op.
  *
  *  - **Escalation ladder.** On a failed attempt (Unknown or crash) the
  *    query is retried a bounded number of times per rung with jittered

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "src/smt/incremental_z3_solver.h"
-#include "src/smt/z3_solver.h"
 #include "src/support/diagnostics.h"
 
 namespace keq::smt {
@@ -151,6 +150,35 @@ makeLaneBackend(TermFactory &factory, const LaneConfig &config)
     return std::make_unique<Z3Solver>(factory, config.tuning);
 }
 
+bool
+lanesDisagree(std::vector<LaneAnswer> &answers,
+              const std::function<SatResult()> &recheck)
+{
+    auto contradicted = [&] {
+        bool saw_sat = false;
+        bool saw_unsat = false;
+        for (const LaneAnswer &answer : answers) {
+            saw_sat |= answer.result == SatResult::Sat;
+            saw_unsat |= answer.result == SatResult::Unsat;
+        }
+        return saw_sat && saw_unsat;
+    };
+    auto doubtful = [](const LaneAnswer &answer) {
+        return answer.interrupted && answer.result != SatResult::Unknown;
+    };
+    if (!contradicted() ||
+        std::none_of(answers.begin(), answers.end(), doubtful))
+        return contradicted();
+    SatResult truth = recheck();
+    if (truth == SatResult::Unknown)
+        return true;
+    for (LaneAnswer &answer : answers) {
+        if (doubtful(answer) && answer.result != truth)
+            answer.result = SatResult::Unknown;
+    }
+    return contradicted();
+}
+
 struct PortfolioSolver::Lane
 {
     LaneConfig config;
@@ -160,6 +188,7 @@ struct PortfolioSolver::Lane
     uint64_t generation = 0; ///< last generation this lane picked up
     bool done = true;
     bool crashed = false;
+    bool reaped = false; ///< interrupted because another lane won
     SatResult result = SatResult::Unknown;
 };
 
@@ -175,6 +204,8 @@ struct PortfolioSolver::State
     size_t doneCount = 0;
     int winner = -1;
     bool stop = false;
+    /** Untuned, used only by the caller thread for re-checks. */
+    std::unique_ptr<Solver> recheck;
     // Settings snapshotted by lanes at race start (guarded by mutex).
     unsigned timeoutMs = 0;
     unsigned memoryBudgetMb = 0;
@@ -194,6 +225,7 @@ PortfolioSolver::PortfolioSolver(TermFactory &factory,
         lane->backend = makeLaneBackend(factory_, lane->config);
         state_->lanes.push_back(std::move(lane));
     }
+    state_->recheck = std::make_unique<Z3Solver>(factory_);
     for (size_t i = 0; i < state_->lanes.size(); ++i) {
         state_->lanes[i]->thread =
             std::thread([this, i] { laneMain(i); });
@@ -255,6 +287,7 @@ PortfolioSolver::interruptQuery()
     // outer watchdog re-fires this until checkSat returns.
     for (auto &lane : state_->lanes)
         lane->backend->interruptQuery();
+    state_->recheck->interruptQuery();
 }
 
 bool
@@ -339,13 +372,19 @@ PortfolioSolver::checkSat(const std::vector<Term> &assertions)
         before[i] = state.lanes[i]->backend->stats();
 
     size_t losers_reaped = 0;
+    unsigned timeout_ms = 0;
+    unsigned memory_mb = 0;
     {
         std::unique_lock<std::mutex> lock(state.mutex);
+        timeout_ms = state.timeoutMs;
+        memory_mb = state.memoryBudgetMb;
         state.work = &assertions;
         state.winner = -1;
         state.doneCount = 0;
-        for (auto &lane : state.lanes)
+        for (auto &lane : state.lanes) {
             lane->done = false;
+            lane->reaped = false;
+        }
         ++state.generation;
         state.workCv.notify_all();
 
@@ -355,14 +394,14 @@ PortfolioSolver::checkSat(const std::vector<Term> &assertions)
         });
 
         // Phase 2: a winner exists but losers are still solving — reap
-        // them. One interrupt is not enough: an incremental lane's
-        // Unknown guardrail re-enters Z3 on a fresh fallback solver, so
-        // keep re-firing until every lane has returned. checkSat must
-        // not return before then (lanes read the shared term DAG).
+        // them. One interrupt is not enough: it is a no-op on a lane
+        // whose backend has not created its context yet, so keep
+        // re-firing until every lane has returned. checkSat must not
+        // return before then (lanes read the shared term DAG).
         if (state.doneCount < lane_count) {
             for (auto &lane : state.lanes) {
-                if (!lane->done)
-                    ++losers_reaped;
+                lane->reaped = !lane->done;
+                losers_reaped += lane->reaped ? 1 : 0;
             }
             while (state.doneCount < lane_count) {
                 for (auto &lane : state.lanes) {
@@ -384,15 +423,27 @@ PortfolioSolver::checkSat(const std::vector<Term> &assertions)
 
     // Disagreement oracle: contradictory definite verdicts mean some
     // strategy is unsound on this query — refuse to pick a side.
-    bool saw_sat = false;
-    bool saw_unsat = false;
-    for (auto &lane : state.lanes) {
-        if (lane->crashed)
-            continue;
-        saw_sat |= lane->result == SatResult::Sat;
-        saw_unsat |= lane->result == SatResult::Unsat;
-    }
-    if (saw_sat && saw_unsat) {
+    // interruptQuery() reaches the re-check too, so a deadline or a
+    // cancel stops it, and a stopped re-check answers Unknown.
+    std::vector<LaneAnswer> answers;
+    for (auto &lane : state.lanes)
+        answers.push_back({lane->result, lane->reaped});
+    bool disagree = lanesDisagree(answers, [&] {
+        Solver &recheck = *state.recheck;
+        SolverStats recheck_before = recheck.stats();
+        SatResult truth = SatResult::Unknown;
+        try {
+            recheck.setTimeoutMs(timeout_ms);
+            recheck.setMemoryBudgetMb(memory_mb);
+            truth = recheck.checkSat(assertions);
+        } catch (const std::exception &) {
+        }
+        foldNonVerdictStats(stats_, recheck.stats() - recheck_before);
+        return truth;
+    });
+    for (size_t i = 0; i < lane_count; ++i)
+        state.lanes[i]->result = answers[i].result;
+    if (disagree) {
         ++stats_.crossLaneDisagreements;
         ++stats_.unknown;
         lastFailure_ = FailureKind::PortfolioDisagreement;

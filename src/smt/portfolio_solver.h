@@ -12,8 +12,8 @@
  * each owning its own backend (own z3::context) built from a LaneConfig
  * — takes the first *definite* Sat/Unsat answer, and reaps the losers
  * through the same re-firing interruptQuery() lever the GuardedSolver
- * watchdog uses (an incremental lane's Unknown guardrail re-enters Z3,
- * so one interrupt is not enough; we keep firing until the lane
+ * watchdog uses (an interrupt that lands before a lane's backend has
+ * created its context is a no-op, so we keep firing until the lane
  * returns).
  *
  * Verdict-counter contract: one checkSat is ONE logical query no matter
@@ -26,7 +26,11 @@
  * Disagreement oracle: if two lanes return contradictory definite
  * verdicts for the same assertions, the portfolio refuses to pick a
  * side — it reports Unknown with FailureKind::PortfolioDisagreement and
- * bumps crossLaneDisagreements. Strategy disagreement is a free
+ * bumps crossLaneDisagreements. Z3 can return a wrong definite answer
+ * from a check that an interrupt cut short, so a reaped loser's answer
+ * is first re-checked on the portfolio's own untuned Z3Solver and
+ * dropped if the re-check contradicts it (lanesDisagree); only a
+ * contradiction that survives counts. Strategy disagreement is a free
  * differential-soundness check; fuzz campaigns surface it as a
  * soundness bug.
  *
@@ -37,6 +41,7 @@
  * reader.
  */
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -90,6 +95,27 @@ bool parsePortfolioLanes(const std::string &spec,
 std::unique_ptr<Solver> makeLaneBackend(TermFactory &factory,
                                         const LaneConfig &config);
 
+/** One lane's answer to a race, as the disagreement oracle sees it. */
+struct LaneAnswer
+{
+    SatResult result = SatResult::Unknown; ///< Unknown when it failed
+    bool interrupted = false; ///< reaped while it was still solving
+};
+
+/**
+ * The disagreement oracle of both portfolios (PortfolioSolver and
+ * WorkerSupervisor::solveGroup). Z3 can return a wrong definite answer
+ * from a check an interrupt cut short, so when the answers contradict
+ * each other and an interrupted lane gave one of them, @p recheck runs
+ * the query once more and every interrupted answer it definitely
+ * contradicts becomes Unknown in @p answers. @p recheck must start with
+ * no interrupt pending and answer Unknown when it fails or is stopped,
+ * which leaves the contradiction standing. Returns whether Sat and
+ * Unsat answers both remain.
+ */
+bool lanesDisagree(std::vector<LaneAnswer> &answers,
+                   const std::function<SatResult()> &recheck);
+
 /** Races N strategy lanes per query; first definite answer wins. */
 class PortfolioSolver : public Solver
 {
@@ -107,9 +133,10 @@ class PortfolioSolver : public Solver
     void setMemoryBudgetMb(unsigned budget_mb) override;
 
     /**
-     * Interrupts every lane; safe from another thread (the outer
-     * GuardedSolver watchdog re-fires this until checkSat returns,
-     * which forwards each firing to all in-flight lanes).
+     * Interrupts every lane and the re-check solver; safe from another
+     * thread (the outer GuardedSolver watchdog re-fires this until
+     * checkSat returns, which forwards each firing to all in-flight
+     * lanes).
      */
     void interruptQuery() override;
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "src/smt/portfolio_solver.h"
 #include "src/smt/term_factory.h"
 #include "src/support/rng.h"
 
@@ -819,20 +820,42 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
     for (const LaneRun &lane : runs)
         out.stats += lane.stats;
 
-    bool sawSat = false;
-    bool sawUnsat = false;
+    // The race is over: free its slots, so the re-check below can
+    // lease one even when the race took the whole pool.
+    for (Slot *slot : leased)
+        releaseSlot(slot);
+
+    // A loser can answer after its Cancel interrupted the check, and Z3
+    // can answer wrongly from a check cut short. Such an answer is
+    // re-checked by an untuned lane on a worker, like any other query:
+    // Z3 never runs in this process. A re-check that fails, times out
+    // or is cancelled answers Unknown and leaves the contradiction
+    // standing; a cancelled one also cancels the whole query.
+    std::vector<LaneAnswer> answers;
     for (const LaneRun &lane : runs) {
-        if (!isDefinite(lane))
-            continue;
-        sawSat = sawSat || lane.result == SatResult::Sat;
-        sawUnsat = sawUnsat || lane.result == SatResult::Unsat;
+        answers.push_back({isDefinite(lane) ? lane.result
+                                            : SatResult::Unknown,
+                           lane.cancelSent});
+    }
+    bool disagree = !userCancelled && lanesDisagree(answers, [&] {
+        QueryOutcome recheck = solve(sessionId, assertions, timeoutMs,
+                                     interrupted, "cold");
+        out.stats += recheck.stats;
+        userCancelled = recheck.failureKind == FailureKind::Cancelled;
+        return recheck.failureKind == FailureKind::None
+                   ? recheck.result
+                   : SatResult::Unknown;
+    });
+    for (size_t i = 0; i < runs.size(); ++i) {
+        if (answers[i].result == SatResult::Unknown)
+            runs[i].result = SatResult::Unknown;
     }
 
     if (userCancelled) {
         out.result = SatResult::Unknown;
         out.failureKind = FailureKind::Cancelled;
         out.unknownReason = "cancelled";
-    } else if (sawSat && sawUnsat) {
+    } else if (disagree) {
         // Two lanes produced conflicting definite verdicts on the same
         // assertion set: a solver soundness bug. Refuse to pick a side.
         ++out.stats.crossLaneDisagreements;
@@ -878,8 +901,6 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
         out.unknownReason = pick->reason;
     }
 
-    for (Slot *slot : leased)
-        releaseSlot(slot);
     out.stats += transport;
     bumpTotals(transport);
     return out;

@@ -178,7 +178,11 @@ class WorkerSupervisor
      * the race only fails when *every* lane fails. Two lanes returning
      * conflicting definite verdicts is a soundness signal: the outcome
      * is Unknown with FailureKind::PortfolioDisagreement and
-     * crossLaneDisagreements bumped.
+     * crossLaneDisagreements bumped. A loser's answer that arrived
+     * after its Cancel counts only if a re-check by the "cold" lane on
+     * a worker (a solve() after the race's slots are freed) does not
+     * contradict it (lanesDisagree); a cancelled re-check makes the
+     * outcome Cancelled.
      *
      * Slots are leased atomically (all lanes or none, under one lock)
      * so two concurrent group solves cannot deadlock on a partial

@@ -1,5 +1,6 @@
 #include "src/smt/z3_solver.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -11,20 +12,103 @@
 
 namespace keq::smt {
 
-struct Z3Solver::Impl
+namespace {
+
+/** KEQ_INC_DEBUG, read once per process rather than per query. */
+bool
+incrementalDebug()
+{
+    static const bool enabled = std::getenv("KEQ_INC_DEBUG") != nullptr;
+    return enabled;
+}
+
+/**
+ * KEQ_DUMP_SLOW_QUERIES=<seconds>, read once per process: a query that
+ * takes longer is printed to stderr in SMT-LIB form. Negative when the
+ * variable is unset.
+ */
+double
+slowQuerySeconds()
+{
+    static const double threshold = [] {
+        const char *env = std::getenv("KEQ_DUMP_SLOW_QUERIES");
+        return env == nullptr ? -1.0 : std::strtod(env, nullptr);
+    }();
+    return threshold;
+}
+
+/** Z3's own "no limit" value; lets a limit be cleared on a live solver. */
+constexpr unsigned kNoLimit = 4294967295u;
+
+} // namespace
+
+struct Z3Backend::Impl
 {
     z3::context ctx;
     Z3Lowering lowering{ctx};
+    std::optional<z3::solver> solver;
+    /** Assertions currently on the scope stack, one scope each. */
+    std::vector<Term> scopes;
+    /** Limits currently applied to `solver`. */
+    unsigned timeoutMs = 0;
+    unsigned memoryMb = 0;
+
+    /** The one solver constructor: QF_AUFBV, limits, then tuning. */
+    void
+    fresh(unsigned timeout_ms, unsigned memory_mb,
+          const BackendTuning &tuning)
+    {
+        solver.emplace(ctx, "QF_AUFBV");
+        scopes.clear();
+        applyLimits(timeout_ms, memory_mb);
+        if (!tuning.empty())
+            applyTuningParams(ctx, *solver, tuning);
+    }
+
+    void
+    applyLimits(unsigned timeout_ms, unsigned memory_mb)
+    {
+        z3::params params(ctx);
+        params.set("timeout", timeout_ms == 0 ? kNoLimit : timeout_ms);
+        params.set("max_memory", memory_mb == 0 ? kNoLimit : memory_mb);
+        solver->set(params);
+        timeoutMs = timeout_ms;
+        memoryMb = memory_mb;
+    }
+
+    /**
+     * Keeps the first @p keep scopes, pushes each remaining assertion
+     * in a scope of its own, then checks. Plain scoped asserts (no
+     * assumption literals) keep Z3's full preprocessing enabled.
+     */
+    z3::check_result
+    check(const std::vector<Term> &assertions, size_t keep)
+    {
+        if (scopes.size() > keep) {
+            solver->pop(static_cast<unsigned>(scopes.size() - keep));
+            scopes.resize(keep);
+        }
+        for (size_t i = keep; i < assertions.size(); ++i) {
+            KEQ_ASSERT(assertions[i].sort().isBool(),
+                       "checkSat: non-bool assertion");
+            solver->push();
+            solver->add(lowering.lower(assertions[i]));
+            scopes.push_back(assertions[i]);
+        }
+        return solver->check();
+    }
 };
 
-Z3Solver::Z3Solver(TermFactory &factory, BackendTuning tuning)
-    : factory_(factory), tuning_(std::move(tuning))
+Z3Backend::Z3Backend(TermFactory &factory, BackendTuning tuning,
+                     bool incremental)
+    : factory_(factory), tuning_(std::move(tuning)),
+      incremental_(incremental)
 {}
 
-Z3Solver::~Z3Solver() = default;
+Z3Backend::~Z3Backend() = default;
 
 bool
-Z3Solver::lastModel(Assignment *out) const
+Z3Backend::lastModel(Assignment *out) const
 {
     if (!lastModel_.has_value())
         return false;
@@ -33,57 +117,103 @@ Z3Solver::lastModel(Assignment *out) const
 }
 
 void
-Z3Solver::setTimeoutMs(unsigned timeout_ms)
+Z3Backend::setTimeoutMs(unsigned timeout_ms)
 {
     timeoutMs_ = timeout_ms;
 }
 
 void
-Z3Solver::setMemoryBudgetMb(unsigned budget_mb)
+Z3Backend::setMemoryBudgetMb(unsigned budget_mb)
 {
     memoryBudgetMb_ = budget_mb;
 }
 
 void
-Z3Solver::interruptQuery()
+Z3Backend::interruptQuery()
 {
+    interruptRequested_.store(true);
     impl_.ifCreated([](Impl &impl) { impl.ctx.interrupt(); });
 }
 
 SatResult
-Z3Solver::checkSat(const std::vector<Term> &assertions)
+Z3Backend::checkSat(const std::vector<Term> &assertions)
 {
     support::Stopwatch watch;
     lastUnknownReason_.clear();
     lastFailure_ = FailureKind::None;
-    Impl &impl = impl_.get();
-    z3::solver solver(impl.ctx);
-    if (timeoutMs_ > 0 || memoryBudgetMb_ > 0) {
-        z3::params params(impl.ctx);
-        if (timeoutMs_ > 0)
-            params.set("timeout", timeoutMs_);
-        if (memoryBudgetMb_ > 0)
-            params.set("max_memory", memoryBudgetMb_);
-        solver.set(params);
-    }
-    if (!tuning_.empty())
-        applyTuningParams(impl.ctx, solver, tuning_);
+    lastModel_.reset();
+    // Callers that interrupt re-fire until the query returns, so an
+    // earlier, stale request may be forgotten here.
+    interruptRequested_.store(false);
+    Impl *impl = &impl_.get();
     z3::check_result z3_result = z3::unknown;
     try {
-        for (const Term &assertion : assertions) {
-            KEQ_ASSERT(assertion.sort().isBool(),
-                       "checkSat: non-bool assertion");
-            solver.add(impl.lowering.lower(assertion));
+        // Incremental: rewind to the longest prefix shared with the
+        // previous query (hash-consing makes the comparison a pointer
+        // check) and push only the new suffix. Cold: a fresh solver.
+        size_t prefix = 0;
+        if (!incremental_ || !impl->solver.has_value()) {
+            impl->fresh(timeoutMs_, memoryBudgetMb_, tuning_);
+        } else {
+            if (impl->timeoutMs != timeoutMs_ ||
+                impl->memoryMb != memoryBudgetMb_)
+                impl->applyLimits(timeoutMs_, memoryBudgetMb_);
+            while (prefix < impl->scopes.size() &&
+                   prefix < assertions.size() &&
+                   impl->scopes[prefix].id() == assertions[prefix].id())
+                ++prefix;
         }
-        z3_result = solver.check();
+        support::Stopwatch check_watch;
+        z3_result = impl->check(assertions, prefix);
+        if (incrementalDebug())
+            std::fprintf(stderr, "inc n=%zu prefix=%zu t=%.4f\n",
+                         assertions.size(), prefix,
+                         check_watch.seconds());
+        stats_.incrementalReused += prefix;
+        ++(prefix > 0 ? stats_.incrementalSolves : stats_.coldSolves);
+
+        // Soundness guardrail: an incremental Unknown is retried on a
+        // fresh solver, which then stays as the persistent one, so
+        // reuse changes timings but not verdicts. The retry also takes
+        // a fresh context: after a timed-out check, Z3 can ignore the
+        // next timeout in the same context. An interrupted check is not
+        // retried: it was asked to stop.
+        if (z3_result == z3::unknown && incremental_ &&
+            !interruptRequested_.load()) {
+            ++stats_.incrementalFallbacks;
+            impl_.reset();
+            impl = &impl_.get();
+            impl->fresh(timeoutMs_, memoryBudgetMb_, tuning_);
+            z3_result = impl->check(assertions, 0);
+        }
         if (z3_result == z3::unknown) {
-            lastUnknownReason_ = solver.reason_unknown();
+            lastUnknownReason_ = impl->solver->reason_unknown();
             lastFailure_ = classifyUnknownReason(lastUnknownReason_);
         }
+        if (z3_result == z3::sat && captureModels_) {
+            try {
+                extractModel(impl->solver->get_model(),
+                             &lastModel_.emplace());
+            } catch (const z3::exception &) {
+                lastModel_.reset();
+            }
+        }
+        double seconds = watch.seconds();
+        if (slowQuerySeconds() >= 0.0 && seconds > slowQuerySeconds()) {
+            std::cerr << "; slow query (" << seconds << " s, "
+                      << impl->scopes.size() << " scopes)\n"
+                      << impl->solver->to_smt2() << "\n";
+        }
+        if (!incremental_)
+            impl->solver.reset();
     } catch (const z3::exception &error) {
-        // An abnormal backend failure is a crash, not a verdict; the
-        // GuardedSolver ladder absorbs it. Memory exhaustion surfaces
-        // as an allocation exception with some Z3 configurations.
+        // The scope stack may hold a half-pushed assertion, and the
+        // context itself may be unusable: an interrupt that lands while
+        // no check runs stays pending and makes every later push throw
+        // "canceled". Drop the whole context; the next query builds a
+        // fresh one. Memory exhaustion surfaces as an allocation
+        // exception with some Z3 configurations.
+        impl_.reset();
         std::string what = error.msg();
         lastFailure_ = what.find("memory") != std::string::npos
                            ? FailureKind::MemoryBudget
@@ -92,28 +222,7 @@ Z3Solver::checkSat(const std::vector<Term> &assertions)
     }
 
     ++stats_.queries;
-    double seconds = watch.seconds();
-    stats_.totalSeconds += seconds;
-
-    // Diagnostics: KEQ_DUMP_SLOW_QUERIES=<seconds> prints any query that
-    // exceeds the threshold in SMT-LIB form to stderr.
-    static const char *threshold_env =
-        std::getenv("KEQ_DUMP_SLOW_QUERIES");
-    if (threshold_env != nullptr &&
-        seconds > std::strtod(threshold_env, nullptr)) {
-        std::cerr << "; slow query (" << seconds << " s)\n"
-                  << solver.to_smt2() << "\n";
-    }
-    lastModel_.reset();
-    if (z3_result == z3::sat && captureModels_) {
-        lastModel_.emplace();
-        try {
-            extractModel(solver.get_model(), &*lastModel_);
-        } catch (const z3::exception &) {
-            lastModel_.reset();
-        }
-    }
-
+    stats_.totalSeconds += watch.seconds();
     switch (z3_result) {
       case z3::sat:
         ++stats_.sat;

@@ -3,15 +3,31 @@
 
 /**
  * @file
- * Z3-backed implementation of the Solver interface.
+ * The Z3 backends: one core, two ways to reuse solver state.
  *
- * Each query runs on a fresh z3::solver (no incrementality), matching the
- * paper's observation that the K/Z3 integration cold-starts every query —
- * and keeping query times directly comparable per call.
+ * Z3Backend is the shared core. It owns the lazily created z3::context
+ * and lowering, builds every solver the same way — logic-specialized
+ * `z3::solver(ctx, "QF_AUFBV")` with the limits and tuning applied —
+ * asserts each assertion in a scope of its own, then checks. It
+ * captures models, classifies Unknowns, drops the whole context after
+ * any z3::exception (a stale interrupt would otherwise make every
+ * later push throw "canceled") and dumps slow queries. Naming the
+ * logic and pushing a scope keep Z3 on its specialized incremental
+ * engine; a bare `z3::solver(ctx)` checked without a scope runs Z3's
+ * generic one-shot tactic path, which costs several times as much on
+ * the checker's query mix.
+ *
+ * Z3Solver ("cold") takes a fresh solver and scope per query: no state
+ * but the context's lowering memo survives between queries, which makes
+ * it the reference oracle of the tests and the fresh rung of the
+ * escalation ladder. IncrementalZ3Solver (incremental_z3_solver.h)
+ * pops back to the longest prefix shared with the previous query.
  */
 
-#include <memory>
+#include <atomic>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/smt/evaluator.h"
@@ -21,16 +37,11 @@
 
 namespace keq::smt {
 
-/** Translates terms to Z3 ASTs and discharges queries. */
-class Z3Solver : public Solver
+/** The shared Z3 core; see the file comment. */
+class Z3Backend : public Solver
 {
   public:
-    /**
-     * @p tuning: optional best-effort Z3 parameters applied to every
-     * query's solver — how a portfolio lane differentiates itself.
-     */
-    explicit Z3Solver(TermFactory &factory, BackendTuning tuning = {});
-    ~Z3Solver() override;
+    ~Z3Backend() override;
 
     SatResult checkSat(const std::vector<Term> &assertions) override;
     void setTimeoutMs(unsigned timeout_ms) override;
@@ -38,9 +49,11 @@ class Z3Solver : public Solver
 
     /**
      * Fires Z3_interrupt on the owning context; safe from another
-     * thread (the watchdog). The in-flight check returns Unknown with
-     * reason "canceled". A no-op before the first query has created
-     * the context.
+     * thread (the watchdog, the portfolio reaper). The in-flight check
+     * returns Unknown and is not retried. A no-op before the first
+     * query has created the context. An interrupt that lands between
+     * checks stays pending and costs the next query (a SolverCrashError
+     * that drops the context), never the ones after it.
      */
     void interruptQuery() override;
 
@@ -66,13 +79,25 @@ class Z3Solver : public Solver
     bool lastModel(Assignment *out) const override;
 
   protected:
+    /**
+     * @p tuning: best-effort Z3 parameters applied to every solver the
+     * core builds — how a portfolio lane differentiates itself.
+     * @p incremental: reuse the previous query's scopes (see
+     * IncrementalZ3Solver) instead of a fresh solver per query.
+     */
+    Z3Backend(TermFactory &factory, BackendTuning tuning, bool incremental);
+
     TermFactory &factory() override { return factory_; }
 
   private:
     struct Impl; // hides <z3++.h> from clients
+
     TermFactory &factory_;
     LazyImpl<Impl> impl_; ///< created by the first checkSat
+    /** Set by interruptQuery(), cleared when a query starts. */
+    std::atomic<bool> interruptRequested_{false};
     BackendTuning tuning_;
+    bool incremental_;
     SolverStats stats_;
     unsigned timeoutMs_ = 0;
     unsigned memoryBudgetMb_ = 0;
@@ -80,6 +105,15 @@ class Z3Solver : public Solver
     std::optional<Assignment> lastModel_;
     std::string lastUnknownReason_;
     FailureKind lastFailure_ = FailureKind::None;
+};
+
+/** Fresh solver and scope per query on the shared core. */
+class Z3Solver final : public Z3Backend
+{
+  public:
+    explicit Z3Solver(TermFactory &factory, BackendTuning tuning = {})
+        : Z3Backend(factory, std::move(tuning), /*incremental=*/false)
+    {}
 };
 
 } // namespace keq::smt

@@ -4,6 +4,8 @@
 
 #include "src/driver/corpus.h"
 #include "src/driver/pipeline.h"
+#include "src/isel/isel.h"
+#include "src/llvmir/parser.h"
 
 namespace keq::driver {
 namespace {
@@ -134,6 +136,60 @@ TEST(PipelineTest, OutcomeNamesMatchFigure6Rows)
     EXPECT_STREQ(outcomeName(Outcome::OutOfMemory),
                  "Failed due to out-of-memory");
     EXPECT_STREQ(outcomeName(Outcome::Other), "Other");
+}
+
+TEST(PipelineTest, EntryPointsWithoutExecutionOptionsUseIncrementalZ3)
+{
+    // The free entry points take no ExecutionOptions; they must pick
+    // the backend a default ExecutionOptions picks, IncrementalZ3Solver:
+    // every query that reaches it counts as a cold or an incremental
+    // solve, and queries sharing a prefix reuse it.
+    llvmir::Module module = llvmir::parseModule(R"(
+@grid = external global [16 x i8]
+define i8 @fill(i64 %n, i8 %x) {
+entry:
+  br label %head
+head:
+  %i = phi i64 [ 0, %entry ], [ %inext, %body ]
+  %done = icmp uge i64 %i, %n
+  br i1 %done, label %exit, label %body
+body:
+  %j = and i64 %i, 15
+  %p = getelementptr inbounds [16 x i8], [16 x i8]* @grid, i64 0, i64 %j
+  store i8 %x, i8* %p
+  %inext = add i64 %i, 1
+  br label %head
+exit:
+  %k = and i64 %n, 15
+  %q = getelementptr inbounds [16 x i8], [16 x i8]* @grid, i64 0, i64 %k
+  %v = load i8, i8* %q
+  ret i8 %v
+}
+)");
+    const llvmir::Function &fn = module.functions.back();
+    PipelineOptions options;
+    isel::FunctionHints hints;
+    vx86::MFunction mfn =
+        isel::lowerFunction(module, fn, options.isel, hints);
+    std::vector<std::pair<std::string, FunctionReport>> reports;
+    reports.emplace_back("validateFunction",
+                         validateFunction(module, fn, options));
+    reports.emplace_back(
+        "validateFunctionPair",
+        validateFunctionPair(module, fn, mfn, hints, options));
+    reports.emplace_back("validateRegAlloc",
+                         validateRegAlloc(module, fn, options));
+    for (const auto &[entry, report] : reports) {
+        SCOPED_TRACE(entry);
+        EXPECT_EQ(report.outcome, Outcome::Succeeded) << report.detail;
+        EXPECT_GE(report.syncPointCount, 3u);
+        const smt::SolverStats &stats = report.verdict.stats.solverStats;
+        EXPECT_GT(stats.queries, 0u);
+        EXPECT_EQ(stats.coldSolves + stats.incrementalSolves,
+                  stats.queries);
+        EXPECT_GT(stats.incrementalSolves, 0u)
+            << "a cold Z3Solver never reuses a prefix";
+    }
 }
 
 } // namespace

@@ -105,6 +105,41 @@ TEST(IncrementalZ3Test, ModelCaptureSkipsGuardLiterals)
     EXPECT_FALSE(solver.lastModel(&model));
 }
 
+TEST(IncrementalZ3Test, UnknownFallbackKeepsReusingPrefixes)
+{
+    // A 1 ms limit makes Z3 give up on a hard query (a 64-bit
+    // factorization of a prime). The guardrail retries it on a fresh
+    // solver from the core's one constructor; that solver becomes the
+    // persistent one, so the next queries still answer and still reuse
+    // their prefix.
+    TermFactory tf;
+    IncrementalZ3Solver solver(tf);
+    Term x = tf.var("x", Sort::bitVec(64));
+    Term y = tf.var("y", Sort::bitVec(64));
+    Term one = tf.bvConst(64, 1);
+    Term limit = tf.bvConst(64, uint64_t{1} << 32);
+    Term range = tf.mkAnd({tf.bvUlt(one, x), tf.bvUlt(one, y),
+                           tf.bvUlt(x, limit), tf.bvUlt(y, limit)});
+    Term prime = tf.mkEq(tf.bvMul(x, y),
+                         tf.bvConst(64, 4611686018427387847ULL));
+
+    solver.setTimeoutMs(1);
+    ASSERT_EQ(solver.checkSat({range, prime}), SatResult::Unknown);
+    EXPECT_EQ(solver.lastFailureKind(), FailureKind::Timeout);
+    EXPECT_EQ(solver.stats().incrementalFallbacks, 1u);
+
+    solver.setTimeoutMs(0);
+    uint64_t solves = solver.stats().incrementalSolves;
+    Term x_is_7 = tf.mkEq(x, tf.bvConst(64, 7));
+    EXPECT_EQ(solver.checkSat({range, x_is_7}), SatResult::Sat);
+    EXPECT_EQ(solver.stats().incrementalSolves, solves + 1);
+    EXPECT_EQ(solver.checkSat(
+                  {range, x_is_7, tf.mkEq(y, tf.bvConst(64, 3))}),
+              SatResult::Sat);
+    EXPECT_EQ(solver.stats().incrementalSolves, solves + 2);
+    EXPECT_EQ(solver.stats().incrementalFallbacks, 1u);
+}
+
 /**
  * Differential sweep: an IncrementalZ3Solver fed an arbitrary interleaved
  * sequence of queries must return exactly what a cold Z3Solver returns

@@ -303,5 +303,47 @@ TEST(PortfolioSolver, LaneIntrospectionNamesTheRoster)
     EXPECT_EQ(solver.laneName(2), "cold");
 }
 
+TEST(LanesDisagree, RechecksOnlyAContradictionWithAnInterruptedAnswer)
+{
+    int rechecks = 0;
+    auto recheck = [&] {
+        ++rechecks;
+        return SatResult::Unsat;
+    };
+    std::vector<LaneAnswer> agree = {{SatResult::Unsat, false},
+                                     {SatResult::Unsat, true},
+                                     {SatResult::Unknown, true}};
+    EXPECT_FALSE(lanesDisagree(agree, recheck));
+    std::vector<LaneAnswer> uninterrupted = {{SatResult::Unsat, false},
+                                             {SatResult::Sat, false}};
+    EXPECT_TRUE(lanesDisagree(uninterrupted, recheck));
+    EXPECT_EQ(rechecks, 0);
+}
+
+TEST(LanesDisagree, RecheckDropsOnlyTheInterruptedAnswersItContradicts)
+{
+    std::vector<LaneAnswer> answers = {{SatResult::Unsat, false},
+                                       {SatResult::Sat, true},
+                                       {SatResult::Unsat, true}};
+    EXPECT_FALSE(
+        lanesDisagree(answers, [] { return SatResult::Unsat; }));
+    EXPECT_EQ(answers[0].result, SatResult::Unsat);
+    EXPECT_EQ(answers[1].result, SatResult::Unknown);
+    EXPECT_EQ(answers[2].result, SatResult::Unsat);
+}
+
+TEST(LanesDisagree, AFailedOrConfirmingRecheckLeavesTheContradiction)
+{
+    // Unknown stands for a re-check that crashed, timed out or was
+    // stopped; the winner's answer is never re-checked or dropped.
+    for (SatResult truth : {SatResult::Unknown, SatResult::Sat}) {
+        std::vector<LaneAnswer> answers = {{SatResult::Unsat, false},
+                                           {SatResult::Sat, true}};
+        EXPECT_TRUE(lanesDisagree(answers, [&] { return truth; }));
+        EXPECT_EQ(answers[0].result, SatResult::Unsat);
+        EXPECT_EQ(answers[1].result, SatResult::Sat);
+    }
+}
+
 } // namespace
 } // namespace keq::smt

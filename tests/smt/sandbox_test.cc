@@ -455,6 +455,73 @@ TEST(SolveGroup, KilledLaneMidRaceConvergesAndPoolRecovers)
     supervisor.stop();
 }
 
+/**
+ * Races lanes "default" and "int2bv" on the scripted stand-in worker
+ * (scripted_worker.cc): "default" wins with unsat, "int2bv" answers sat
+ * after its Cancel, and the query's timeout (@p recheckScript) picks
+ * what the "cold" re-check answers.
+ */
+struct ScriptedRace
+{
+    WorkerSupervisor supervisor{[] {
+        SandboxOptions options;
+        options.workerPath = KEQ_SCRIPTED_WORKER_BIN;
+        options.workers = 2;
+        return options;
+    }()};
+    TermFactory f;
+    SandboxSolver raced{f, supervisor, {"default", "int2bv"}};
+
+    explicit ScriptedRace(unsigned recheckScript)
+    {
+        std::string error;
+        EXPECT_TRUE(supervisor.start(error)) << error;
+        raced.setTimeoutMs(recheckScript);
+    }
+
+    ~ScriptedRace() { supervisor.stop(); }
+
+    SatResult
+    run()
+    {
+        Term x = f.var("x", Sort::bitVec(8));
+        return raced.checkSat({f.mkEq(x, f.bvConst(8, 1))});
+    }
+};
+
+TEST(SolveGroup, RecheckDropsALateAnswerItContradicts)
+{
+    ScriptedRace race(/*recheckScript: unsat*/ 1);
+    EXPECT_EQ(race.run(), SatResult::Unsat);
+    EXPECT_EQ(race.raced.lastFailureKind(), FailureKind::None);
+    EXPECT_EQ(race.raced.stats().crossLaneDisagreements, 0u);
+}
+
+TEST(SolveGroup, ContradictionTheRecheckConfirmsIsADisagreement)
+{
+    ScriptedRace race(/*recheckScript: sat*/ 2);
+    EXPECT_EQ(race.run(), SatResult::Unknown);
+    EXPECT_EQ(race.raced.lastFailureKind(),
+              FailureKind::PortfolioDisagreement);
+    EXPECT_EQ(race.raced.stats().crossLaneDisagreements, 1u);
+}
+
+TEST(SolveGroup, RecheckCancelledMidRaceEndsCancelled)
+{
+    // The scripted re-check never answers; the user's interrupt lands
+    // while it runs, long after the race itself was decided.
+    ScriptedRace race(/*recheckScript: never answers*/ 0);
+    std::thread interrupter([&race] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        race.raced.interruptQuery();
+    });
+    SatResult result = race.run();
+    interrupter.join();
+    EXPECT_EQ(result, SatResult::Unknown);
+    EXPECT_EQ(race.raced.lastFailureKind(), FailureKind::Cancelled);
+    EXPECT_EQ(race.raced.stats().crossLaneDisagreements, 0u);
+}
+
 TEST(SandboxSolver, StatsKeepTheVerdictCounterContract)
 {
     WorkerSupervisor supervisor(baseOptions());
