@@ -278,8 +278,15 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
             }
             bool deadlineFired = disarmWatchdog();
             foldNonVerdictStats(stats_, solver->stats() - before);
+            bool cancelled =
+                options_.cancel.cancelled() ||
+                queryCancelled_.load(std::memory_order_relaxed);
 
-            if (!crashed && result != SatResult::Unknown) {
+            // A definite answer from an attempt the watchdog or a cancel
+            // cut short is not trusted (Z3 4.8 can answer sat on an
+            // unsat query then): it fails the attempt like an Unknown.
+            if (!crashed && result != SatResult::Unknown &&
+                !deadlineFired && !cancelled) {
                 // A definite answer carries no failure, whatever the
                 // attempts before it hit: a sandbox worker ships this
                 // classification with the answer, and its parent only
@@ -304,9 +311,7 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
                     crashWhat.find("memory") != std::string::npos
                         ? FailureKind::MemoryBudget
                         : FailureKind::SolverCrash;
-            } else if (options_.cancel.cancelled() ||
-                       queryCancelled_.load(
-                           std::memory_order_relaxed)) {
+            } else if (cancelled) {
                 lastUnknownReason_ = "cancelled";
                 lastFailure_ = FailureKind::Cancelled;
             } else if (deadlineFired) {

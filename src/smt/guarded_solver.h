@@ -17,7 +17,9 @@
  *    interruptQuery() (Z3_interrupt) when the deadline or a cooperative
  *    cancellation token trips — and keeps re-firing until the attempt
  *    returns, because an interrupt that lands before the backend has
- *    created its Z3 context is a no-op.
+ *    created its Z3 context is a no-op. A definite answer from an
+ *    attempt the watchdog or a cancel interrupted fails that attempt:
+ *    an interrupted Z3 check can answer wrongly.
  *
  *  - **Escalation ladder.** On a failed attempt (Unknown or crash) the
  *    query is retried a bounded number of times per rung with jittered

@@ -186,10 +186,17 @@ Z3Backend::checkSat(const std::vector<Term> &assertions)
             impl->fresh(timeoutMs_, memoryBudgetMb_, tuning_);
             z3_result = impl->check(assertions, 0);
         }
-        if (z3_result == z3::unknown) {
+        // An answer from a check an interrupt cut short is not an
+        // answer: Z3 4.8 can report sat on an unsat query then. Report
+        // it Unknown, in Z3's own words, so no cache stores it.
+        if (z3_result != z3::unknown && interruptRequested_.load()) {
+            z3_result = z3::unknown;
+            lastUnknownReason_ = "canceled";
+        } else if (z3_result == z3::unknown) {
             lastUnknownReason_ = impl->solver->reason_unknown();
-            lastFailure_ = classifyUnknownReason(lastUnknownReason_);
         }
+        if (z3_result == z3::unknown)
+            lastFailure_ = classifyUnknownReason(lastUnknownReason_);
         if (z3_result == z3::sat && captureModels_) {
             try {
                 extractModel(impl->solver->get_model(),
@@ -204,8 +211,15 @@ Z3Backend::checkSat(const std::vector<Term> &assertions)
                       << impl->scopes.size() << " scopes)\n"
                       << impl->solver->to_smt2() << "\n";
         }
-        if (!incremental_)
-            impl->solver.reset();
+        if (!incremental_) {
+            // After a timed-out check, Z3 can ignore the next soft
+            // timeout in the same context, so an Unknown drops the
+            // whole context, as the incremental fallback does.
+            if (z3_result == z3::unknown)
+                impl_.reset();
+            else
+                impl->solver.reset();
+        }
     } catch (const z3::exception &error) {
         // The scope stack may hold a half-pushed assertion, and the
         // context itself may be unusable: an interrupt that lands while

@@ -18,9 +18,9 @@
  * the checker's query mix.
  *
  * Z3Solver ("cold") takes a fresh solver and scope per query: no state
- * but the context's lowering memo survives between queries, which makes
- * it the reference oracle of the tests and the fresh rung of the
- * escalation ladder. IncrementalZ3Solver (incremental_z3_solver.h)
+ * but the context's lowering memo survives between queries (and not
+ * even that after an Unknown), which makes it the reference oracle of
+ * the tests and the fresh rung of the escalation ladder. IncrementalZ3Solver (incremental_z3_solver.h)
  * pops back to the longest prefix shared with the previous query.
  */
 
@@ -50,7 +50,7 @@ class Z3Backend : public Solver
     /**
      * Fires Z3_interrupt on the owning context; safe from another
      * thread (the watchdog, the portfolio reaper). The in-flight check
-     * returns Unknown and is not retried. A no-op before the first
+     * returns Unknown, whatever Z3 answered, and is not retried. A no-op before the first
      * query has created the context. An interrupt that lands between
      * checks stays pending and costs the next query (a SolverCrashError
      * that drops the context), never the ones after it.

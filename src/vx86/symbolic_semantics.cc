@@ -34,6 +34,31 @@ isFlagName(const std::string &name)
     return name == "zf" || name == "sf" || name == "cf" || name == "of";
 }
 
+/**
+ * The w-bit x when the 2w-bit rdx:rax @p dividend is zext(x) (sext(x)
+ * when @p is_signed), else null. A constant rax makes concat fold the
+ * extension into one 2w-bit literal, so a literal whose high half
+ * extends its low half matches too.
+ */
+Term
+narrowDividend(smt::TermFactory &tf, Term dividend, unsigned w,
+               bool is_signed)
+{
+    Kind extension = is_signed ? Kind::SExt : Kind::ZExt;
+    if (dividend.kind() == extension &&
+        dividend.operand(0).sort().width() == w)
+        return dividend.operand(0);
+    if (dividend.isBvConst()) {
+        ApInt low(w, dividend.bvValue().zext());
+        uint64_t extended = is_signed
+                                ? static_cast<uint64_t>(low.sext())
+                                : low.zext();
+        if (ApInt(2 * w, extended).eq(dividend.bvValue()))
+            return tf.bvConst(low);
+    }
+    return Term();
+}
+
 } // namespace
 
 SymbolicSemantics::SymbolicSemantics(const MModule &module,
@@ -662,25 +687,22 @@ SymbolicSemantics::step(const sem::SymbolicState &state_in)
         bool is_signed = inst.op == MOpcode::IDIV;
         Term div_zero = tf.mkEq(divisor, tf.bvConst(w, 0));
         Term narrow, rem_narrow, fault;
-        if (is_signed && dividend.kind() == smt::Kind::SExt &&
-            dividend.operand(0).sort().width() == w) {
+        Term x = narrowDividend(tf, dividend, w, is_signed);
+        if (x && is_signed) {
             // CDQ/CQO preceded the IDIV, so the dividend is sext(x).
             // Then quotient == sdiv(x, divisor) at width w exactly, and
             // #DE fires iff divisor == 0 or x == INT_MIN && divisor ==
             // -1 (the only non-fitting quotient). Keeping the terms at
             // width w spares the SMT solver the 2w-bit division the
             // paper notes Z3 struggles with.
-            Term x = dividend.operand(0);
             narrow = tf.bvSDiv(x, divisor);
             rem_narrow = tf.bvSRem(x, divisor);
             Term overflow = tf.mkAnd(
                 tf.mkEq(x, tf.bvConst(ApInt::signedMin(w))),
                 tf.mkEq(divisor, tf.bvConst(ApInt::allOnes(w))));
             fault = tf.mkOr(div_zero, overflow);
-        } else if (!is_signed && dividend.kind() == smt::Kind::ZExt &&
-                   dividend.operand(0).sort().width() == w) {
+        } else if (x) {
             // rdx was zeroed: quotient always fits.
-            Term x = dividend.operand(0);
             narrow = tf.bvUDiv(x, divisor);
             rem_narrow = tf.bvURem(x, divisor);
             fault = div_zero;

@@ -365,7 +365,7 @@ TEST(DaemonTest, ConcurrentClientsGetIdenticalVerdicts)
  * The acceptance gate: every file of the checked-in conformance corpus
  * through the daemon produces canonical summaries byte-identical to
  * the local pipeline, with the daemon (and its shared cache + verdict
- * store) held warm across all 44 modules and ISel configurations.
+ * store) held warm across all the modules and ISel configurations.
  */
 TEST(DaemonTest, FullConformanceCorpusMatchesLocal)
 {

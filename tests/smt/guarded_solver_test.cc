@@ -32,6 +32,7 @@ class ScriptedSolver : public Solver
         Crash,
         MemoryCrash,
         Hang, ///< blocks until interruptQuery() (5 s safety cap)
+        LateSat, ///< ignores interrupts; answers Sat after 200 ms
     };
 
     ScriptedSolver(TermFactory &tf, std::vector<Step> script)
@@ -74,6 +75,10 @@ class ScriptedSolver : public Solver
             lastReason_ = "canceled";
             return SatResult::Unknown;
         }
+        case Step::LateSat:
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            ++stats_.sat;
+            return SatResult::Sat;
         }
         ++stats_.unknown;
         return SatResult::Unknown;
@@ -244,6 +249,65 @@ TEST(GuardedSolverTest, DeadlineWithoutFallbackClassifiesAsTimeout)
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::Timeout);
     EXPECT_GE(guard.stats().watchdogInterrupts, 1u);
+}
+
+TEST(GuardedSolverTest, AnswerPastTheDeadlineFailsTheAttempt)
+{
+    // The backend ignores the interrupt and answers after its deadline:
+    // that answer is not trusted, so the ladder escalates.
+    TermFactory tf;
+    ScriptedSolver primary(tf, {Step::LateSat});
+    GuardedSolverOptions options = fastOptions();
+    options.deadlineMs = 50;
+    options.retries = 1;
+    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Unsat})},
+                        options);
+
+    EXPECT_EQ(guard.checkSat({}), SatResult::Unsat);
+    EXPECT_EQ(primary.calls(), 2u) << "retried on the same rung first";
+    EXPECT_EQ(guard.stats().guardedRetries, 1u);
+    EXPECT_EQ(guard.stats().escalatedResolved, 1u);
+    EXPECT_GE(guard.stats().watchdogInterrupts, 2u);
+    EXPECT_EQ(guard.stats().sat, 0u);
+    EXPECT_EQ(guard.lastFailureKind(), FailureKind::None);
+}
+
+TEST(GuardedSolverTest, AnswerPastTheDeadlineWithoutFallbackIsUnknown)
+{
+    TermFactory tf;
+    ScriptedSolver primary(tf, {Step::LateSat});
+    GuardedSolverOptions options = fastOptions();
+    options.deadlineMs = 50;
+    options.retries = 0;
+    GuardedSolver guard(tf, primary, {}, options);
+
+    EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
+    EXPECT_EQ(guard.lastFailureKind(), FailureKind::Timeout);
+    EXPECT_EQ(guard.stats().unknown, 1u);
+    EXPECT_EQ(guard.stats().sat, 0u);
+}
+
+TEST(GuardedSolverTest, AnswerAfterACancelIsCancelled)
+{
+    // A reaped query's late answer must not escape as a verdict.
+    TermFactory tf;
+    ScriptedSolver primary(tf, {Step::LateSat});
+    GuardedSolverOptions options = fastOptions();
+    options.cancellable = true;
+    options.retries = 3;
+    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Sat})},
+                        options);
+
+    std::thread canceller([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        guard.cancelCurrentQuery();
+    });
+    SatResult result = guard.checkSat({});
+    canceller.join();
+
+    EXPECT_EQ(result, SatResult::Unknown);
+    EXPECT_EQ(guard.lastFailureKind(), FailureKind::Cancelled);
+    EXPECT_EQ(primary.calls(), 1u) << "cancelled work is not retried";
 }
 
 TEST(GuardedSolverTest, PreCancelledTokenShortCircuits)

@@ -23,6 +23,41 @@ TEST_F(SolverTest, SimpleSat)
               SatResult::Sat);
 }
 
+TEST_F(SolverTest, TimedOutQueryLeavesTheSolverAnswering)
+{
+    // A 1 ms limit makes Z3 give up on a 64-bit factorization of a
+    // prime. Z3 may ignore the next soft timeout in a context that just
+    // timed out, so the cold solver drops that context: a second
+    // timed-out query ends promptly and a later one answers.
+    Term a = tf.var("a", Sort::bitVec(64));
+    Term b = tf.var("b", Sort::bitVec(64));
+    Term one = tf.bvConst(64, 1);
+    Term limit = tf.bvConst(64, uint64_t{1} << 32);
+    Term range = tf.mkAnd({tf.bvUlt(one, a), tf.bvUlt(one, b),
+                           tf.bvUlt(a, limit), tf.bvUlt(b, limit)});
+    Term prime =
+        tf.mkEq(tf.bvMul(a, b), tf.bvConst(64, 4611686018427387847ULL));
+
+    solver.setTimeoutMs(1);
+    ASSERT_EQ(solver.checkSat({range, prime}), SatResult::Unknown);
+    EXPECT_EQ(solver.lastFailureKind(), FailureKind::Timeout);
+    EXPECT_EQ(solver.checkSat({range, prime}), SatResult::Unknown);
+
+    solver.setTimeoutMs(0);
+    solver.enableModelCapture(true);
+    ASSERT_EQ(solver.checkSat({range, tf.mkEq(a, tf.bvConst(64, 6)),
+                               tf.mkEq(tf.bvMul(a, b),
+                                       tf.bvConst(64, 42))}),
+              SatResult::Sat);
+    Assignment model;
+    ASSERT_TRUE(solver.lastModel(&model));
+    EXPECT_EQ(model.bv("b").zext(), 7u);
+    EXPECT_EQ(solver.checkSat({range, tf.mkEq(a, tf.bvConst(64, 6)),
+                               tf.mkEq(tf.bvMul(a, b),
+                                       tf.bvConst(64, 43))}),
+              SatResult::Unsat);
+}
+
 TEST_F(SolverTest, SimpleUnsat)
 {
     EXPECT_EQ(solver.checkSat({tf.mkEq(x, tf.bvConst(32, 5)),

@@ -252,5 +252,34 @@ entry:
     checkAgreement(fx, *mfn, {ApInt(64, 100), ApInt(64, 0)});
 }
 
+TEST(Vx86DifferentialTest, LoweredConstantDividendDivision)
+{
+    // A constant dividend folds rdx:rax into one literal; the narrow
+    // division it takes must still trap and answer as the hardware.
+    const char *ops[] = {"udiv", "urem", "sdiv", "srem"};
+    const char *dividends[] = {"0", "4300", "-7", "-2147483648"};
+    std::string source;
+    std::vector<std::string> names;
+    for (const char *op : ops) {
+        for (size_t i = 0; i < std::size(dividends); ++i) {
+            std::string name = "@" + std::string(op) + std::to_string(i);
+            names.push_back(name);
+            source += "define i32 " + name + "(i32 %b) {\nentry:\n  %q = " +
+                      op + " i32 " + dividends[i] +
+                      ", %b\n  ret i32 %q\n}\n";
+        }
+    }
+    Vx86DifferentialFixture fx(source);
+    for (const std::string &name : names) {
+        const MFunction *mfn = fx.mmodule_.findFunction(name);
+        ASSERT_NE(mfn, nullptr) << name;
+        for (int64_t divisor : {0, 1, -1, 7}) {
+            checkAgreement(
+                fx, *mfn,
+                {ApInt(32, static_cast<uint64_t>(divisor)).zextTo(64)});
+        }
+    }
+}
+
 } // namespace
 } // namespace keq::vx86

@@ -266,6 +266,110 @@ TEST(Vx86SymbolicTest, DivisionEmitsFaultBranch)
     EXPECT_EQ(errors, 1);
 }
 
+/** Runs @p fn with y bound to edi; splits its finals into the exit and
+ *  the #DE error state. */
+void
+runDivision(Vx86SymbolicFixture &fx, const std::string &fn, Term y,
+            SymbolicState *exited, SymbolicState *fault)
+{
+    SymbolicState seed = fx.entryState(fn);
+    fx.sem_->bindRegister(seed, fn, "edi", y);
+    std::vector<SymbolicState> finals = fx.runToEnd(std::move(seed));
+    ASSERT_EQ(finals.size(), 2u);
+    for (SymbolicState &state : finals) {
+        if (state.status == Status::Error) {
+            EXPECT_EQ(state.errorKind, sem::ErrorKind::DivByZero);
+            *fault = std::move(state);
+        } else {
+            EXPECT_EQ(state.status, Status::Exited);
+            *exited = std::move(state);
+        }
+    }
+    ASSERT_TRUE(fault->pathCond);
+    ASSERT_TRUE(exited->result);
+}
+
+TEST(Vx86SymbolicTest, ConstantDividendUnsignedDivisionStaysNarrow)
+{
+    // concat(edx = 0, eax = 4300) folds to a 64-bit literal; the
+    // division must still be the 32-bit one with no fits check.
+    Vx86SymbolicFixture fx(R"(function @u ret i32 {
+.LBB0:
+  %vr0_32 = COPY edi
+  eax = MOV32ri $4300
+  edx = MOV32ri $0
+  DIV32 %vr0_32
+  %vr1_32 = COPY eax
+  eax = COPY %vr1_32
+  RET
+}
+)");
+    smt::TermFactory &tf = fx.tf_;
+    Term y = tf.var("y", smt::Sort::bitVec(32));
+    SymbolicState exited, fault;
+    ASSERT_NO_FATAL_FAILURE(runDivision(fx, "@u", y, &exited, &fault));
+    EXPECT_EQ(exited.result, tf.bvUDiv(tf.bvConst(32, 4300), y))
+        << exited.result.toString();
+    EXPECT_EQ(fault.pathCond, tf.mkEq(y, tf.bvConst(32, 0)))
+        << fault.pathCond.toString();
+}
+
+TEST(Vx86SymbolicTest, ConstantDividendSignedDivisionStaysNarrow)
+{
+    // CDQ of the constant INT_MIN folds rdx:rax to a literal too; the
+    // fault is divisor == 0 or the INT_MIN / -1 overflow.
+    Vx86SymbolicFixture fx(R"(function @s ret i32 {
+.LBB0:
+  %vr0_32 = COPY edi
+  eax = MOV32ri $-2147483648
+  CDQ
+  IDIV32 %vr0_32
+  %vr1_32 = COPY eax
+  eax = COPY %vr1_32
+  RET
+}
+)");
+    smt::TermFactory &tf = fx.tf_;
+    Term y = tf.var("y", smt::Sort::bitVec(32));
+    Term int_min = tf.bvConst(support::ApInt::signedMin(32));
+    SymbolicState exited, fault;
+    ASSERT_NO_FATAL_FAILURE(runDivision(fx, "@s", y, &exited, &fault));
+    EXPECT_EQ(exited.result, tf.bvSDiv(int_min, y))
+        << exited.result.toString();
+    EXPECT_EQ(fault.pathCond,
+              tf.mkOr(tf.mkEq(y, tf.bvConst(32, 0)),
+                      tf.mkEq(y, tf.bvConst(support::ApInt::allOnes(32)))))
+        << fault.pathCond.toString();
+}
+
+TEST(Vx86SymbolicTest, NonExtendingConstantDividendKeepsWidePath)
+{
+    // edx = 1 is not the extension of eax, so rdx:rax is a genuine
+    // 64-bit dividend: 64-bit division plus the quotient-fits check.
+    Vx86SymbolicFixture fx(R"(function @w ret i32 {
+.LBB0:
+  %vr0_32 = COPY edi
+  eax = MOV32ri $4300
+  edx = MOV32ri $1
+  DIV32 %vr0_32
+  %vr1_32 = COPY eax
+  eax = COPY %vr1_32
+  RET
+}
+)");
+    smt::TermFactory &tf = fx.tf_;
+    Term y = tf.var("y", smt::Sort::bitVec(32));
+    SymbolicState exited, fault;
+    ASSERT_NO_FATAL_FAILURE(runDivision(fx, "@w", y, &exited, &fault));
+    Term quotient = tf.bvUDiv(tf.bvConst(64, (uint64_t{1} << 32) | 4300),
+                              tf.zext(y, 64));
+    Term narrow = tf.trunc(quotient, 32);
+    EXPECT_EQ(exited.result, narrow);
+    EXPECT_EQ(fault.pathCond,
+              tf.mkOr(tf.mkEq(y, tf.bvConst(32, 0)),
+                      tf.mkNot(tf.mkEq(tf.zext(narrow, 64), quotient))));
+}
+
 TEST(Vx86SymbolicTest, CallBoundaryCapturesArguments)
 {
     Vx86SymbolicFixture fx(R"(function @c ret i32 {
