@@ -65,9 +65,7 @@ main()
     driver::ExecutionOptions serial_exec;
     serial_exec.jobs = 1;
     serial_exec.solverCache = false;
-    serial_exec.simplifyQueries = false;
-    serial_exec.sliceQueries = false;
-    serial_exec.incrementalSolver = false;
+    serial_exec.optimizeQueries = false;
     driver::Pipeline serial_pipeline(options, serial_exec);
     support::Stopwatch watch;
     driver::ModuleReport serial = serial_pipeline.run(module);

@@ -225,14 +225,7 @@ runConfiguration(const std::string &label,
         smt::SatResult verdict = solver->checkSat(query.assertions);
         run.seconds.push_back(watch.seconds());
         run.verdicts.push_back(verdict);
-        const smt::SolverStats &stats = solver->stats();
-        for (size_t i = 0; i < smt::SolverStats::kPortfolioMaxLanes;
-             ++i)
-            run.stats.portfolioWins[i] += stats.portfolioWins[i];
-        run.stats.portfolioCancellations +=
-            stats.portfolioCancellations;
-        run.stats.crossLaneDisagreements +=
-            stats.crossLaneDisagreements;
+        run.stats += solver->stats();
     }
     return run;
 }

@@ -145,9 +145,7 @@ runStackComparison()
     // query, no preprocessing.
     driver::ExecutionOptions base_exec;
     base_exec.jobs = 1;
-    base_exec.simplifyQueries = false;
-    base_exec.sliceQueries = false;
-    base_exec.incrementalSolver = false;
+    base_exec.optimizeQueries = false;
     support::Stopwatch watch;
     driver::ModuleReport baseline =
         driver::Pipeline(options, base_exec).run(module);
@@ -222,17 +220,9 @@ runStackComparison()
     json.field("wall_speedup",
                baseline_seconds / std::max(1e-9, optimized_seconds));
     json.field("geomean_speedup", geomean);
-    json.field("queries", stats.queries);
-    json.field("rewrite_resolved", stats.rewriteResolved);
-    json.field("rewrite_applications", stats.rewriteApplications);
-    json.field("slice_resolved", stats.sliceResolved);
-    json.field("sliced_assertions", stats.slicedAssertions);
-    json.field("cache_hits", stats.cacheHits);
-    json.field("cache_misses", stats.cacheMisses);
-    json.field("incremental_reused", stats.incrementalReused);
-    json.field("incremental_solves", stats.incrementalSolves);
-    json.field("cold_solves", stats.coldSolves);
-    json.field("incremental_fallbacks", stats.incrementalFallbacks);
+    smt::forEachCounter([&](smt::CounterInfo info,
+                            auto value) { json.field(info.key, value); },
+                        stats);
     json.field("verdicts_identical", true);
     json.writeFile("BENCH_smt.json");
     return true;

@@ -55,9 +55,7 @@ runCase(const CorpusCase &corpus_case, const MatrixCell &cell,
     driver::ExecutionOptions exec;
     exec.jobs = cell.jobs;
     exec.solverCache = cell.cache;
-    exec.simplifyQueries = cell.smtOpt;
-    exec.sliceQueries = cell.smtOpt;
-    exec.incrementalSolver = cell.smtOpt;
+    exec.optimizeQueries = cell.smtOpt;
     exec.sandbox = cell.sandbox;
     exec.workerPath = options.workerPath;
     exec.portfolioLanes = cell.portfolioLanes;

@@ -110,14 +110,37 @@ ModuleReport::canonicalSummary() const
 namespace {
 
 /**
+ * The lanes a validation solves on: an explicit portfolio spec wins,
+ * then the portfolio lane count; otherwise one lane, "default" when
+ * optimizing queries and "cold" when not. nullptr (no
+ * ExecutionOptions) picks "default". Throws support::Error on a
+ * malformed spec.
+ */
+std::vector<smt::LaneConfig>
+laneRoster(const ExecutionOptions *exec)
+{
+    std::string spec =
+        exec == nullptr || exec->optimizeQueries ? "default" : "cold";
+    if (exec != nullptr && !exec->portfolioLaneSpec.empty())
+        spec = exec->portfolioLaneSpec;
+    else if (exec != nullptr && exec->portfolioLanes > 1)
+        return smt::defaultPortfolioLanes(exec->portfolioLanes);
+    std::vector<smt::LaneConfig> lanes;
+    std::string error;
+    if (!smt::parsePortfolioLanes(spec, lanes, error))
+        throw support::Error("invalid portfolio lane spec: " + error);
+    return lanes;
+}
+
+/**
  * VC generation + KEQ checking for one (LLVM, Virtual x86) pair whose
  * machine side has already been produced — by this pipeline's ISel, or
  * by the fuzz mutation engine. Creates every non-thread-safe component
  * (factory, semantics, Z3) locally so concurrent invocations share
  * nothing but the optional query cache.
  *
- * @param exec Solver-stack configuration; nullptr selects the backend
- *             a default ExecutionOptions picks (IncrementalZ3Solver)
+ * @param exec Solver-stack configuration; nullptr selects the lane a
+ *             default ExecutionOptions picks ("default", incremental)
  *             with no cache, preprocessing or guard (the free
  *             validateFunction entry points, used as the unoptimized
  *             reference stack by tests and benches).
@@ -169,30 +192,17 @@ validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
         vx86::MModule mmodule;
         mmodule.functions.push_back(std::move(mfn));
         vx86::SymbolicSemantics sem_b(mmodule, factory, layout);
-        // Portfolio lane roster: an explicit spec wins, then the lane
-        // count; a single default lane keeps the pre-portfolio stack
-        // byte-identical. A malformed spec throws support::Error and
-        // lands in the Unsupported catch below.
-        std::vector<smt::LaneConfig> lanes;
-        if (exec != nullptr) {
-            if (!exec->portfolioLaneSpec.empty()) {
-                std::string laneError;
-                if (!smt::parsePortfolioLanes(exec->portfolioLaneSpec,
-                                              lanes, laneError)) {
-                    throw support::Error("invalid portfolio lane spec: " +
-                                         laneError);
-                }
-            } else if (exec->portfolioLanes > 1) {
-                lanes = smt::defaultPortfolioLanes(exec->portfolioLanes);
-            }
-        }
+        // A malformed roster throws support::Error and lands in the
+        // Unsupported catch below.
+        std::vector<smt::LaneConfig> lanes = laneRoster(exec);
 
         std::unique_ptr<smt::Solver> backend;
         if (sandbox != nullptr) {
-            // Sandboxed portfolio: one worker per lane, raced by the
-            // supervisor; lane entries travel as ResetFrame strategies.
+            // Sandboxed: one worker per lane, raced by the supervisor
+            // when there are several; lane entries travel as ResetFrame
+            // strategies.
             std::vector<std::string> laneSpecs;
-            if (exec != nullptr && !exec->portfolioLaneSpec.empty())
+            if (!exec->portfolioLaneSpec.empty())
                 laneSpecs =
                     support::split(exec->portfolioLaneSpec, ',');
             else
@@ -200,25 +210,20 @@ validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
                     laneSpecs.push_back(lane.name);
             backend = std::make_unique<smt::SandboxSolver>(
                 factory, *sandbox, std::move(laneSpecs));
-            if (exec != nullptr && exec->deadlineMs > 0)
+            if (exec->deadlineMs > 0)
                 backend->setTimeoutMs(exec->deadlineMs);
         } else if (lanes.size() > 1) {
             backend = std::make_unique<smt::PortfolioSolver>(
                 factory, std::move(lanes));
-        } else if (lanes.size() == 1) {
-            // One explicit lane: no race, but honor its tuning.
-            backend = smt::makeLaneBackend(factory, lanes.front());
-        } else if (exec == nullptr || exec->incrementalSolver) {
-            backend = std::make_unique<smt::IncrementalZ3Solver>(factory);
         } else {
-            backend = std::make_unique<smt::Z3Solver>(factory);
+            backend = smt::makeLaneBackend(factory, lanes.front());
         }
         std::optional<smt::CachingSolver> caching;
         smt::Solver *solver = backend.get();
         if (cache != nullptr) {
             smt::CachingSolver::Options stack;
-            stack.simplify = exec != nullptr && exec->simplifyQueries;
-            stack.slice = exec != nullptr && exec->sliceQueries;
+            stack.simplify = exec != nullptr && exec->optimizeQueries;
+            stack.slice = exec != nullptr && exec->optimizeQueries;
             if (exec != nullptr && exec->auditRate > 0.0) {
                 // Trust-but-verify: sample journal-preloaded hits and
                 // recheck them against a pristine solver before
@@ -462,40 +467,24 @@ validateRegAlloc(const llvmir::Module &module, const llvmir::Function &fn,
 
 // --- Pipeline ------------------------------------------------------------
 
-namespace {
-
-/** The configured verdict store: entry cap + byte budget (LRU). */
-std::shared_ptr<smt::QueryCache>
-makeQueryCache(const ExecutionOptions &exec)
-{
-    return std::make_shared<smt::QueryCache>(
-        exec.cacheShardCapacity, exec.cacheMemoryMb << 20);
-}
-
-} // namespace
-
 Pipeline::Pipeline(PipelineOptions options, ExecutionOptions exec)
     : options_(std::move(options)), exec_(std::move(exec))
 {
+    // The verdict store: entry cap + byte budget (LRU).
     if (exec_.externalCache != nullptr)
         cache_ = exec_.externalCache;
-    else if (exec_.solverCache && exec_.sharedCache)
-        cache_ = makeQueryCache(exec_);
+    else if (exec_.solverCache)
+        cache_ = std::make_shared<smt::QueryCache>(
+            exec_.cacheShardCapacity, exec_.cacheMemoryMb << 20);
 }
 
 FunctionReport
 Pipeline::validateFunction(const llvmir::Module &module,
                            const llvmir::Function &fn)
 {
-    std::shared_ptr<smt::QueryCache> cache = cache_;
-    if (exec_.externalCache == nullptr && exec_.solverCache &&
-        !exec_.sharedCache)
-        cache = makeQueryCache(exec_);
     smt::SolverStats stats;
-    FunctionReport report =
-        validateFunctionImpl(module, fn, options_, cache, &exec_,
-                             sandboxSupervisor(1), &stats);
-    return report;
+    return validateFunctionImpl(module, fn, options_, cache_, &exec_,
+                                sandboxSupervisor(1), &stats);
 }
 
 FunctionReport
@@ -514,14 +503,10 @@ Pipeline::validateFunction(const llvmir::Module &module,
     if (effective == exec_.deadlineMs)
         return validateFunction(module, fn);
 
-    std::shared_ptr<smt::QueryCache> cache = cache_;
-    if (exec_.externalCache == nullptr && exec_.solverCache &&
-        !exec_.sharedCache)
-        cache = makeQueryCache(exec_);
     ExecutionOptions exec = exec_;
     exec.deadlineMs = effective;
     smt::SolverStats stats;
-    return validateFunctionImpl(module, fn, options_, cache, &exec,
+    return validateFunctionImpl(module, fn, options_, cache_, &exec,
                                 sandboxSupervisor(1), &stats);
 }
 
@@ -538,23 +523,17 @@ Pipeline::sandboxSupervisor(unsigned workers)
     // default pool is jobs x lanes; an undersized explicit pool still
     // works — the race just degrades to fewer lanes.
     unsigned lanes = 1;
-    if (!exec_.portfolioLaneSpec.empty()) {
-        std::vector<smt::LaneConfig> configs;
-        std::string laneError;
-        if (smt::parsePortfolioLanes(exec_.portfolioLaneSpec, configs,
-                                     laneError))
-            lanes = static_cast<unsigned>(configs.size());
-    } else if (exec_.portfolioLanes > 1) {
-        lanes = std::min<unsigned>(
-            exec_.portfolioLanes,
-            static_cast<unsigned>(smt::SolverStats::kPortfolioMaxLanes));
+    try {
+        lanes = static_cast<unsigned>(laneRoster(&exec_).size());
+    } catch (const support::Error &) {
+        // A malformed roster fails every function as Unsupported.
     }
     smt::SandboxOptions sandbox;
     sandbox.workerPath = exec_.workerPath;
     sandbox.workers =
         exec_.sandboxWorkers > 0
             ? exec_.sandboxWorkers
-            : std::max<unsigned>(workers, 1) * std::max(lanes, 1u);
+            : std::max<unsigned>(workers, 1) * lanes;
     sandbox.workerMemoryMb = exec_.workerMemoryMb;
     sandbox.memoryBudgetMb = exec_.solverMemoryMb;
     sandbox.chaosKillRate = exec_.sandboxChaosKillRate;
@@ -670,12 +649,8 @@ Pipeline::runWithJobs(const llvmir::Module &module, unsigned jobs)
             out.detail = "cancelled";
             return;
         }
-        std::shared_ptr<smt::QueryCache> cache = cache_;
-        if (exec_.externalCache == nullptr && exec_.solverCache &&
-            !exec_.sharedCache)
-            cache = makeQueryCache(exec_);
         report.functions[index] =
-            validateFunctionImpl(module, fn, options_, cache, &exec_,
+            validateFunctionImpl(module, fn, options_, cache_, &exec_,
                                  sandbox, &per_function[index]);
         if (journal != nullptr)
             journal->record(report.functions[index]);

@@ -80,27 +80,18 @@ struct ExecutionOptions
     unsigned jobs = 1;
     /** Memoize solver verdicts across sync points and functions. */
     bool solverCache = true;
-    /**
-     * Share one QueryCache across all workers (sharded, mutex-guarded).
-     * When false each function task gets a private cache, so memoization
-     * only spans the sync points of one function.
-     */
-    bool sharedCache = true;
     /** Per-shard entry cap before eviction (0 = unlimited). */
     size_t cacheShardCapacity = 1 << 16;
     /**
      * Run the rewrite engine (simplify) and cone-of-influence slicer in
-     * front of the cache, and back the stack with the incremental Z3
-     * solver instead of a cold-start-per-query one. All three preserve
-     * verdicts bit-for-bit (asserted by the differential tests), so they
-     * default on; flags exist to measure each stage's contribution and
-     * to pin the PR 1 behaviour in regression baselines.
+     * front of the cache, and solve on the incremental "default" lane;
+     * false skips both stages and solves on the "cold" lane (fresh
+     * solver per query), in process and in sandbox workers alike. Both
+     * settings give the same verdicts (asserted by the differential and
+     * conformance tests); false is the unoptimized reference stack.
+     * An explicit portfolio roster picks its own lanes.
      */
-    bool simplifyQueries = true;
-    /** Enable cone-of-influence slicing (see simplifyQueries). */
-    bool sliceQueries = true;
-    /** Use IncrementalZ3Solver as the per-worker backend. */
-    bool incrementalSolver = true;
+    bool optimizeQueries = true;
 
     // --- Fault tolerance (smt::GuardedSolver front) ------------------
 
@@ -149,7 +140,7 @@ struct ExecutionOptions
         onAuditMismatch;
     /**
      * Externally-owned verdict cache to validate through. When set it
-     * overrides solverCache/sharedCache/cacheShardCapacity — the
+     * overrides solverCache/cacheShardCapacity — the
      * validation daemon hands every Pipeline the one store-backed
      * cache so verdicts are shared across clients and runs.
      */
@@ -303,7 +294,7 @@ class Pipeline
     const PipelineOptions &options() const { return options_; }
     const ExecutionOptions &execution() const { return exec_; }
 
-    /** The shared cache; null when caching is disabled or per-function. */
+    /** The shared cache; null when caching is disabled. */
     const std::shared_ptr<smt::QueryCache> &cache() const
     {
         return cache_;

@@ -687,33 +687,17 @@ CachingSolver::checkSat(const std::vector<Term> &assertions)
     // Fold the backend's per-call attribution (incremental reuse,
     // fallbacks, cold solves, and — when the backend is a guarded or
     // sandboxed stack — its recovery and transport work) into this
-    // stack's stats. The cache/rewrite/slice counters are deliberately
-    // NOT folded: this stack counts its own stages, and a sandboxed
-    // backend's worker-side cache traffic must not break the
+    // stack's stats. Stage counters are deliberately NOT folded: this
+    // stack counts its own stages and times its own backend calls, and
+    // a sandboxed backend's worker-side cache traffic must not break the
     // one-stage-per-query invariant documented on SolverStats.
-    SolverStats backend_delta = backend_.stats() - backend_before;
-    stats_.incrementalReused += backend_delta.incrementalReused;
-    stats_.incrementalSolves += backend_delta.incrementalSolves;
-    stats_.incrementalFallbacks += backend_delta.incrementalFallbacks;
-    stats_.coldSolves += backend_delta.coldSolves;
-    stats_.watchdogInterrupts += backend_delta.watchdogInterrupts;
-    stats_.guardedRetries += backend_delta.guardedRetries;
-    stats_.guardedEscalations += backend_delta.guardedEscalations;
-    stats_.escalatedResolved += backend_delta.escalatedResolved;
-    stats_.solverCrashes += backend_delta.solverCrashes;
-    stats_.faultsInjected += backend_delta.faultsInjected;
-    stats_.workerCrashes += backend_delta.workerCrashes;
-    stats_.workerRestarts += backend_delta.workerRestarts;
-    stats_.heartbeatTimeouts += backend_delta.heartbeatTimeouts;
-    stats_.wireBytesSent += backend_delta.wireBytesSent;
-    stats_.wireBytesReceived += backend_delta.wireBytesReceived;
-    stats_.batchedQueries += backend_delta.batchedQueries;
-    for (size_t i = 0; i < SolverStats::kPortfolioMaxLanes; ++i)
-        stats_.portfolioWins[i] += backend_delta.portfolioWins[i];
-    stats_.portfolioCancellations +=
-        backend_delta.portfolioCancellations;
-    stats_.crossLaneDisagreements +=
-        backend_delta.crossLaneDisagreements;
+    const SolverStats backend_delta = backend_.stats() - backend_before;
+    forEachCounter(
+        [](CounterInfo info, auto &sum, const auto &add) {
+            if (info.cls == CounterClass::Backend)
+                sum += add;
+        },
+        stats_, backend_delta);
     stats_.totalSeconds += watch.seconds();
     if (cacheDebug()) {
         std::fprintf(stderr, "MISS %8.2f ms  %s  h=%zx  n=%zu  a=%zu\n",

@@ -251,10 +251,9 @@ class QueryCache
  *   rewriteResolved + sliceResolved + cacheHits + cacheMisses == queries
  * where cacheHits counts queries answered by the verdict store or a
  * reused model, and cacheMisses counts queries that reached the
- * backend. The incremental-backend counters (incrementalReused,
- * incrementalSolves, incrementalFallbacks, coldSolves) are folded in
- * from the backend's own stats per call, so one SolverStats describes
- * the whole stack.
+ * backend. The Backend-class counters (CounterClass::Backend: backend
+ * checks, recovery, transport, racing) are folded in from the backend's
+ * own stats per call, so one SolverStats describes the whole stack.
  */
 /**
  * Preprocessing configuration for CachingSolver. Both stages run before

@@ -7,38 +7,9 @@ namespace keq::smt {
 SolverStats &
 SolverStats::operator+=(const SolverStats &rhs)
 {
-    queries += rhs.queries;
-    sat += rhs.sat;
-    unsat += rhs.unsat;
-    unknown += rhs.unknown;
-    totalSeconds += rhs.totalSeconds;
-    cacheHits += rhs.cacheHits;
-    cacheMisses += rhs.cacheMisses;
-    cacheEvictions += rhs.cacheEvictions;
-    rewriteResolved += rhs.rewriteResolved;
-    rewriteApplications += rhs.rewriteApplications;
-    sliceResolved += rhs.sliceResolved;
-    slicedAssertions += rhs.slicedAssertions;
-    incrementalReused += rhs.incrementalReused;
-    incrementalSolves += rhs.incrementalSolves;
-    incrementalFallbacks += rhs.incrementalFallbacks;
-    coldSolves += rhs.coldSolves;
-    watchdogInterrupts += rhs.watchdogInterrupts;
-    guardedRetries += rhs.guardedRetries;
-    guardedEscalations += rhs.guardedEscalations;
-    escalatedResolved += rhs.escalatedResolved;
-    solverCrashes += rhs.solverCrashes;
-    faultsInjected += rhs.faultsInjected;
-    workerCrashes += rhs.workerCrashes;
-    workerRestarts += rhs.workerRestarts;
-    heartbeatTimeouts += rhs.heartbeatTimeouts;
-    wireBytesSent += rhs.wireBytesSent;
-    wireBytesReceived += rhs.wireBytesReceived;
-    batchedQueries += rhs.batchedQueries;
-    for (size_t i = 0; i < kPortfolioMaxLanes; ++i)
-        portfolioWins[i] += rhs.portfolioWins[i];
-    portfolioCancellations += rhs.portfolioCancellations;
-    crossLaneDisagreements += rhs.crossLaneDisagreements;
+    forEachCounter(
+        [](CounterInfo, auto &sum, const auto &add) { sum += add; }, *this,
+        rhs);
     return *this;
 }
 
@@ -46,43 +17,9 @@ SolverStats
 SolverStats::operator-(const SolverStats &rhs) const
 {
     SolverStats delta;
-    delta.queries = queries - rhs.queries;
-    delta.sat = sat - rhs.sat;
-    delta.unsat = unsat - rhs.unsat;
-    delta.unknown = unknown - rhs.unknown;
-    delta.totalSeconds = totalSeconds - rhs.totalSeconds;
-    delta.cacheHits = cacheHits - rhs.cacheHits;
-    delta.cacheMisses = cacheMisses - rhs.cacheMisses;
-    delta.cacheEvictions = cacheEvictions - rhs.cacheEvictions;
-    delta.rewriteResolved = rewriteResolved - rhs.rewriteResolved;
-    delta.rewriteApplications =
-        rewriteApplications - rhs.rewriteApplications;
-    delta.sliceResolved = sliceResolved - rhs.sliceResolved;
-    delta.slicedAssertions = slicedAssertions - rhs.slicedAssertions;
-    delta.incrementalReused = incrementalReused - rhs.incrementalReused;
-    delta.incrementalSolves = incrementalSolves - rhs.incrementalSolves;
-    delta.incrementalFallbacks =
-        incrementalFallbacks - rhs.incrementalFallbacks;
-    delta.coldSolves = coldSolves - rhs.coldSolves;
-    delta.watchdogInterrupts = watchdogInterrupts - rhs.watchdogInterrupts;
-    delta.guardedRetries = guardedRetries - rhs.guardedRetries;
-    delta.guardedEscalations =
-        guardedEscalations - rhs.guardedEscalations;
-    delta.escalatedResolved = escalatedResolved - rhs.escalatedResolved;
-    delta.solverCrashes = solverCrashes - rhs.solverCrashes;
-    delta.faultsInjected = faultsInjected - rhs.faultsInjected;
-    delta.workerCrashes = workerCrashes - rhs.workerCrashes;
-    delta.workerRestarts = workerRestarts - rhs.workerRestarts;
-    delta.heartbeatTimeouts = heartbeatTimeouts - rhs.heartbeatTimeouts;
-    delta.wireBytesSent = wireBytesSent - rhs.wireBytesSent;
-    delta.wireBytesReceived = wireBytesReceived - rhs.wireBytesReceived;
-    delta.batchedQueries = batchedQueries - rhs.batchedQueries;
-    for (size_t i = 0; i < kPortfolioMaxLanes; ++i)
-        delta.portfolioWins[i] = portfolioWins[i] - rhs.portfolioWins[i];
-    delta.portfolioCancellations =
-        portfolioCancellations - rhs.portfolioCancellations;
-    delta.crossLaneDisagreements =
-        crossLaneDisagreements - rhs.crossLaneDisagreements;
+    forEachCounter([](CounterInfo, auto &diff, const auto &lhs,
+                      const auto &sub) { diff = lhs - sub; },
+                   delta, *this, rhs);
     return delta;
 }
 
@@ -100,34 +37,12 @@ satResultName(SatResult result)
 void
 foldNonVerdictStats(SolverStats &into, const SolverStats &delta)
 {
-    into.totalSeconds += delta.totalSeconds;
-    into.cacheHits += delta.cacheHits;
-    into.cacheMisses += delta.cacheMisses;
-    into.cacheEvictions += delta.cacheEvictions;
-    into.rewriteResolved += delta.rewriteResolved;
-    into.rewriteApplications += delta.rewriteApplications;
-    into.sliceResolved += delta.sliceResolved;
-    into.slicedAssertions += delta.slicedAssertions;
-    into.incrementalReused += delta.incrementalReused;
-    into.incrementalSolves += delta.incrementalSolves;
-    into.incrementalFallbacks += delta.incrementalFallbacks;
-    into.coldSolves += delta.coldSolves;
-    into.watchdogInterrupts += delta.watchdogInterrupts;
-    into.guardedRetries += delta.guardedRetries;
-    into.guardedEscalations += delta.guardedEscalations;
-    into.escalatedResolved += delta.escalatedResolved;
-    into.solverCrashes += delta.solverCrashes;
-    into.faultsInjected += delta.faultsInjected;
-    into.workerCrashes += delta.workerCrashes;
-    into.workerRestarts += delta.workerRestarts;
-    into.heartbeatTimeouts += delta.heartbeatTimeouts;
-    into.wireBytesSent += delta.wireBytesSent;
-    into.wireBytesReceived += delta.wireBytesReceived;
-    into.batchedQueries += delta.batchedQueries;
-    for (size_t i = 0; i < SolverStats::kPortfolioMaxLanes; ++i)
-        into.portfolioWins[i] += delta.portfolioWins[i];
-    into.portfolioCancellations += delta.portfolioCancellations;
-    into.crossLaneDisagreements += delta.crossLaneDisagreements;
+    forEachCounter(
+        [](CounterInfo info, auto &sum, const auto &add) {
+            if (info.cls != CounterClass::Verdict)
+                sum += add;
+        },
+        into, delta);
 }
 
 FailureKind

@@ -36,6 +36,38 @@ using BackendTuning = std::vector<std::pair<std::string, std::string>>;
 
 const char *satResultName(SatResult result);
 
+/**
+ * How a SolverStats counter behaves when one solver layer folds the
+ * work of the layer below it into its own stats.
+ */
+enum class CounterClass : uint8_t {
+    /**
+     * Logical queries and their answers. Every layer counts its own
+     * checkSat calls, so a retry or a raced lane never inflates them:
+     * never folded.
+     */
+    Verdict,
+    /**
+     * Work of the preprocessing stages (rewrite, slice, cache) and a
+     * layer's own wall time. Retrying decorators fold it
+     * (foldNonVerdictStats); a CachingSolver does not, because it counts
+     * its own stages and times its own backend calls.
+     */
+    Stage,
+    /**
+     * Work below the cache: backend checks, recovery, transport and
+     * racing. Every layer folds it.
+     */
+    Backend,
+};
+
+/** One row of the counter table: its --stats-json key and its class. */
+struct CounterInfo
+{
+    const char *key;
+    CounterClass cls;
+};
+
 /** Aggregate statistics over the life of a solver. */
 struct SolverStats
 {
@@ -101,7 +133,64 @@ struct SolverStats
 };
 
 /**
- * Adds every field of @p delta to @p into EXCEPT the logical-query
+ * The counter table: calls `fn(info, stats.field...)` once per
+ * SolverStats counter, passing the same field of every @p stats
+ * argument; @p fn takes a CounterInfo as its first parameter. It is
+ * the one list of the counters: the arithmetic, the folds, the wire
+ * codec and --stats-json are all generated from it.
+ *
+ * The order is the protocol-v5 wire order: the 33 uint64_t counters,
+ * then totalSeconds (the one double). Reordering, adding or removing a
+ * row changes the wire layout and needs a protocol version bump.
+ */
+template <typename Fn, typename... Stats>
+constexpr void
+forEachCounter(Fn &&fn, Stats &...stats)
+{
+    using enum CounterClass;
+    fn({"queries", Verdict}, stats.queries...);
+    fn({"sat", Verdict}, stats.sat...);
+    fn({"unsat", Verdict}, stats.unsat...);
+    fn({"unknown", Verdict}, stats.unknown...);
+    fn({"cache_hits", Stage}, stats.cacheHits...);
+    fn({"cache_misses", Stage}, stats.cacheMisses...);
+    fn({"cache_evictions", Stage}, stats.cacheEvictions...);
+    fn({"rewrite_resolved", Stage}, stats.rewriteResolved...);
+    fn({"rewrite_applications", Stage}, stats.rewriteApplications...);
+    fn({"slice_resolved", Stage}, stats.sliceResolved...);
+    fn({"sliced_assertions", Stage}, stats.slicedAssertions...);
+    fn({"incremental_reused", Backend}, stats.incrementalReused...);
+    fn({"incremental_solves", Backend}, stats.incrementalSolves...);
+    fn({"incremental_fallbacks", Backend}, stats.incrementalFallbacks...);
+    fn({"cold_solves", Backend}, stats.coldSolves...);
+    fn({"watchdog_interrupts", Backend}, stats.watchdogInterrupts...);
+    fn({"guarded_retries", Backend}, stats.guardedRetries...);
+    fn({"guarded_escalations", Backend}, stats.guardedEscalations...);
+    fn({"escalated_resolved", Backend}, stats.escalatedResolved...);
+    fn({"solver_crashes", Backend}, stats.solverCrashes...);
+    fn({"faults_injected", Backend}, stats.faultsInjected...);
+    fn({"worker_crashes", Backend}, stats.workerCrashes...);
+    fn({"worker_restarts", Backend}, stats.workerRestarts...);
+    fn({"heartbeat_timeouts", Backend}, stats.heartbeatTimeouts...);
+    fn({"wire_bytes_sent", Backend}, stats.wireBytesSent...);
+    fn({"wire_bytes_received", Backend}, stats.wireBytesReceived...);
+    fn({"batched_queries", Backend}, stats.batchedQueries...);
+    fn({"portfolio_wins_0", Backend}, stats.portfolioWins[0]...);
+    fn({"portfolio_wins_1", Backend}, stats.portfolioWins[1]...);
+    fn({"portfolio_wins_2", Backend}, stats.portfolioWins[2]...);
+    fn({"portfolio_wins_3", Backend}, stats.portfolioWins[3]...);
+    fn({"portfolio_cancellations", Backend},
+       stats.portfolioCancellations...);
+    fn({"cross_lane_disagreements", Backend},
+       stats.crossLaneDisagreements...);
+    fn({"total_seconds", Stage}, stats.totalSeconds...);
+}
+
+static_assert(SolverStats::kPortfolioMaxLanes == 4,
+              "forEachCounter lists one portfolio_wins row per lane");
+
+/**
+ * Adds every field of @p delta to @p into EXCEPT the Verdict-class
  * counters (queries, sat, unsat, unknown). Decorators that retry or
  * escalate (GuardedSolver, FaultInjectingSolver) count one logical query
  * per checkSat call themselves, but must still surface the work their

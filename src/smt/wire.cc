@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <unordered_map>
 
 #include "src/smt/term_factory.h"
@@ -545,49 +546,21 @@ decodeTerms(Decoder &dec, TermFactory &factory, VarSortContext *vars,
 
 namespace {
 
-/**
- * Every SolverStats field in declaration order. Adding a field here
- * (and in solver.h) changes the wire layout: bump kProtocolVersion.
- */
-template <typename Stats, typename Fn>
-void
-forEachStatsField(Stats &stats, Fn &&fn)
-{
-    fn(stats.queries);
-    fn(stats.sat);
-    fn(stats.unsat);
-    fn(stats.unknown);
-    fn(stats.cacheHits);
-    fn(stats.cacheMisses);
-    fn(stats.cacheEvictions);
-    fn(stats.rewriteResolved);
-    fn(stats.rewriteApplications);
-    fn(stats.sliceResolved);
-    fn(stats.slicedAssertions);
-    fn(stats.incrementalReused);
-    fn(stats.incrementalSolves);
-    fn(stats.incrementalFallbacks);
-    fn(stats.coldSolves);
-    fn(stats.watchdogInterrupts);
-    fn(stats.guardedRetries);
-    fn(stats.guardedEscalations);
-    fn(stats.escalatedResolved);
-    fn(stats.solverCrashes);
-    fn(stats.faultsInjected);
-    fn(stats.workerCrashes);
-    fn(stats.workerRestarts);
-    fn(stats.heartbeatTimeouts);
-    fn(stats.wireBytesSent);
-    fn(stats.wireBytesReceived);
-    fn(stats.batchedQueries);
-    for (size_t i = 0; i < SolverStats::kPortfolioMaxLanes; ++i)
-        fn(stats.portfolioWins[i]);
-    fn(stats.portfolioCancellations);
-    fn(stats.crossLaneDisagreements);
-}
-
-constexpr uint64_t kStatsFieldCount =
-    33; // 27 scalars + kPortfolioMaxLanes win slots + 2
+/** The stats payload's uint64_t fields: every counter but totalSeconds. */
+constexpr uint64_t kStatsFieldCount = [] {
+    uint64_t count = 0;
+    SolverStats stats;
+    forEachCounter(
+        [&](CounterInfo, const auto &field) {
+            using Field = std::decay_t<decltype(field)>;
+            count += std::is_same_v<Field, uint64_t>;
+        },
+        stats);
+    return count;
+}();
+static_assert(kStatsFieldCount == 33,
+              "the SolverStats counter table changed the v5 stats layout: "
+              "bump kProtocolVersion");
 
 } // namespace
 
@@ -595,9 +568,15 @@ void
 encodeStats(Encoder &enc, const SolverStats &stats)
 {
     enc.varuint(kStatsFieldCount);
-    forEachStatsField(stats,
-                      [&](const uint64_t &field) { enc.u64(field); });
-    enc.f64(stats.totalSeconds);
+    forEachCounter(
+        [&](CounterInfo, const auto &field) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                         double>)
+                enc.f64(field);
+            else
+                enc.u64(field);
+        },
+        stats);
 }
 
 bool
@@ -609,10 +588,16 @@ decodeStats(Decoder &dec, SolverStats &out)
     if (fields != kStatsFieldCount)
         return dec.fail("stats field count mismatch (version skew?)");
     bool allRead = true;
-    forEachStatsField(out, [&](uint64_t &field) {
-        allRead = allRead && dec.u64(field);
-    });
-    return allRead && dec.f64(out.totalSeconds);
+    forEachCounter(
+        [&](CounterInfo, auto &field) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                         double>)
+                allRead = allRead && dec.f64(field);
+            else
+                allRead = allRead && dec.u64(field);
+        },
+        out);
+    return allRead;
 }
 
 // --- Typed frames -------------------------------------------------------

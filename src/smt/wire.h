@@ -211,13 +211,16 @@ struct ResetFrame
 {
     uint32_t timeoutMs = 0;      ///< per-query solver deadline
     uint32_t memoryBudgetMb = 0; ///< soft solver budget (0 = none)
-    uint8_t useCache = 1;        ///< front the backend with a cache
-    uint8_t useGuard = 1;        ///< wrap the stack in a GuardedSolver
     /**
-     * Portfolio lane name the session's backend is built from
-     * ("default", "int2bv", "cold", "seed<K>", optionally with
-     * ":key=value" tuning); empty selects the default incremental
-     * stack, byte-identical to protocol v1 behavior.
+     * Never read: the worker always builds the cache and the guard.
+     * Both bytes stay only to keep the v5 Reset layout.
+     */
+    uint8_t useCache = 1;
+    uint8_t useGuard = 1;
+    /**
+     * Lane name the session's backend is built from ("default",
+     * "int2bv", "cold", "seed<K>", optionally with ":key=value"
+     * tuning). The pipeline always names one; empty selects "default".
      */
     std::string strategy;
 };

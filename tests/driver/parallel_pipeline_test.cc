@@ -86,18 +86,12 @@ TEST(ParallelPipelineTest, CachingNeverChangesVerdicts)
     uncached.solverCache = false;
     ModuleReport cold = Pipeline(options, uncached).run(module);
 
-    ExecutionOptions cached; // defaults: shared cache on
+    ExecutionOptions cached; // defaults: cache on
     ModuleReport warm = Pipeline(options, cached).run(module);
     EXPECT_EQ(cold.canonicalSummary(), warm.canonicalSummary());
     EXPECT_GT(warm.cacheStats.hits + warm.cacheStats.modelHits, 0u)
         << "the Figure 6 corpus repeats query shapes; the cache "
            "should catch some";
-
-    ExecutionOptions private_cache;
-    private_cache.sharedCache = false;
-    ModuleReport per_function =
-        Pipeline(options, private_cache).runParallel(module);
-    EXPECT_EQ(cold.canonicalSummary(), per_function.canonicalSummary());
 }
 
 TEST(ParallelPipelineTest, CachePersistsAcrossRunsOfOnePipeline)

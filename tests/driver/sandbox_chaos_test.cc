@@ -73,6 +73,37 @@ TEST(SandboxChaosTest, ParallelSandboxedRunMatchesSerial)
     EXPECT_EQ(threaded.canonicalSummary(), serial.canonicalSummary());
 }
 
+TEST(SandboxChaosTest, UnoptimizedSandboxedRunSolvesOnTheColdLane)
+{
+    // keqc --gen-corpus=40 --corpus-seed=7: @fn35's queries share
+    // assertion prefixes, so an incremental backend would reuse them.
+    CorpusOptions copts;
+    copts.seed = 7;
+    copts.functionCount = 40;
+    llvmir::Module module =
+        llvmir::parseModule(generateCorpusSource(copts));
+    llvmir::verifyModuleOrThrow(module);
+    PipelineOptions options;
+
+    ExecutionOptions unoptimized;
+    unoptimized.optimizeQueries = false;
+    ModuleReport in_process = Pipeline(options, unoptimized).run(module);
+
+    ExecutionOptions exec = sandboxed();
+    exec.optimizeQueries = false;
+    ModuleReport via_sandbox = Pipeline(options, exec).run(module);
+
+    EXPECT_EQ(via_sandbox.canonicalSummary(),
+              in_process.canonicalSummary());
+    // The worker builds the lane the pipeline names: without query
+    // optimization that is the cold backend, which never reuses a
+    // scope, exactly as in process.
+    EXPECT_EQ(via_sandbox.solverStats.incrementalReused, 0u);
+    EXPECT_EQ(via_sandbox.solverStats.incrementalSolves, 0u);
+    EXPECT_GT(via_sandbox.solverStats.coldSolves, 0u);
+    EXPECT_EQ(in_process.solverStats.incrementalReused, 0u);
+}
+
 TEST(SandboxChaosTest, RealWorkerKillsAreContainedPerQuery)
 {
     llvmir::Module module = corpusModule(12);

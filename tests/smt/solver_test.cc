@@ -172,5 +172,30 @@ TEST_F(SolverTest, ZextSextLowering)
     EXPECT_FALSE(solver.proveImplication(tf.trueTerm(), conclusion));
 }
 
+TEST(SolverStatsTest, FoldNonVerdictStatsLeavesExactlyTheVerdictCounters)
+{
+    SolverStats delta;
+    uint64_t next = 1;
+    forEachCounter([&](CounterInfo, auto &field) { field = next++; },
+                   delta);
+    SolverStats into;
+    foldNonVerdictStats(into, delta);
+
+    size_t verdictRows = 0;
+    forEachCounter(
+        [&](CounterInfo info, const auto &folded, const auto &source) {
+            if (info.cls == CounterClass::Verdict) {
+                ++verdictRows;
+                EXPECT_EQ(folded, 0u) << info.key;
+            } else {
+                EXPECT_EQ(folded, source) << info.key;
+            }
+        },
+        into, delta);
+    // The verdict class is exactly the logical-query counters.
+    EXPECT_EQ(verdictRows, 4u);
+    EXPECT_EQ(into.queries + into.sat + into.unsat + into.unknown, 0u);
+}
+
 } // namespace
 } // namespace keq::smt

@@ -219,33 +219,22 @@ TEST(WireTermCodec, VarSortContextRejectsCrossQueryCollisions)
     }
 }
 
-TEST(WireStatsCodec, AllFieldsRoundTrip)
+/** Stamps the i-th row of the counter table with i + 1. */
+SolverStats
+numberedStats()
 {
     SolverStats stats;
-    uint64_t seed = 1;
-    // Stamp every counter with a distinct value so a field ordering bug
-    // cannot cancel out.
-    for (uint64_t *field :
-         {&stats.queries, &stats.sat, &stats.unsat, &stats.unknown,
-          &stats.cacheHits, &stats.cacheMisses, &stats.cacheEvictions,
-          &stats.rewriteResolved, &stats.rewriteApplications,
-          &stats.sliceResolved, &stats.slicedAssertions,
-          &stats.incrementalReused, &stats.incrementalSolves,
-          &stats.incrementalFallbacks, &stats.coldSolves,
-          &stats.watchdogInterrupts, &stats.guardedRetries,
-          &stats.guardedEscalations, &stats.escalatedResolved,
-          &stats.solverCrashes, &stats.faultsInjected,
-          &stats.workerCrashes, &stats.workerRestarts,
-          &stats.heartbeatTimeouts, &stats.wireBytesSent,
-          &stats.wireBytesReceived, &stats.batchedQueries,
-          &stats.portfolioWins[0], &stats.portfolioWins[1],
-          &stats.portfolioWins[2], &stats.portfolioWins[3],
-          &stats.portfolioCancellations,
-          &stats.crossLaneDisagreements}) {
-        *field = seed++;
-    }
-    stats.totalSeconds = 1.25;
+    uint64_t next = 1;
+    forEachCounter([&](CounterInfo, auto &field) { field = next++; },
+                   stats);
+    return stats;
+}
 
+TEST(WireStatsCodec, AllFieldsRoundTrip)
+{
+    // Every counter holds a distinct value, so a field ordering bug
+    // cannot cancel out.
+    SolverStats stats = numberedStats();
     Encoder enc;
     encodeStats(enc, stats);
     std::string bytes = enc.take();
@@ -254,26 +243,56 @@ TEST(WireStatsCodec, AllFieldsRoundTrip)
     ASSERT_TRUE(decodeStats(dec, back)) << dec.error();
     EXPECT_TRUE(dec.atEnd());
 
-    seed = 1;
-    for (uint64_t value :
-         {back.queries, back.sat, back.unsat, back.unknown,
-          back.cacheHits, back.cacheMisses, back.cacheEvictions,
-          back.rewriteResolved, back.rewriteApplications,
-          back.sliceResolved, back.slicedAssertions,
-          back.incrementalReused, back.incrementalSolves,
-          back.incrementalFallbacks, back.coldSolves,
-          back.watchdogInterrupts, back.guardedRetries,
-          back.guardedEscalations, back.escalatedResolved,
-          back.solverCrashes, back.faultsInjected, back.workerCrashes,
-          back.workerRestarts, back.heartbeatTimeouts,
-          back.wireBytesSent, back.wireBytesReceived,
-          back.batchedQueries, back.portfolioWins[0],
-          back.portfolioWins[1], back.portfolioWins[2],
-          back.portfolioWins[3], back.portfolioCancellations,
-          back.crossLaneDisagreements}) {
-        EXPECT_EQ(value, seed++);
+    forEachCounter(
+        [](CounterInfo info, const auto &sent, const auto &received) {
+            EXPECT_EQ(sent, received) << info.key;
+        },
+        stats, back);
+}
+
+TEST(WireStatsCodec, V5LayoutGoldenBytes)
+{
+    // The bytes protocol v5 has always produced for these values: the
+    // field count, the 33 uint64_t counters little-endian, then
+    // totalSeconds as IEEE bits.
+    static const std::string kGolden =
+        "21" // varuint field count: 33
+        "0100000000000000" "0200000000000000" "0300000000000000"
+        "0400000000000000" "0500000000000000" "0600000000000000"
+        "0700000000000000" "0800000000000000" "0900000000000000"
+        "0a00000000000000" "0b00000000000000" "0c00000000000000"
+        "0d00000000000000" "0e00000000000000" "0f00000000000000"
+        "1000000000000000" "1100000000000000" "1200000000000000"
+        "1300000000000000" "1400000000000000" "1500000000000000"
+        "1600000000000000" "1700000000000000" "1800000000000000"
+        "1900000000000000" "1a00000000000000" "1b00000000000000"
+        "1c00000000000000" "1d00000000000000" "1e00000000000000"
+        "1f00000000000000" "2000000000000000" "2100000000000000"
+        "0000000000004140"; // totalSeconds = 34.0
+    SolverStats stats = numberedStats();
+    Encoder enc;
+    encodeStats(enc, stats);
+    std::string hex;
+    for (unsigned char byte : enc.take()) {
+        static const char kDigits[] = "0123456789abcdef";
+        hex += kDigits[byte >> 4];
+        hex += kDigits[byte & 0xf];
     }
-    EXPECT_DOUBLE_EQ(back.totalSeconds, 1.25);
+    EXPECT_EQ(hex, kGolden);
+
+    // The golden bytes alone cannot see two table rows trade places;
+    // these rows pin the table order to the v5 field order.
+    EXPECT_EQ(stats.queries, 1u);
+    EXPECT_EQ(stats.unknown, 4u);
+    EXPECT_EQ(stats.cacheHits, 5u);
+    EXPECT_EQ(stats.slicedAssertions, 11u);
+    EXPECT_EQ(stats.coldSolves, 15u);
+    EXPECT_EQ(stats.faultsInjected, 21u);
+    EXPECT_EQ(stats.wireBytesReceived, 26u);
+    EXPECT_EQ(stats.portfolioWins[0], 28u);
+    EXPECT_EQ(stats.portfolioWins[3], 31u);
+    EXPECT_EQ(stats.crossLaneDisagreements, 33u);
+    EXPECT_EQ(stats.totalSeconds, 34.0);
 }
 
 TEST(WireFrames, TypedFramesRoundTrip)

@@ -4,6 +4,7 @@
 
 #include "src/vx86/parser.h"
 #include "src/sem/sync_point.h"
+#include "src/smt/evaluator.h"
 #include "src/vx86/symbolic_semantics.h"
 
 namespace keq::vx86 {
@@ -253,15 +254,24 @@ TEST(Vx86SymbolicTest, DivisionEmitsFaultBranch)
                           fx.tf_.var("a", smt::Sort::bitVec(32)));
     fx.sem_->bindRegister(seed, "@d", "esi",
                           fx.tf_.var("b", smt::Sort::bitVec(32)));
-    std::vector<SymbolicState> finals = fx.runToEnd(fx.entryState("@d"));
+    std::vector<SymbolicState> finals = fx.runToEnd(std::move(seed));
     // Fault branch plus normal exit.
     ASSERT_EQ(finals.size(), 2u);
     int errors = 0;
     for (const SymbolicState &state : finals) {
-        if (state.status == Status::Error) {
-            ++errors;
-            EXPECT_EQ(state.errorKind, sem::ErrorKind::DivByZero);
-        }
+        if (state.status != Status::Error)
+            continue;
+        ++errors;
+        EXPECT_EQ(state.errorKind, sem::ErrorKind::DivByZero);
+        // The fault is taken exactly when the named divisor is zero.
+        auto faultsAt = [&](uint64_t b) {
+            smt::Assignment env;
+            env.setBv("a", support::ApInt(32, 7));
+            env.setBv("b", support::ApInt(32, b));
+            return smt::Evaluator(env).evalBool(state.pathCond);
+        };
+        EXPECT_TRUE(faultsAt(0));
+        EXPECT_FALSE(faultsAt(3));
     }
     EXPECT_EQ(errors, 1);
 }

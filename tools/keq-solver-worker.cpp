@@ -10,13 +10,14 @@
  * process only, to be classified and absorbed by the supervisor.
  *
  * Protocol role: emit Ready, then serve Reset/Query/Shutdown frames.
- * A Reset begins a *session*: a fresh TermFactory plus the same solver
- * stack the in-process pipeline runs (incremental Z3 -> memoizing
- * cache -> guarded escalation ladder), so sandboxed verdicts are
- * bit-identical to in-process ones. The query cache outlives sessions
- * (its structural fingerprints are factory-independent). While a query
- * is in flight a heartbeat thread reports liveness and resident-set
- * size; the RSS rides into the supervisor's OOM forensics.
+ * A Reset begins a *session*: a fresh TermFactory plus a solver stack
+ * of the same shape as the in-process pipeline's (the Reset's lane
+ * backend -> memoizing cache -> guarded escalation ladder), so
+ * sandboxed verdicts are bit-identical to in-process ones. The query
+ * cache outlives sessions (its structural fingerprints are
+ * factory-independent). While a query is in flight a heartbeat thread
+ * reports liveness and resident-set size; the RSS rides into the
+ * supervisor's OOM forensics.
  *
  * Exit codes: 0 on Shutdown/EOF, 2 on usage errors, 77 when a query
  * hits std::bad_alloc (self-reported OOM under the rlimit), 3 on a
@@ -41,7 +42,6 @@
 
 #include "src/smt/caching_solver.h"
 #include "src/smt/guarded_solver.h"
-#include "src/smt/incremental_z3_solver.h"
 #include "src/smt/portfolio_solver.h"
 #include "src/smt/sandbox.h"
 #include "src/smt/term_factory.h"
@@ -151,17 +151,19 @@ struct Session
     {
         Session s;
         s.factory = std::make_unique<smt::TermFactory>();
-        // The lane strategy decides the backend: the default lane is
-        // the incremental stack protocol v1 always built; tuned and
-        // cold lanes exist only when the parent races a portfolio.
+        // The lane strategy decides the backend, as in the in-process
+        // pipeline: "default" when the parent optimizes queries, "cold"
+        // when it does not, or one lane of a raced portfolio.
         s.backend = smt::makeLaneBackend(*s.factory, lane);
         s.caching = std::make_unique<smt::CachingSolver>(
             *s.factory, *s.backend, cache);
-        // The guard's terminal rung is a pristine cold solver — the
-        // same ladder the in-process pipeline runs, so escalation
-        // behaviour (and therefore verdicts) match exactly. It stays
-        // untuned even for tuned lanes: a lane that needs its terminal
-        // rung should converge to the reference configuration.
+        // The guard's ladder is one rung: a pristine cold solver. The
+        // in-process pipeline builds two cold rungs (the first is
+        // fault-injected under chaos, the second pristine), so a query
+        // that needs a second cold attempt gets it only in process.
+        // The rung stays untuned even for tuned lanes: a lane that
+        // needs its terminal rung should converge to the reference
+        // configuration.
         smt::TermFactory *factory = s.factory.get();
         std::vector<smt::GuardedSolver::RungFactory> fallbacks;
         fallbacks.push_back([factory] {
@@ -317,25 +319,21 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                     "corrupt reset frame: " + error));
                 continue;
             }
-            smt::LaneConfig lane;
-            if (!config.strategy.empty()) {
-                std::vector<smt::LaneConfig> lanes;
-                if (!smt::parsePortfolioLanes(config.strategy, lanes,
-                                              error) ||
-                    lanes.size() != 1) {
-                    std::unique_lock<std::mutex> lock(gWriteMutex);
-                    writeFrame(smt::wire::encodeError(
-                        "bad reset strategy: " +
-                        (error.empty() ? "expected one lane" : error)));
-                    continue;
-                }
-                lane = std::move(lanes[0]);
-            } else {
-                lane.name = "default";
+            std::vector<smt::LaneConfig> lanes;
+            if (!smt::parsePortfolioLanes(config.strategy.empty()
+                                              ? "default"
+                                              : config.strategy,
+                                          lanes, error) ||
+                lanes.size() != 1) {
+                std::unique_lock<std::mutex> lock(gWriteMutex);
+                writeFrame(smt::wire::encodeError(
+                    "bad reset strategy: " +
+                    (error.empty() ? "expected one lane" : error)));
+                continue;
             }
             joinSolve(); // the old session must be idle before dying
             session = std::make_unique<Session>(
-                Session::make(config, lane, cache));
+                Session::make(config, lanes[0], cache));
             continue;
         }
         if (type != smt::wire::FrameType::Query) {

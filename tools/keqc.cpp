@@ -25,7 +25,8 @@
  *     --no-solver-cache   disable solver-query memoization
  *     --solver-cache-mb=N cap the query cache at N MB (LRU; 0 = none)
  *     --no-smt-opt        disable the query optimization stack
- *                         (rewrite, slicing, incremental backend)
+ *                         (rewrite, slicing) and solve on the cold
+ *                         lane, in process or in --sandbox workers
  *     --deadline-ms=N     hard per-query watchdog deadline (0 = none)
  *     --retries=N         same-rung solver retries before escalating
  *     --solver-memory-mb=N per-query Z3 memory budget (0 = none)
@@ -299,9 +300,7 @@ parseArgs(int argc, char **argv)
             options.exec.faults.seed = static_cast<uint64_t>(
                 number_of("--chaos-seed="));
         } else if (arg == "--no-smt-opt") {
-            options.exec.simplifyQueries = false;
-            options.exec.sliceQueries = false;
-            options.exec.incrementalSolver = false;
+            options.exec.optimizeQueries = false;
         } else if (arg == "--stats") {
             options.print_stats = true;
         } else if (arg.rfind("--gen-corpus=", 0) == 0) {
@@ -387,51 +386,14 @@ writeStatsJson(const std::string &path,
     }
     out << "  },\n";
     out << "  \"solver\": {\n";
-    struct SolverField
-    {
-        const char *name;
-        uint64_t value;
-    };
-    const SolverField fields[] = {
-        {"queries", stats.queries},
-        {"sat", stats.sat},
-        {"unsat", stats.unsat},
-        {"unknown", stats.unknown},
-        {"cache_hits", stats.cacheHits},
-        {"cache_misses", stats.cacheMisses},
-        {"cache_evictions", stats.cacheEvictions},
-        {"rewrite_resolved", stats.rewriteResolved},
-        {"rewrite_applications", stats.rewriteApplications},
-        {"slice_resolved", stats.sliceResolved},
-        {"sliced_assertions", stats.slicedAssertions},
-        {"incremental_reused", stats.incrementalReused},
-        {"incremental_solves", stats.incrementalSolves},
-        {"incremental_fallbacks", stats.incrementalFallbacks},
-        {"cold_solves", stats.coldSolves},
-        {"watchdog_interrupts", stats.watchdogInterrupts},
-        {"guarded_retries", stats.guardedRetries},
-        {"guarded_escalations", stats.guardedEscalations},
-        {"escalated_resolved", stats.escalatedResolved},
-        {"solver_crashes", stats.solverCrashes},
-        {"faults_injected", stats.faultsInjected},
-        {"worker_crashes", stats.workerCrashes},
-        {"worker_restarts", stats.workerRestarts},
-        {"heartbeat_timeouts", stats.heartbeatTimeouts},
-        {"wire_bytes_sent", stats.wireBytesSent},
-        {"wire_bytes_received", stats.wireBytesReceived},
-        {"batched_queries", stats.batchedQueries},
-        {"portfolio_wins_0", stats.portfolioWins[0]},
-        {"portfolio_wins_1", stats.portfolioWins[1]},
-        {"portfolio_wins_2", stats.portfolioWins[2]},
-        {"portfolio_wins_3", stats.portfolioWins[3]},
-        {"portfolio_cancellations", stats.portfolioCancellations},
-        {"cross_lane_disagreements", stats.crossLaneDisagreements},
-    };
-    for (const SolverField &field : fields) {
-        out << "    \"" << field.name << "\": "
-            << static_cast<unsigned long long>(field.value) << ",\n";
-    }
-    out << "    \"total_seconds\": " << stats.totalSeconds << "\n  },\n";
+    const char *separator = "";
+    smt::forEachCounter(
+        [&](smt::CounterInfo info, const auto &value) {
+            out << separator << "    \"" << info.key << "\": " << value;
+            separator = ",\n";
+        },
+        stats);
+    out << "\n  },\n";
     out << "  \"cache\": {\n"
         << "    \"hits\": " << report.cacheStats.hits << ",\n"
         << "    \"misses\": " << report.cacheStats.misses << ",\n"
