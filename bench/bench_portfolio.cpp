@@ -44,7 +44,7 @@
 #include "src/driver/pipeline.h"
 #include "src/llvmir/parser.h"
 #include "src/llvmir/verifier.h"
-#include "src/smt/portfolio_solver.h"
+#include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
 #include "src/support/stopwatch.h"
 
@@ -215,17 +215,15 @@ runConfiguration(const std::string &label,
     run.label = label;
     for (const BenchQuery &query : queries) {
         support::Stopwatch watch;
-        std::unique_ptr<smt::Solver> solver;
-        if (lanes.size() <= 1) {
-            solver = smt::makeLaneBackend(tf, lanes.front());
-        } else {
-            solver = std::make_unique<smt::PortfolioSolver>(tf, lanes);
-        }
-        solver->setTimeoutMs(timeout_ms);
-        smt::SatResult verdict = solver->checkSat(query.assertions);
+        smt::StackSpec spec;
+        spec.lanes = lanes;
+        smt::SolverStack stack = smt::buildSolverStack(tf, spec);
+        smt::Solver &solver = stack.top();
+        solver.setTimeoutMs(timeout_ms);
+        smt::SatResult verdict = solver.checkSat(query.assertions);
         run.seconds.push_back(watch.seconds());
         run.verdicts.push_back(verdict);
-        run.stats += solver->stats();
+        run.stats += solver.stats();
     }
     return run;
 }

@@ -58,7 +58,9 @@ runCase(const CorpusCase &corpus_case, const MatrixCell &cell,
     exec.optimizeQueries = cell.smtOpt;
     exec.sandbox = cell.sandbox;
     exec.workerPath = options.workerPath;
-    exec.portfolioLanes = cell.portfolioLanes;
+    if (cell.portfolioLanes > 1)
+        exec.portfolioLaneSpec =
+            smt::defaultPortfolioSpec(cell.portfolioLanes);
     if (cell.sandbox)
         exec.sandboxWorkers = cell.jobs;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -12,15 +11,11 @@
 #include "src/llvmir/symbolic_semantics.h"
 #include "src/llvmir/verifier.h"
 #include "src/memory/layout.h"
-#include "src/smt/guarded_solver.h"
-#include "src/smt/incremental_z3_solver.h"
-#include "src/smt/portfolio_solver.h"
+#include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
-#include "src/smt/z3_solver.h"
 #include "src/support/diagnostics.h"
 #include "src/support/journal.h"
 #include "src/support/stopwatch.h"
-#include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 #include "src/regalloc/regalloc.h"
 #include "src/vcgen/regalloc_vcgen.h"
@@ -110,54 +105,32 @@ ModuleReport::canonicalSummary() const
 namespace {
 
 /**
- * The lanes a validation solves on: an explicit portfolio spec wins,
- * then the portfolio lane count; otherwise one lane, "default" when
- * optimizing queries and "cold" when not. nullptr (no
- * ExecutionOptions) picks "default". Throws support::Error on a
- * malformed spec.
+ * What one validation solves on. The default is the reference stack of
+ * the free entry points: the "default" lane alone, with no front,
+ * injector or guard (used as the unoptimized reference stack by tests
+ * and benches).
  */
-std::vector<smt::LaneConfig>
-laneRoster(const ExecutionOptions *exec)
+struct SolveSetup
 {
-    std::string spec =
-        exec == nullptr || exec->optimizeQueries ? "default" : "cold";
-    if (exec != nullptr && !exec->portfolioLaneSpec.empty())
-        spec = exec->portfolioLaneSpec;
-    else if (exec != nullptr && exec->portfolioLanes > 1)
-        return smt::defaultPortfolioLanes(exec->portfolioLanes);
-    std::vector<smt::LaneConfig> lanes;
-    std::string error;
-    if (!smt::parsePortfolioLanes(spec, lanes, error))
-        throw support::Error("invalid portfolio lane spec: " + error);
-    return lanes;
-}
+    smt::StackSpec stack;
+    /** Nonempty when the lane roster did not parse: the validation
+     *  fails as Unsupported. */
+    std::string laneError;
+    /** Cooperative cancellation for the checker. */
+    support::CancellationToken cancel;
+};
 
 /**
  * VC generation + KEQ checking for one (LLVM, Virtual x86) pair whose
  * machine side has already been produced — by this pipeline's ISel, or
  * by the fuzz mutation engine. Creates every non-thread-safe component
- * (factory, semantics, Z3) locally so concurrent invocations share
- * nothing but the optional query cache.
- *
- * @param exec Solver-stack configuration; nullptr selects the lane a
- *             default ExecutionOptions picks ("default", incremental)
- *             with no cache, preprocessing or guard (the free
- *             validateFunction entry points, used as the unoptimized
- *             reference stack by tests and benches).
- * @param sandbox Non-null routes every query to the out-of-process
- *             worker pool: the backend becomes a SandboxSolver, the
- *             cache front stays in the parent, and the in-process
- *             injector/guard layers are skipped (the worker runs its
- *             own guard; the supervisor enforces heartbeat deadlines
- *             and classifies worker death).
+ * (factory, semantics, solver stack) locally so concurrent invocations
+ * share nothing but the optional query cache and sandbox pool.
  */
 FunctionReport
 validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
                  vx86::MFunction mfn, const isel::FunctionHints &hints,
-                 const PipelineOptions &options,
-                 const std::shared_ptr<smt::QueryCache> &cache,
-                 const ExecutionOptions *exec,
-                 smt::WorkerSupervisor *sandbox,
+                 const PipelineOptions &options, const SolveSetup &setup,
                  smt::SolverStats *solver_stats)
 {
     FunctionReport report;
@@ -192,118 +165,21 @@ validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
         vx86::MModule mmodule;
         mmodule.functions.push_back(std::move(mfn));
         vx86::SymbolicSemantics sem_b(mmodule, factory, layout);
-        // A malformed roster throws support::Error and lands in the
-        // Unsupported catch below.
-        std::vector<smt::LaneConfig> lanes = laneRoster(exec);
-
-        std::unique_ptr<smt::Solver> backend;
-        if (sandbox != nullptr) {
-            // Sandboxed: one worker per lane, raced by the supervisor
-            // when there are several; lane entries travel as ResetFrame
-            // strategies.
-            std::vector<std::string> laneSpecs;
-            if (!exec->portfolioLaneSpec.empty())
-                laneSpecs =
-                    support::split(exec->portfolioLaneSpec, ',');
-            else
-                for (const smt::LaneConfig &lane : lanes)
-                    laneSpecs.push_back(lane.name);
-            backend = std::make_unique<smt::SandboxSolver>(
-                factory, *sandbox, std::move(laneSpecs));
-            if (exec->deadlineMs > 0)
-                backend->setTimeoutMs(exec->deadlineMs);
-        } else if (lanes.size() > 1) {
-            backend = std::make_unique<smt::PortfolioSolver>(
-                factory, std::move(lanes));
-        } else {
-            backend = smt::makeLaneBackend(factory, lanes.front());
-        }
-        std::optional<smt::CachingSolver> caching;
-        smt::Solver *solver = backend.get();
-        if (cache != nullptr) {
-            smt::CachingSolver::Options stack;
-            stack.simplify = exec != nullptr && exec->optimizeQueries;
-            stack.slice = exec != nullptr && exec->optimizeQueries;
-            if (exec != nullptr && exec->auditRate > 0.0) {
-                // Trust-but-verify: sample journal-preloaded hits and
-                // recheck them against a pristine solver before
-                // serving. The pristine rung mirrors GuardedSolver's
-                // terminal rung — a fresh cold Z3 with no preprocessing
-                // shared with the stack under audit.
-                stack.auditRate = exec->auditRate;
-                stack.auditSeed = exec->auditSeed;
-                stack.auditSolverFactory =
-                    [](smt::TermFactory &f) -> std::unique_ptr<smt::Solver> {
-                    return std::make_unique<smt::Z3Solver>(f);
-                };
-                stack.onAuditMismatch = exec->onAuditMismatch;
-            }
-            caching.emplace(factory, *backend, cache, stack);
-            solver = &*caching;
-        }
-
-        // Chaos testing: the injector sits *above* the optimized stack
-        // (and below the guard), so injected misbehavior exercises the
-        // retry/escalation machinery without ever reaching the cache's
-        // stored verdicts. The per-function plan is derived from the
-        // function name, not the scheduling order, so serial and
-        // parallel chaos runs draw identical fault schedules.
-        smt::FaultPlan plan;
-        if (exec != nullptr && sandbox == nullptr)
-            plan = exec->faults.derive(support::fnv1a64(fn.name));
-        std::optional<smt::FaultInjectingSolver> injector;
-        if (plan.enabled()) {
-            injector.emplace(factory, *solver, plan);
-            solver = &*injector;
-        }
-
-        // Fault-tolerant front: watchdog deadline + escalation ladder.
-        // Rung 1 is a fresh cold solver on the raw (unpreprocessed)
-        // query — still fault-injected under chaos; rung 2 is pristine,
-        // which is what makes chaos verdicts converge to clean ones.
-        // In sandbox mode the guard lives inside the worker process
-        // (watchdog + escalation next to the solver it protects), so the
-        // parent adds no second guard — the supervisor's heartbeat
-        // deadline and death classification are the parent-side
-        // containment.
-        std::optional<smt::GuardedSolver> guarded;
-        if (exec != nullptr && sandbox == nullptr) {
-            smt::GuardedSolverOptions guard;
-            guard.deadlineMs = exec->deadlineMs;
-            guard.retries = exec->solverRetries;
-            guard.cancel = exec->cancel;
-            smt::FaultPlan rung1_plan = plan.derive(1);
-            std::vector<smt::GuardedSolver::RungFactory> rungs;
-            rungs.push_back(
-                [&factory, rung1_plan]() -> std::unique_ptr<smt::Solver> {
-                    std::unique_ptr<smt::Solver> fresh =
-                        std::make_unique<smt::Z3Solver>(factory);
-                    if (rung1_plan.enabled()) {
-                        return std::make_unique<
-                            smt::FaultInjectingSolver>(
-                            factory, std::move(fresh), rung1_plan);
-                    }
-                    return fresh;
-                });
-            rungs.push_back(
-                [&factory]() -> std::unique_ptr<smt::Solver> {
-                    return std::make_unique<smt::Z3Solver>(factory);
-                });
-            guarded.emplace(factory, *solver, std::move(rungs), guard);
-            solver = &*guarded;
-            if (exec->solverMemoryMb > 0)
-                solver->setMemoryBudgetMb(exec->solverMemoryMb);
-        }
+        // A malformed roster lands in the Unsupported catch below.
+        if (!setup.laneError.empty())
+            throw support::Error(setup.laneError);
+        smt::SolverStack stack = smt::buildSolverStack(factory, setup.stack);
+        smt::Solver &solver = stack.top();
 
         checker::CheckerConfig checker_config = options.checker;
-        if (exec != nullptr && exec->cancel.valid())
-            checker_config.cancel = exec->cancel;
+        if (setup.cancel.valid())
+            checker_config.cancel = setup.cancel;
         sem::IselAcceptability acceptability;
-        checker::Checker checker(sem_a, sem_b, acceptability, *solver,
+        checker::Checker checker(sem_a, sem_b, acceptability, solver,
                                  checker_config);
         report.verdict = checker.check(fn.name, fn.name, vc.points);
         if (solver_stats != nullptr) {
-            *solver_stats = solver->stats();
+            *solver_stats = solver.stats();
             // Batching is attributed by the checker (no solver layer
             // can see which queries shared a session), so the module
             // aggregate picks it up from the verdict delta.
@@ -349,9 +225,7 @@ FunctionReport
 validateFunctionImpl(const llvmir::Module &module,
                      const llvmir::Function &fn,
                      const PipelineOptions &options,
-                     const std::shared_ptr<smt::QueryCache> &cache,
-                     const ExecutionOptions *exec,
-                     smt::WorkerSupervisor *sandbox,
+                     const SolveSetup &setup,
                      smt::SolverStats *solver_stats)
 {
     // 1. Instruction Selection with hint generation. Unsupported
@@ -369,7 +243,7 @@ validateFunctionImpl(const llvmir::Module &module,
         return report;
     }
     return validatePairImpl(module, fn, std::move(mfn), hints, options,
-                            cache, exec, sandbox, solver_stats);
+                            setup, solver_stats);
 }
 
 std::vector<const llvmir::Function *>
@@ -389,8 +263,8 @@ FunctionReport
 validateFunction(const llvmir::Module &module, const llvmir::Function &fn,
                  const PipelineOptions &options)
 {
-    return validateFunctionImpl(module, fn, options, nullptr, nullptr,
-                                nullptr, nullptr);
+    return validateFunctionImpl(module, fn, options, SolveSetup{},
+                                nullptr);
 }
 
 FunctionReport
@@ -400,7 +274,7 @@ validateFunctionPair(const llvmir::Module &module,
                      const PipelineOptions &options)
 {
     return validatePairImpl(module, fn, std::move(mfn), hints, options,
-                            nullptr, nullptr, nullptr, nullptr);
+                            SolveSetup{}, nullptr);
 }
 
 FunctionReport
@@ -434,9 +308,10 @@ validateRegAlloc(const llvmir::Module &module, const llvmir::Function &fn,
         post_module.functions.push_back(std::move(allocation.fn));
         vx86::SymbolicSemantics sem_a(pre_module, factory, layout);
         vx86::SymbolicSemantics sem_b(post_module, factory, layout);
-        smt::IncrementalZ3Solver solver(factory);
+        smt::SolverStack stack =
+            smt::buildSolverStack(factory, smt::StackSpec{});
         sem::IselAcceptability acceptability;
-        checker::Checker checker(sem_a, sem_b, acceptability, solver,
+        checker::Checker checker(sem_a, sem_b, acceptability, stack.top(),
                                  options.checker);
         report.verdict = checker.check(fn.name, fn.name, vc.points);
 
@@ -476,6 +351,53 @@ Pipeline::Pipeline(PipelineOptions options, ExecutionOptions exec)
     else if (exec_.solverCache)
         cache_ = std::make_shared<smt::QueryCache>(
             exec_.cacheShardCapacity, exec_.cacheMemoryMb << 20);
+
+    // The lane roster: an explicit spec, else one lane, "default" when
+    // optimizing queries and "cold" when not.
+    std::string spec = exec_.portfolioLaneSpec;
+    if (spec.empty())
+        spec = exec_.optimizeQueries ? "default" : "cold";
+    std::string error;
+    if (!smt::parsePortfolioLanes(spec, lanes_, error))
+        laneError_ = "invalid portfolio lane spec: " + error;
+}
+
+FunctionReport
+Pipeline::validateWith(const llvmir::Module &module,
+                       const llvmir::Function &fn,
+                       const ExecutionOptions &exec,
+                       smt::WorkerSupervisor *sandbox,
+                       smt::SolverStats *stats) const
+{
+    SolveSetup setup;
+    setup.laneError = laneError_;
+    setup.cancel = exec.cancel;
+    smt::StackSpec &spec = setup.stack;
+    spec.lanes = lanes_;
+    spec.sandbox = sandbox;
+    spec.cache = cache_;
+    spec.front.simplify = exec.optimizeQueries;
+    spec.front.slice = exec.optimizeQueries;
+    // Trust-but-verify: sample journal-preloaded hits and recheck them
+    // against the pristine solver before serving.
+    spec.front.auditRate = exec.auditRate;
+    spec.front.auditSeed = exec.auditSeed;
+    spec.front.onAuditMismatch = exec.onAuditMismatch;
+    spec.memoryBudgetMb = exec.solverMemoryMb;
+    if (sandbox == nullptr) {
+        // Injector and guard run in process only: a sandboxed stack's
+        // guard runs in the worker, next to the solver it protects,
+        // and its chaos is real signals. The fault plan derives from
+        // the function name, not the scheduling order, so serial and
+        // parallel chaos runs draw identical fault schedules.
+        spec.faults = exec.faults.derive(support::fnv1a64(fn.name));
+        smt::GuardedSolverOptions guard;
+        guard.deadlineMs = exec.deadlineMs;
+        guard.retries = exec.solverRetries;
+        guard.cancel = exec.cancel;
+        spec.guard = guard;
+    }
+    return validateFunctionImpl(module, fn, options_, setup, stats);
 }
 
 FunctionReport
@@ -483,8 +405,7 @@ Pipeline::validateFunction(const llvmir::Module &module,
                            const llvmir::Function &fn)
 {
     smt::SolverStats stats;
-    return validateFunctionImpl(module, fn, options_, cache_, &exec_,
-                                sandboxSupervisor(1), &stats);
+    return validateWith(module, fn, exec_, sandboxSupervisor(1), &stats);
 }
 
 FunctionReport
@@ -506,8 +427,7 @@ Pipeline::validateFunction(const llvmir::Module &module,
     ExecutionOptions exec = exec_;
     exec.deadlineMs = effective;
     smt::SolverStats stats;
-    return validateFunctionImpl(module, fn, options_, cache_, &exec,
-                                sandboxSupervisor(1), &stats);
+    return validateWith(module, fn, exec, sandboxSupervisor(1), &stats);
 }
 
 smt::WorkerSupervisor *
@@ -519,15 +439,10 @@ Pipeline::sandboxSupervisor(unsigned workers)
         return supervisor_.get();
 
     // Each concurrent function validation leases one worker per
-    // portfolio lane (solveGroup's atomic multi-slot lease), so the
-    // default pool is jobs x lanes; an undersized explicit pool still
-    // works — the race just degrades to fewer lanes.
-    unsigned lanes = 1;
-    try {
-        lanes = static_cast<unsigned>(laneRoster(&exec_).size());
-    } catch (const support::Error &) {
-        // A malformed roster fails every function as Unsupported.
-    }
+    // portfolio lane (an atomic multi-slot lease), so the default pool
+    // is jobs x lanes; an undersized explicit pool still works — the
+    // race just degrades to fewer lanes.
+    unsigned lanes = std::max<unsigned>(lanes_.size(), 1);
     smt::SandboxOptions sandbox;
     sandbox.workerPath = exec_.workerPath;
     sandbox.workers =
@@ -536,6 +451,7 @@ Pipeline::sandboxSupervisor(unsigned workers)
             : std::max<unsigned>(workers, 1) * lanes;
     sandbox.workerMemoryMb = exec_.workerMemoryMb;
     sandbox.memoryBudgetMb = exec_.solverMemoryMb;
+    sandbox.retries = exec_.solverRetries;
     sandbox.chaosKillRate = exec_.sandboxChaosKillRate;
     sandbox.chaosSeed = exec_.sandboxChaosSeed;
     sandbox.cancel = exec_.cancel;
@@ -649,9 +565,8 @@ Pipeline::runWithJobs(const llvmir::Module &module, unsigned jobs)
             out.detail = "cancelled";
             return;
         }
-        report.functions[index] =
-            validateFunctionImpl(module, fn, options_, cache_, &exec_,
-                                 sandbox, &per_function[index]);
+        report.functions[index] = validateWith(module, fn, exec_, sandbox,
+                                               &per_function[index]);
         if (journal != nullptr)
             journal->record(report.functions[index]);
     };

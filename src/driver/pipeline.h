@@ -34,6 +34,7 @@
 #include "src/sem/sync_point.h"
 #include "src/smt/caching_solver.h"
 #include "src/smt/fault_injection.h"
+#include "src/smt/portfolio_solver.h"
 #include "src/smt/sandbox.h"
 #include "src/support/cancellation.h"
 #include "src/support/journal.h"
@@ -86,10 +87,11 @@ struct ExecutionOptions
      * Run the rewrite engine (simplify) and cone-of-influence slicer in
      * front of the cache, and solve on the incremental "default" lane;
      * false skips both stages and solves on the "cold" lane (fresh
-     * solver per query), in process and in sandbox workers alike. Both
-     * settings give the same verdicts (asserted by the differential and
-     * conformance tests); false is the unoptimized reference stack.
-     * An explicit portfolio roster picks its own lanes.
+     * solver per query), in process and sandboxed alike (sandbox
+     * workers run no front of their own). Both settings give the same
+     * verdicts (asserted by the differential and conformance tests);
+     * false is the unoptimized reference stack. An explicit portfolio
+     * roster picks its own lanes.
      */
     bool optimizeQueries = true;
 
@@ -187,22 +189,18 @@ struct ExecutionOptions
     double sandboxChaosKillRate = 0.0;
     uint64_t sandboxChaosSeed = 0x5eed;
 
-    // --- Portfolio racing (smt::PortfolioSolver / solveGroup) --------
+    // --- Portfolio racing (smt::PortfolioSolver / WorkerSupervisor::solve) --------
 
     /**
-     * Strategy lanes raced per solver query. 1 (default) disables the
-     * portfolio entirely — the stack is byte-identical to the
-     * pre-portfolio pipeline. Clamped to
-     * smt::SolverStats::kPortfolioMaxLanes. In-process runs race lane
-     * threads (PortfolioSolver); sandboxed runs race one worker per
-     * lane (WorkerSupervisor::solveGroup).
-     */
-    unsigned portfolioLanes = 1;
-    /**
-     * Explicit lane roster ("default,int2bv,cold:random_seed=3");
-     * overrides portfolioLanes when nonempty. Entries follow
-     * smt::parsePortfolioLanes syntax; an invalid spec fails every
-     * function with an Unsupported report rather than being ignored.
+     * Strategy lanes raced per solver query
+     * ("default,int2bv,cold:random_seed=3"); keqc --portfolio=N sets
+     * smt::defaultPortfolioSpec(N). Empty (default) solves on the one
+     * lane optimizeQueries picks. In-process runs race lane threads
+     * (PortfolioSolver); sandboxed runs race one worker per lane
+     * (WorkerSupervisor::solve). Entries follow
+     * smt::parsePortfolioLanes syntax; the Pipeline parses the spec
+     * once, and an invalid one fails every function with an
+     * Unsupported report rather than being ignored.
      */
     std::string portfolioLaneSpec;
 };
@@ -309,9 +307,18 @@ class Pipeline
 
   private:
     ModuleReport runWithJobs(const llvmir::Module &module, unsigned jobs);
+    /** Validates @p fn on the stack @p exec and @p sandbox describe. */
+    FunctionReport validateWith(const llvmir::Module &module,
+                                const llvmir::Function &fn,
+                                const ExecutionOptions &exec,
+                                smt::WorkerSupervisor *sandbox,
+                                smt::SolverStats *stats) const;
 
     PipelineOptions options_;
     ExecutionOptions exec_;
+    /** The parsed lane roster; empty when laneError_ is set. */
+    std::vector<smt::LaneConfig> lanes_;
+    std::string laneError_;
     std::shared_ptr<smt::QueryCache> cache_;
     std::unique_ptr<smt::WorkerSupervisor> supervisor_;
     bool sandboxDegraded_ = false;

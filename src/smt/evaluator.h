@@ -38,6 +38,20 @@ class Assignment
     bool hasBv(const std::string &name) const;
     bool hasBool(const std::string &name) const;
 
+    /** Every bitvector variable set, for serialization. */
+    const std::unordered_map<std::string, support::ApInt> &
+    bvs() const
+    {
+        return bvs_;
+    }
+
+    /** Every bool variable set, for serialization. */
+    const std::unordered_map<std::string, bool> &
+    bools() const
+    {
+        return bools_;
+    }
+
   private:
     std::unordered_map<std::string, support::ApInt> bvs_;
     std::unordered_map<std::string, bool> bools_;

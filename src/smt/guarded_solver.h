@@ -125,6 +125,10 @@ class GuardedSolver : public Solver
     FailureKind lastFailureKind() const override;
     const SolverStats &stats() const override { return stats_; }
 
+    /** Fallback rungs above the primary, built or not. */
+    size_t fallbackCount() const { return rungFactories_.size(); }
+    const GuardedSolverOptions &options() const { return options_; }
+
   protected:
     TermFactory &factory() override { return factory_; }
 

@@ -40,6 +40,7 @@ laneConfigFromName(const std::string &name, LaneConfig &out,
 {
     LaneConfig config;
     config.name = name;
+    config.entry = name;
     if (name == "default") {
         config.incremental = true;
     } else if (name == "int2bv") {
@@ -70,33 +71,29 @@ laneConfigFromName(const std::string &name, LaneConfig &out,
     return true;
 }
 
-std::vector<LaneConfig>
-defaultPortfolioLanes(unsigned lanes)
+std::string
+defaultPortfolioSpec(unsigned lanes)
 {
+    // Two lanes pair the incremental default with the cold lane — the
+    // most decorrelated pair; three and four extend with tuned lanes.
+    static const char *const kSpecs[] = {
+        "default", "default,cold", "default,int2bv,cold",
+        "default,int2bv,cold,seed7"};
+    static_assert(std::size(kSpecs) == SolverStats::kPortfolioMaxLanes);
     lanes = std::clamp<unsigned>(
         lanes, 1,
         static_cast<unsigned>(SolverStats::kPortfolioMaxLanes));
-    static const char *const kRoster[] = {"default", "int2bv", "cold",
-                                          "seed7"};
-    // Two lanes pair the incremental default with the cold lane — the
-    // most decorrelated pair; three and four extend with tuned lanes.
-    std::vector<std::string> names;
-    if (lanes == 1)
-        names = {"default"};
-    else if (lanes == 2)
-        names = {"default", "cold"};
-    else {
-        for (unsigned i = 0; i < lanes; ++i)
-            names.push_back(kRoster[i]);
-    }
+    return kSpecs[lanes - 1];
+}
+
+std::vector<LaneConfig>
+defaultPortfolioLanes(unsigned lanes)
+{
     std::vector<LaneConfig> configs;
-    for (const std::string &name : names) {
-        LaneConfig config;
-        std::string error;
-        bool ok = laneConfigFromName(name, config, error);
-        KEQ_ASSERT(ok, "defaultPortfolioLanes: bad built-in name");
-        configs.push_back(std::move(config));
-    }
+    std::string error;
+    bool ok = parsePortfolioLanes(defaultPortfolioSpec(lanes), configs,
+                                  error);
+    KEQ_ASSERT(ok, "defaultPortfolioLanes: bad built-in spec");
     return configs;
 }
 
@@ -114,6 +111,7 @@ parsePortfolioLanes(const std::string &spec, std::vector<LaneConfig> &out,
         LaneConfig config;
         if (!laneConfigFromName(pieces[0], config, error))
             return false;
+        config.entry = entry;
         for (size_t i = 1; i < pieces.size(); ++i) {
             size_t eq = pieces[i].find('=');
             if (eq == std::string::npos || eq == 0 ||

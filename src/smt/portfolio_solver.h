@@ -57,6 +57,9 @@ namespace keq::smt {
 struct LaneConfig
 {
     std::string name;        ///< stable label ("default", "int2bv", ...)
+    /** The roster entry it was parsed from ("cold:random_seed=3"); a
+     *  sandboxed lane sends it to its worker. */
+    std::string entry;
     bool incremental = true; ///< scope-reusing backend vs cold fresh-solver
     BackendTuning tuning;    ///< best-effort Z3 parameters
 };
@@ -73,11 +76,14 @@ bool laneConfigFromName(const std::string &name, LaneConfig &out,
                         std::string &error);
 
 /**
- * The built-in lane set for an N-lane portfolio:
+ * The roster spec of the built-in N-lane portfolio:
  * 1 lane: default · 2: default,cold · 3: default,int2bv,cold ·
  * 4: default,int2bv,cold,seed7. N is clamped to
  * [1, SolverStats::kPortfolioMaxLanes].
  */
+std::string defaultPortfolioSpec(unsigned lanes);
+
+/** The lanes of defaultPortfolioSpec(@p lanes). */
 std::vector<LaneConfig> defaultPortfolioLanes(unsigned lanes);
 
 /**
@@ -104,7 +110,7 @@ struct LaneAnswer
 
 /**
  * The disagreement oracle of both portfolios (PortfolioSolver and
- * WorkerSupervisor::solveGroup). Z3 can return a wrong definite answer
+ * WorkerSupervisor::solve). Z3 can return a wrong definite answer
  * from a check an interrupt cut short, so when the answers contradict
  * each other and an interrupted lane gave one of them, @p recheck runs
  * the query once more and every interrupted answer it definitely

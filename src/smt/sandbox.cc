@@ -8,6 +8,7 @@
 
 #include "src/smt/portfolio_solver.h"
 #include "src/smt/term_factory.h"
+#include "src/support/diagnostics.h"
 #include "src/support/rng.h"
 
 namespace keq::smt {
@@ -156,21 +157,6 @@ WorkerSupervisor::bumpTotals(const SolverStats &delta)
     totals_ += delta;
 }
 
-WorkerSupervisor::Slot *
-WorkerSupervisor::leaseSlot()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        for (auto &slot : slots_) {
-            if (!slot->busy) {
-                slot->busy = true;
-                return slot.get();
-            }
-        }
-        slotFree_.wait(lock);
-    }
-}
-
 std::vector<WorkerSupervisor::Slot *>
 WorkerSupervisor::leaseSlots(size_t n)
 {
@@ -299,11 +285,11 @@ WorkerSupervisor::spawnWorker(Slot &slot, std::string &error,
             reapWorker(slot);
             return false;
         }
-        if (ready.protocolVersion != wire::kProtocolVersion) {
+        if (ready.protocolVersion != wire::kWorkerProtocolVersion) {
             error = "worker protocol version " +
                     std::to_string(ready.protocolVersion) +
                     " != supervisor " +
-                    std::to_string(wire::kProtocolVersion);
+                    std::to_string(wire::kWorkerProtocolVersion);
             reapWorker(slot);
             return false;
         }
@@ -323,7 +309,7 @@ WorkerSupervisor::spawnWorker(Slot &slot, std::string &error,
 bool
 WorkerSupervisor::dispatchQuery(Slot &slot, uint64_t sessionId,
                                 const std::string &strategy,
-                                uint64_t seq,
+                                bool captureModels, uint64_t seq,
                                 const std::vector<Term> &assertions,
                                 unsigned timeoutMs,
                                 const std::atomic<bool> *interrupted,
@@ -343,10 +329,13 @@ WorkerSupervisor::dispatchQuery(Slot &slot, uint64_t sessionId,
          attempt < options_.spawnAttempts && !cancelled(); ++attempt) {
         if (!slot.alive && !spawnWorker(slot, spawnError, transport))
             continue;
-        if (slot.sessionId != sessionId || slot.strategy != strategy) {
+        if (slot.sessionId != sessionId || slot.strategy != strategy ||
+            slot.captureModels != captureModels) {
             wire::ResetFrame reset;
             reset.timeoutMs = timeoutMs;
             reset.memoryBudgetMb = options_.memoryBudgetMb;
+            reset.retries = options_.retries;
+            reset.captureModels = captureModels;
             reset.strategy = strategy;
             std::string bytes = wire::encodeReset(reset);
             if (!slot.proc.writeAll(bytes)) {
@@ -357,6 +346,7 @@ WorkerSupervisor::dispatchQuery(Slot &slot, uint64_t sessionId,
             transport.wireBytesSent += bytes.size();
             slot.sessionId = sessionId;
             slot.strategy = strategy;
+            slot.captureModels = captureModels;
         }
         wire::QueryFrame query;
         query.seq = seq;
@@ -372,190 +362,6 @@ WorkerSupervisor::dispatchQuery(Slot &slot, uint64_t sessionId,
         return true;
     }
     return false;
-}
-
-WorkerSupervisor::QueryOutcome
-WorkerSupervisor::solve(uint64_t sessionId,
-                        const std::vector<Term> &assertions,
-                        unsigned timeoutMs,
-                        const std::atomic<bool> *interrupted,
-                        const std::string &strategy)
-{
-    QueryOutcome out;
-    SolverStats transport;
-    if (!started_) {
-        out.failureKind = FailureKind::WorkerKilled;
-        out.unknownReason = "sandbox supervisor not started";
-        return out;
-    }
-
-    Slot *slot = leaseSlot();
-    uint64_t seq = nextQuerySeq_.fetch_add(1);
-
-    auto cancelled = [&] {
-        return (interrupted != nullptr &&
-                interrupted->load(std::memory_order_relaxed)) ||
-               options_.cancel.cancelled();
-    };
-
-    std::string spawnError;
-    bool dispatched =
-        dispatchQuery(*slot, sessionId, strategy, seq, assertions,
-                      timeoutMs, interrupted, transport, spawnError);
-    if (!dispatched) {
-        if (cancelled()) {
-            out.failureKind = FailureKind::Cancelled;
-            out.unknownReason = "cancelled before dispatch";
-        } else {
-            out.failureKind = FailureKind::WorkerKilled;
-            out.unknownReason =
-                "cannot dispatch to a sandbox worker" +
-                (spawnError.empty() ? std::string()
-                                    : ": " + spawnError);
-        }
-        releaseSlot(slot);
-        out.stats += transport;
-        bumpTotals(transport);
-        return out;
-    }
-
-    // --- Await the result under the heartbeat deadline ----------------
-    Clock::time_point lastFrame = Clock::now();
-    std::string buf;
-    uint32_t frameLen = 0;
-    bool haveHeader = false;
-    bool done = false;
-    while (!done) {
-        if (cancelled()) {
-            // Cancellation beats every other classification: kill the
-            // worker (its in-flight query is abandoned) and report
-            // Cancelled so the caller never journals this verdict.
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            out.result = SatResult::Unknown;
-            out.failureKind = FailureKind::Cancelled;
-            out.unknownReason = "cancelled";
-            break;
-        }
-        size_t want = haveHeader ? frameLen : 4;
-        support::IoStatus st =
-            slot->proc.readExact(buf, want - buf.size(), kReadSliceMs);
-        if (st == support::IoStatus::Timeout) {
-            if (elapsedMs(lastFrame) > options_.heartbeatGraceMs) {
-                // Silent worker: wedged in native code, SIGSTOPped, or
-                // spinning without heartbeats. Kill and classify as a
-                // timeout — the query never produced evidence of a
-                // crash, only of taking too long.
-                slot->proc.kill(SIGKILL);
-                reapWorker(*slot);
-                ++transport.heartbeatTimeouts;
-                out.result = SatResult::Unknown;
-                out.failureKind = FailureKind::Timeout;
-                out.unknownReason = "worker heartbeat deadline";
-                break;
-            }
-            continue;
-        }
-        if (st != support::IoStatus::Ok) {
-            support::ExitStatus dead = reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.result = SatResult::Unknown;
-            out.failureKind = classifyWorkerDeath(
-                dead, slot->lastRssKb, options_.workerMemoryMb);
-            out.unknownReason = "worker died (" + dead.describe() + ")";
-            break;
-        }
-        if (!haveHeader) {
-            wire::Decoder dec(buf);
-            dec.u32(frameLen);
-            if (frameLen == 0 || frameLen > wire::kMaxFramePayload) {
-                slot->proc.kill(SIGKILL);
-                reapWorker(*slot);
-                ++transport.workerCrashes;
-                out.failureKind = FailureKind::WorkerKilled;
-                out.unknownReason = "worker sent a corrupt frame";
-                break;
-            }
-            haveHeader = true;
-            buf.clear();
-            continue;
-        }
-
-        transport.wireBytesReceived += 4 + buf.size();
-        lastFrame = Clock::now();
-        std::string payload = std::move(buf);
-        buf.clear();
-        haveHeader = false;
-
-        wire::FrameType type;
-        std::string body;
-        if (!wire::splitFrame(payload, type, body)) {
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.failureKind = FailureKind::WorkerKilled;
-            out.unknownReason = "worker sent an unknown frame type";
-            break;
-        }
-        switch (type) {
-        case wire::FrameType::Heartbeat: {
-            wire::HeartbeatFrame beat;
-            std::string error;
-            if (wire::decodeHeartbeat(body, beat, error))
-                slot->lastRssKb = beat.rssKb;
-            break; // liveness refreshed above
-        }
-        case wire::FrameType::Result: {
-            wire::ResultFrame result;
-            std::string error;
-            if (!wire::decodeResult(body, result, error) ||
-                result.seq != seq) {
-                slot->proc.kill(SIGKILL);
-                reapWorker(*slot);
-                ++transport.workerCrashes;
-                out.failureKind = FailureKind::WorkerKilled;
-                out.unknownReason =
-                    error.empty() ? "worker answered the wrong query"
-                                  : "corrupt result frame: " + error;
-                done = true;
-                break;
-            }
-            out.result = result.result;
-            out.failureKind = result.failureKind;
-            out.unknownReason = result.unknownReason;
-            out.stats += result.stats;
-            slot->backoffMs = 0; // healthy answer resets the backoff
-            done = true;
-            break;
-        }
-        case wire::FrameType::Error: {
-            std::string message;
-            wire::decodeError(body, message);
-            // The worker refused the query (undecodable frame). Its
-            // session state is untrusted now; recycle the process.
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.failureKind = FailureKind::SolverCrash;
-            out.unknownReason = "worker rejected query: " + message;
-            done = true;
-            break;
-        }
-        default:
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.failureKind = FailureKind::WorkerKilled;
-            out.unknownReason = "unexpected frame from worker";
-            done = true;
-            break;
-        }
-    }
-
-    releaseSlot(slot);
-    out.stats += transport;
-    bumpTotals(transport);
-    return out;
 }
 
 namespace {
@@ -576,6 +382,7 @@ struct LaneRun
     FailureKind kind = FailureKind::None;
     std::string reason;
     SolverStats stats;
+    std::optional<Assignment> model;
 };
 
 bool
@@ -588,16 +395,14 @@ isDefinite(const LaneRun &lane)
 } // namespace
 
 WorkerSupervisor::QueryOutcome
-WorkerSupervisor::solveGroup(uint64_t sessionId,
-                             const std::vector<Term> &assertions,
-                             unsigned timeoutMs,
-                             const std::atomic<bool> *interrupted,
-                             const std::vector<std::string> &lanes)
+WorkerSupervisor::solve(uint64_t sessionId,
+                        const std::vector<Term> &assertions,
+                        unsigned timeoutMs,
+                        const std::atomic<bool> *interrupted,
+                        const std::vector<std::string> &lanes,
+                        bool captureModels)
 {
-    if (lanes.size() <= 1) {
-        return solve(sessionId, assertions, timeoutMs, interrupted,
-                     lanes.empty() ? std::string() : lanes.front());
-    }
+    KEQ_ASSERT(!lanes.empty(), "WorkerSupervisor::solve: no lanes");
     QueryOutcome out;
     SolverStats transport;
     if (!started_) {
@@ -636,9 +441,9 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
         runs[i].strategy = lanes[i];
         runs[i].lastFrame = Clock::now();
         if (!cancelled() &&
-            dispatchQuery(*leased[i], sessionId, lanes[i], seq,
-                          assertions, timeoutMs, interrupted, transport,
-                          spawnError)) {
+            dispatchQuery(*leased[i], sessionId, lanes[i], captureModels,
+                          seq, assertions, timeoutMs, interrupted,
+                          transport, spawnError)) {
             ++unfinished;
         } else {
             // Dead on arrival; the race tolerates it as long as some
@@ -647,7 +452,8 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
             runs[i].kind = cancelled() ? FailureKind::Cancelled
                                        : FailureKind::WorkerKilled;
             runs[i].reason =
-                "cannot dispatch portfolio lane '" + lanes[i] + "'" +
+                "cannot dispatch lane '" + lanes[i] +
+                "' to a sandbox worker" +
                 (spawnError.empty() ? std::string()
                                     : ": " + spawnError);
         }
@@ -672,6 +478,9 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
     bool userCancelled = false;
     while (unfinished > 0) {
         if (cancelled()) {
+            // Cancellation beats every other classification: kill the
+            // workers (the query is abandoned) and report Cancelled so
+            // the caller never journals this verdict.
             userCancelled = true;
             for (size_t i = 0; i < runs.size(); ++i) {
                 if (runs[i].finished)
@@ -702,6 +511,9 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
                                "cancelled (killed after grace)");
                 } else if (elapsedMs(lane.lastFrame) >
                            options_.heartbeatGraceMs) {
+                    // Silent worker: wedged in native code, stopped, or
+                    // spinning without heartbeats. A timeout, not a
+                    // crash: nothing showed the query crashed.
                     slot.proc.kill(SIGKILL);
                     reapWorker(slot);
                     ++transport.heartbeatTimeouts;
@@ -783,6 +595,7 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
                 lane.haveResult = true;
                 lane.result = result.result;
                 lane.stats = result.stats;
+                lane.model = std::move(result.model);
                 slot.backoffMs = 0;
                 finishLane(lane, result.failureKind,
                            result.unknownReason);
@@ -839,7 +652,7 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
     }
     bool disagree = !userCancelled && lanesDisagree(answers, [&] {
         QueryOutcome recheck = solve(sessionId, assertions, timeoutMs,
-                                     interrupted, "cold");
+                                     interrupted, {"cold"}, false);
         out.stats += recheck.stats;
         userCancelled = recheck.failureKind == FailureKind::Cancelled;
         return recheck.failureKind == FailureKind::None
@@ -872,14 +685,15 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
         out.failureKind = FailureKind::PortfolioDisagreement;
         out.unknownReason = "portfolio disagreement: " + detail;
     } else if (winner >= 0) {
-        const LaneRun &won = runs[static_cast<size_t>(winner)];
+        LaneRun &won = runs[static_cast<size_t>(winner)];
         out.result = won.result;
+        out.model = std::move(won.model);
         out.failureKind = FailureKind::None;
         out.unknownReason.clear();
-        size_t winSlot =
-            std::min(static_cast<size_t>(winner),
-                     SolverStats::kPortfolioMaxLanes - 1);
-        ++out.stats.portfolioWins[winSlot];
+        // A single lane is no race: it wins nothing.
+        if (laneCount > 1)
+            ++out.stats.portfolioWins[std::min<size_t>(
+                winner, SolverStats::kPortfolioMaxLanes - 1)];
         for (const LaneRun &lane : runs) {
             if (&lane != &won && lane.cancelSent && !isDefinite(lane))
                 ++out.stats.portfolioCancellations;
@@ -941,7 +755,10 @@ SandboxSolver::SandboxSolver(TermFactory &factory,
     : factory_(factory), supervisor_(supervisor),
       sessionId_(supervisor.newSessionId()),
       laneStrategies_(std::move(laneStrategies))
-{}
+{
+    if (laneStrategies_.empty())
+        laneStrategies_.emplace_back(); // the worker's default lane
+}
 
 SatResult
 SandboxSolver::checkSat(const std::vector<Term> &assertions)
@@ -949,14 +766,8 @@ SandboxSolver::checkSat(const std::vector<Term> &assertions)
     interrupted_.store(false, std::memory_order_relaxed);
     ++stats_.queries;
     WorkerSupervisor::QueryOutcome outcome =
-        laneStrategies_.size() > 1
-            ? supervisor_.solveGroup(sessionId_, assertions, timeoutMs_,
-                                     &interrupted_, laneStrategies_)
-            : supervisor_.solve(sessionId_, assertions, timeoutMs_,
-                                &interrupted_,
-                                laneStrategies_.empty()
-                                    ? std::string()
-                                    : laneStrategies_.front());
+        supervisor_.solve(sessionId_, assertions, timeoutMs_,
+                          &interrupted_, laneStrategies_, captureModels_);
     switch (outcome.result) {
     case SatResult::Sat:
         ++stats_.sat;
@@ -973,40 +784,25 @@ SandboxSolver::checkSat(const std::vector<Term> &assertions)
     foldNonVerdictStats(stats_, outcome.stats);
     lastFailure_ = outcome.failureKind;
     lastUnknownReason_ = outcome.unknownReason;
+    lastModel_.reset();
+    if (outcome.result == SatResult::Sat)
+        lastModel_ = std::move(outcome.model);
     return outcome.result;
 }
 
-void
-SandboxSolver::setTimeoutMs(unsigned timeout_ms)
+bool
+SandboxSolver::lastModel(Assignment *out) const
 {
-    timeoutMs_ = timeout_ms;
-}
-
-void
-SandboxSolver::setMemoryBudgetMb(unsigned budget_mb)
-{
-    // The soft budget is a session property shipped in the Reset frame
-    // from SandboxOptions::memoryBudgetMb; the hard cap is the worker's
-    // rlimit. Nothing to adjust per solver.
-    (void)budget_mb;
+    if (!lastModel_)
+        return false;
+    *out = *lastModel_;
+    return true;
 }
 
 void
 SandboxSolver::interruptQuery()
 {
     interrupted_.store(true, std::memory_order_relaxed);
-}
-
-std::string
-SandboxSolver::lastUnknownReason() const
-{
-    return lastUnknownReason_;
-}
-
-FailureKind
-SandboxSolver::lastFailureKind() const
-{
-    return lastFailure_;
 }
 
 } // namespace keq::smt

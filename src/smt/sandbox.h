@@ -27,9 +27,12 @@
  *  - **SandboxSolver** adapts one supervisor session to the Solver
  *    interface so the checker cannot tell it is talking to another
  *    process. Each SandboxSolver is a session: the worker lazily builds
- *    a fresh TermFactory + incremental/cache/guard stack on the first
- *    query of a session (a Reset frame), so per-function variable
- *    namespaces never collide inside a long-lived worker.
+ *    a fresh TermFactory and a guarded lane backend (workerStackSpec)
+ *    on the first query of a session (a Reset frame), so per-function
+ *    variable namespaces never collide inside a long-lived worker. The
+ *    rewrite/slice/cache front stays in the parent; a Sat Result
+ *    carries the worker's model back when the session captures
+ *    models, so the parent's model reuse sees it.
  *
  *  - **Chaos.** When chaosKillRate > 0 the supervisor runs a chaos
  *    thread delivering real SIGKILL/SIGSEGV to live, busy workers —
@@ -41,6 +44,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +72,8 @@ struct SandboxOptions
     unsigned workerCpuSeconds = 0;
     /** Soft solver memory budget forwarded into the worker stack. */
     unsigned memoryBudgetMb = 0;
+    /** The worker guard's same-rung retries (GuardedSolverOptions). */
+    unsigned retries = 1;
     /** Worker heartbeat cadence while a query is in flight. */
     unsigned heartbeatIntervalMs = 250;
     /**
@@ -149,27 +155,25 @@ class WorkerSupervisor
          * SandboxSolver folds this via foldNonVerdictStats.
          */
         SolverStats stats;
+        /** The winning worker's model of a Sat answer, when the
+         *  session captures models. */
+        std::optional<Assignment> model;
     };
 
     /**
-     * Ships one checkSat to a leased worker and blocks for the
-     * outcome. @p sessionId groups queries that share a TermFactory
-     * (variable namespace); the supervisor resets a worker whenever it
-     * switches sessions or lane strategies. @p interrupted, when
-     * non-null, is polled while awaiting the result — setting it
-     * cancels the query by killing the worker (classified Cancelled,
-     * not a crash). @p strategy names the portfolio lane the worker
-     * session's backend is built from ("" = default stack).
-     */
-    QueryOutcome solve(uint64_t sessionId,
-                       const std::vector<Term> &assertions,
-                       unsigned timeoutMs,
-                       const std::atomic<bool> *interrupted,
-                       const std::string &strategy = std::string());
-
-    /**
-     * Portfolio race: ships the same checkSat to one worker per lane
-     * strategy and blocks until the race resolves. The first definite
+     * Ships one checkSat to one leased worker per lane strategy and
+     * blocks for the outcome. @p sessionId groups queries that share a
+     * TermFactory (variable namespace); the supervisor resets a worker
+     * whenever it switches sessions, lane strategies or model capture.
+     * Each of @p lanes (at least one; "" = the worker's default lane)
+     * names the portfolio lane a worker session's backend is built
+     * from. @p interrupted, when non-null, is polled while awaiting the
+     * result — setting it cancels the query by killing its workers
+     * (classified Cancelled, not a crash). @p captureModels asks the
+     * worker sessions to send back the model of a Sat answer; the
+     * winner's lands in the outcome's model.
+     *
+     * With several lanes the query is raced. The first definite
      * Sat/Unsat wins; every other in-flight lane is sent a wire Cancel
      * frame and its (Cancelled) result is reaped but never surfaced —
      * a losing lane contributes portfolioCancellations, not a
@@ -180,20 +184,21 @@ class WorkerSupervisor
      * is Unknown with FailureKind::PortfolioDisagreement and
      * crossLaneDisagreements bumped. A loser's answer that arrived
      * after its Cancel counts only if a re-check by the "cold" lane on
-     * a worker (a solve() after the race's slots are freed) does not
-     * contradict it (lanesDisagree); a cancelled re-check makes the
-     * outcome Cancelled.
+     * a worker (one more solve() after the race's slots are freed)
+     * does not contradict it (lanesDisagree); a cancelled re-check
+     * makes the outcome Cancelled.
      *
      * Slots are leased atomically (all lanes or none, under one lock)
-     * so two concurrent group solves cannot deadlock on a partial
-     * grab; the lane count is clamped to the pool size. Wins land in
+     * so two concurrent races cannot deadlock on a partial grab; the
+     * lane count is clamped to the pool size. Wins land in
      * stats.portfolioWins[lane] of the returned outcome.
      */
-    QueryOutcome solveGroup(uint64_t sessionId,
-                            const std::vector<Term> &assertions,
-                            unsigned timeoutMs,
-                            const std::atomic<bool> *interrupted,
-                            const std::vector<std::string> &lanes);
+    QueryOutcome solve(uint64_t sessionId,
+                       const std::vector<Term> &assertions,
+                       unsigned timeoutMs,
+                       const std::atomic<bool> *interrupted,
+                       const std::vector<std::string> &lanes,
+                       bool captureModels);
 
     /** Fresh session identifier (never 0). */
     uint64_t newSessionId();
@@ -218,6 +223,7 @@ class WorkerSupervisor
         support::Subprocess proc;
         uint64_t sessionId = 0; ///< session the worker is reset to
         std::string strategy;   ///< lane the session stack was built for
+        bool captureModels = false; ///< the session sends models back
         uint64_t lastRssKb = 0;
         unsigned backoffMs = 0;
         std::atomic<int> chaosPid{0}; ///< signal target; 0 = not alive
@@ -226,17 +232,17 @@ class WorkerSupervisor
         bool everSpawned = false; ///< distinguishes restarts from starts
     };
 
-    Slot *leaseSlot();
     /** Atomically leases @p n slots (all-or-nothing, deadlock-free). */
     std::vector<Slot *> leaseSlots(size_t n);
     void releaseSlot(Slot *slot);
     /**
-     * Dispatch helper shared by solve/solveGroup: respawn if needed,
+     * Dispatch helper of solve(): respawn if needed,
      * Reset on session/strategy switch, ship the Query. Returns false
      * when the slot's worker died mid-dispatch (already reaped).
      */
     bool dispatchQuery(Slot &slot, uint64_t sessionId,
-                       const std::string &strategy, uint64_t seq,
+                       const std::string &strategy, bool captureModels,
+                       uint64_t seq,
                        const std::vector<Term> &assertions,
                        unsigned timeoutMs,
                        const std::atomic<bool> *interrupted,
@@ -275,9 +281,9 @@ class WorkerSupervisor
  * heavyweight pool is shared through the supervisor reference.
  *
  * With more than one lane strategy the facade races each checkSat
- * across a worker group (WorkerSupervisor::solveGroup); with exactly
- * one it pins the session to that lane's backend; with none it is
- * byte-identical to the pre-portfolio sandbox.
+ * across a worker group (WorkerSupervisor::solve); with exactly
+ * one it pins the session to that lane's backend; with none the
+ * worker builds its default lane.
  */
 class SandboxSolver : public Solver
 {
@@ -285,17 +291,27 @@ class SandboxSolver : public Solver
     SandboxSolver(TermFactory &factory, WorkerSupervisor &supervisor,
                   std::vector<std::string> laneStrategies = {});
 
-    size_t laneCount() const
-    {
-        return laneStrategies_.empty() ? 1 : laneStrategies_.size();
-    }
+    size_t laneCount() const { return laneStrategies_.size(); }
 
     SatResult checkSat(const std::vector<Term> &assertions) override;
-    void setTimeoutMs(unsigned timeout_ms) override;
-    void setMemoryBudgetMb(unsigned budget_mb) override;
+    void setTimeoutMs(unsigned timeout_ms) override
+    {
+        timeoutMs_ = timeout_ms;
+    }
+    // No setMemoryBudgetMb: the soft budget is a session property the
+    // Reset frame carries from SandboxOptions::memoryBudgetMb, and the
+    // hard cap is the worker's rlimit.
     void interruptQuery() override;
-    std::string lastUnknownReason() const override;
-    FailureKind lastFailureKind() const override;
+    void enableModelCapture(bool enabled) override
+    {
+        captureModels_ = enabled;
+    }
+    bool lastModel(Assignment *out) const override;
+    std::string lastUnknownReason() const override
+    {
+        return lastUnknownReason_;
+    }
+    FailureKind lastFailureKind() const override { return lastFailure_; }
     const SolverStats &stats() const override { return stats_; }
 
   protected:
@@ -307,6 +323,8 @@ class SandboxSolver : public Solver
     uint64_t sessionId_;
     std::vector<std::string> laneStrategies_;
     unsigned timeoutMs_ = 0;
+    bool captureModels_ = false;
+    std::optional<Assignment> lastModel_;
     std::atomic<bool> interrupted_{false};
     std::string lastUnknownReason_;
     FailureKind lastFailure_ = FailureKind::None;

@@ -1,0 +1,111 @@
+#ifndef KEQ_SMT_SOLVER_STACK_H
+#define KEQ_SMT_SOLVER_STACK_H
+
+/**
+ * @file
+ * The one place a solver stack is assembled.
+ *
+ * Every query the checker asks travels down the same layers, listed
+ * here from the bottom (the backend) to the top:
+ *
+ *  1. backend: one lane (makeLaneBackend), several lanes raced by a
+ *     PortfolioSolver, or a SandboxSolver that ships each query to one
+ *     worker process per lane;
+ *  2. front: a CachingSolver (rewrite, slice, verdict store, model
+ *     reuse);
+ *  3. injector: a FaultInjectingSolver, in chaos runs only;
+ *  4. guard: a GuardedSolver, whose watchdog and retries cover the
+ *     layers below, then two cold rungs: a fresh Z3Solver (fault
+ *     injected under chaos) and a pristine one.
+ *
+ * A StackSpec says which layers a stack has; buildSolverStack alone
+ * knows their order. The pipeline (in process and as a sandbox
+ * parent), the sandbox worker and the register-allocation check all
+ * build their stacks here. The guard's terminal rung and the front's
+ * cache auditor are both makePristineSolver.
+ */
+
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "src/smt/caching_solver.h"
+#include "src/smt/fault_injection.h"
+#include "src/smt/guarded_solver.h"
+#include "src/smt/portfolio_solver.h"
+#include "src/smt/wire.h"
+
+namespace keq::smt {
+
+class WorkerSupervisor;
+
+/** Which layers a solver stack has. The default is the reference
+ *  stack: the "default" lane and nothing above it. */
+struct StackSpec
+{
+    /** Backend lanes; more than one are raced. */
+    std::vector<LaneConfig> lanes = defaultPortfolioLanes(1);
+    /** Non-null: the backend is a SandboxSolver over this pool. */
+    WorkerSupervisor *sandbox = nullptr;
+    /** Non-null: a front memoizes into this store. */
+    std::shared_ptr<QueryCache> cache;
+    /** The front's stages and audit rate; the builder supplies the
+     *  audit solver. */
+    CachingSolverOptions front;
+    /** Chaos plan for the injector and the first cold rung. */
+    FaultPlan faults;
+    /** Set: a guard tops the stack. */
+    std::optional<GuardedSolverOptions> guard;
+    /** Soft per-query memory budget in MB; 0 = none. */
+    unsigned memoryBudgetMb = 0;
+};
+
+/** An assembled stack. It owns every layer and destroys them top
+ *  first, since each layer refers to the one below. */
+class SolverStack
+{
+  public:
+    SolverStack() = default;
+    SolverStack(SolverStack &&) = default;
+    SolverStack &operator=(SolverStack &&) = delete;
+    ~SolverStack();
+
+    /** The layer the checker talks to. */
+    Solver &top() const { return *layers_.back(); }
+
+    /** Every layer, the backend first. */
+    const std::vector<std::unique_ptr<Solver>> &
+    layers() const
+    {
+        return layers_;
+    }
+
+  private:
+    friend SolverStack buildSolverStack(TermFactory &factory,
+                                        const StackSpec &spec);
+
+    std::vector<std::unique_ptr<Solver>> layers_;
+};
+
+/** Builds the stack @p spec describes; see the file comment. */
+SolverStack buildSolverStack(TermFactory &factory, const StackSpec &spec);
+
+/**
+ * The solver nothing can have tampered with: a fresh, untuned cold
+ * Z3Solver. It is the guard's terminal rung and the cache auditor. It
+ * stays untuned under a tuned lane, so a query that needs the terminal
+ * rung converges to the reference configuration.
+ */
+std::unique_ptr<Solver> makePristineSolver(TermFactory &factory);
+
+/**
+ * The stack of one sandbox worker session: @p lane under the guard,
+ * with the parent's retry count. The worker has no front: the parent's
+ * front already rewrote, sliced and looked up the query, and it stores
+ * the verdict and the model the Result frame carries back.
+ */
+StackSpec workerStackSpec(const wire::ResetFrame &reset, LaneConfig lane);
+
+} // namespace keq::smt
+
+#endif // KEQ_SMT_SOLVER_STACK_H

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <type_traits>
 #include <unordered_map>
 
@@ -651,8 +652,8 @@ encodeReset(const ResetFrame &frame)
     Encoder enc;
     enc.u32(frame.timeoutMs);
     enc.u32(frame.memoryBudgetMb);
-    enc.u8(frame.useCache);
-    enc.u8(frame.useGuard);
+    enc.u32(frame.retries);
+    enc.u8(frame.captureModels ? 1 : 0);
     enc.str(frame.strategy);
     return frameBytes(FrameType::Reset, enc.take());
 }
@@ -667,6 +668,74 @@ encodeQuery(const QueryFrame &frame)
     return frameBytes(FrameType::Query, enc.take());
 }
 
+namespace {
+
+/** Names in sorted order, so equal models encode to equal bytes. */
+void
+encodeModel(Encoder &enc, const Assignment &model)
+{
+    std::map<std::string, support::ApInt> bvs(model.bvs().begin(),
+                                              model.bvs().end());
+    enc.varuint(bvs.size());
+    for (const auto &[name, value] : bvs) {
+        enc.str(name);
+        enc.u8(static_cast<uint8_t>(value.width()));
+        enc.u64(value.zext());
+    }
+    std::map<std::string, bool> bools(model.bools().begin(),
+                                      model.bools().end());
+    enc.varuint(bools.size());
+    for (const auto &[name, value] : bools) {
+        enc.str(name);
+        enc.u8(value ? 1 : 0);
+    }
+}
+
+/** Reads a u8 that must be 0 or 1. */
+bool
+decodeFlag(Decoder &dec, bool &out)
+{
+    uint8_t byte = 0;
+    if (!dec.u8(byte))
+        return false;
+    if (byte > 1)
+        return dec.fail("non-boolean flag byte");
+    out = byte == 1;
+    return true;
+}
+
+bool
+decodeModel(Decoder &dec, Assignment &out)
+{
+    uint64_t count = 0;
+    if (!dec.varuint(count))
+        return false;
+    for (uint64_t i = 0; i < count; ++i) {
+        std::string name;
+        uint8_t width = 0;
+        uint64_t value = 0;
+        if (!dec.str(name) || !dec.u8(width) || !dec.u64(value))
+            return false;
+        if (width < 1 || width > 64)
+            return dec.fail("model bitvector width out of range");
+        if (support::ApInt(width, value).zext() != value)
+            return dec.fail("model value wider than its width");
+        out.setBv(name, support::ApInt(width, value));
+    }
+    if (!dec.varuint(count))
+        return false;
+    for (uint64_t i = 0; i < count; ++i) {
+        std::string name;
+        bool value = false;
+        if (!dec.str(name) || !decodeFlag(dec, value))
+            return false;
+        out.setBool(name, value);
+    }
+    return true;
+}
+
+} // namespace
+
 std::string
 encodeResult(const ResultFrame &frame)
 {
@@ -676,6 +745,9 @@ encodeResult(const ResultFrame &frame)
     enc.u8(static_cast<uint8_t>(frame.failureKind));
     enc.str(frame.unknownReason);
     encodeStats(enc, frame.stats);
+    enc.u8(frame.model ? 1 : 0);
+    if (frame.model)
+        encodeModel(enc, *frame.model);
     return frameBytes(FrameType::Result, enc.take());
 }
 
@@ -885,7 +957,7 @@ decodeReset(const std::string &body, ResetFrame &out, std::string &error)
 {
     Decoder dec(body);
     dec.u32(out.timeoutMs) && dec.u32(out.memoryBudgetMb) &&
-        dec.u8(out.useCache) && dec.u8(out.useGuard) &&
+        dec.u32(out.retries) && decodeFlag(dec, out.captureModels) &&
         dec.str(out.strategy);
     return finish(dec, error);
 }
@@ -906,8 +978,10 @@ decodeResult(const std::string &body, ResultFrame &out,
 {
     Decoder dec(body);
     uint8_t sat = 0, kind = 0;
+    bool hasModel = false;
     if (dec.u64(out.seq) && dec.u8(sat) && dec.u8(kind) &&
-        dec.str(out.unknownReason) && decodeStats(dec, out.stats)) {
+        dec.str(out.unknownReason) && decodeStats(dec, out.stats) &&
+        decodeFlag(dec, hasModel)) {
         if (sat > static_cast<uint8_t>(SatResult::Unknown))
             dec.fail("bad SatResult discriminant");
         else if (kind >
@@ -917,6 +991,9 @@ decodeResult(const std::string &body, ResultFrame &out,
             out.result = static_cast<SatResult>(sat);
             out.failureKind = static_cast<FailureKind>(kind);
         }
+        out.model.reset();
+        if (hasModel)
+            decodeModel(dec, out.model.emplace());
     }
     return finish(dec, error);
 }

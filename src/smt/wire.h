@@ -35,10 +35,12 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/smt/evaluator.h"
 #include "src/smt/solver.h"
 #include "src/smt/term.h"
 
@@ -49,7 +51,9 @@ class TermFactory;
 namespace wire {
 
 /**
- * Bumped whenever any frame layout changes; Ready carries it.
+ * Version history. A service frame change bumps kProtocolVersion; a
+ * worker frame change (Ready .. Cancel) from v6 on bumps only
+ * kWorkerProtocolVersion, which the worker's Ready carries.
  * v2: Cancel frame, ResetFrame strategy string, portfolio stats
  * fields.
  * v3: validation-service frames (ClientHello .. Busy) spoken between
@@ -66,6 +70,15 @@ namespace wire {
  * frame forms remain valid prefixes of their v5 forms.
  */
 constexpr uint32_t kProtocolVersion = 5;
+
+/**
+ * v6, worker frames only: Reset trades the two bytes the worker never
+ * read (cache, guard) for the guard's retry count and a model-capture
+ * flag, and a Sat Result can carry the backend's model. Only a parent
+ * and a worker of the same build speak these frames, so the service
+ * protocol (keqc <-> keqd) stays at kProtocolVersion.
+ */
+constexpr uint32_t kWorkerProtocolVersion = 6;
 
 /**
  * Oldest client protocol a daemon still serves. A v4 client simply
@@ -211,12 +224,8 @@ struct ResetFrame
 {
     uint32_t timeoutMs = 0;      ///< per-query solver deadline
     uint32_t memoryBudgetMb = 0; ///< soft solver budget (0 = none)
-    /**
-     * Never read: the worker always builds the cache and the guard.
-     * Both bytes stay only to keep the v5 Reset layout.
-     */
-    uint8_t useCache = 1;
-    uint8_t useGuard = 1;
+    uint32_t retries = 1;        ///< guard: same-rung retries per rung
+    bool captureModels = false;  ///< Sat Results carry the model
     /**
      * Lane name the session's backend is built from ("default",
      * "int2bv", "cold", "seed<K>", optionally with ":key=value"
@@ -250,6 +259,12 @@ struct ResultFrame
     FailureKind failureKind = FailureKind::None;
     std::string unknownReason;
     SolverStats stats; ///< worker-side delta for this query
+    /**
+     * The backend's model of a Sat answer, when the session captures
+     * models: bitvectors of 1..64 bits and bools. Arrays never travel;
+     * the backends extract none.
+     */
+    std::optional<Assignment> model;
 };
 
 // --- Validation-service frames (keqc <-> keqd, protocol v3) -------------

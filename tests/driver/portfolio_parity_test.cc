@@ -52,7 +52,7 @@ TEST(PortfolioParity, PortfolioOffIsByteIdenticalToTheSeedStack)
     ModuleReport reference = Pipeline(options, {}).run(module);
 
     ExecutionOptions one_lane;
-    one_lane.portfolioLanes = 1;
+    one_lane.portfolioLaneSpec = smt::defaultPortfolioSpec(1);
     ModuleReport single = Pipeline(options, one_lane).run(module);
 
     EXPECT_EQ(single.canonicalSummary(), reference.canonicalSummary())
@@ -71,7 +71,7 @@ TEST(PortfolioParity, ThreeLaneRaceReproducesSingleLaneVerdicts)
     ModuleReport reference = Pipeline(options, {}).run(module);
 
     ExecutionOptions raced;
-    raced.portfolioLanes = 3;
+    raced.portfolioLaneSpec = smt::defaultPortfolioSpec(3);
     ModuleReport portfolio = Pipeline(options, raced).run(module);
 
     EXPECT_EQ(portfolio.canonicalSummary(),
@@ -172,7 +172,7 @@ TEST(PortfolioParity, LosingLaneCancellationsNeverEnterTheTaxonomy)
     PipelineOptions options;
 
     ExecutionOptions raced;
-    raced.portfolioLanes = 3;
+    raced.portfolioLaneSpec = smt::defaultPortfolioSpec(3);
     ModuleReport portfolio = Pipeline(options, raced).run(module);
 
     for (const FunctionReport &fn : portfolio.functions) {
@@ -197,7 +197,7 @@ TEST(PortfolioParity, SandboxedPortfolioMatchesReference)
     ExecutionOptions raced;
     raced.sandbox = true;
     raced.workerPath = KEQ_WORKER_BIN;
-    raced.portfolioLanes = 2;
+    raced.portfolioLaneSpec = smt::defaultPortfolioSpec(2);
     ModuleReport portfolio = Pipeline(options, raced).run(module);
 
     EXPECT_EQ(portfolio.canonicalSummary(),
@@ -247,7 +247,7 @@ TEST(PortfolioChaos, LaneKillsMidRaceStayContainedPerQuery)
     ExecutionOptions chaos;
     chaos.sandbox = true;
     chaos.workerPath = KEQ_WORKER_BIN;
-    chaos.portfolioLanes = 2;
+    chaos.portfolioLaneSpec = smt::defaultPortfolioSpec(2);
     chaos.jobs = 2;
     chaos.sandboxChaosKillRate = 0.25;
     chaos.sandboxChaosSeed = 0xbadcafe;

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <dirent.h>
+#include <sys/stat.h>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "src/smt/evaluator.h"
 #include "src/smt/sandbox.h"
 #include "src/smt/term_factory.h"
 #include "src/smt/z3_solver.h"
@@ -114,6 +116,40 @@ TEST(WorkerSupervisor, StartFailsLoudlyWithoutABinary)
     EXPECT_FALSE(supervisor.started());
 }
 
+TEST(WorkerSupervisor, StaleWorkerIsRefusedAtReady)
+{
+    // A worker from another build announces worker protocol 5 in its
+    // Ready (u32 length 13, type 1, u32 version 5, u64 pid 0). The
+    // supervisor must refuse it before it sends a v6 Reset.
+    std::string path = ::testing::TempDir() + "keq-stale-worker.sh";
+    {
+        std::ofstream script(path);
+        script << "#!/bin/sh\n"
+                  "printf '\\015\\000\\000\\000\\001\\005\\000\\000\\000"
+                  "\\000\\000\\000\\000\\000\\000\\000\\000'\n"
+                  "exec cat >/dev/null\n";
+    }
+    ASSERT_EQ(::chmod(path.c_str(), 0755), 0);
+    SandboxOptions options;
+    options.workerPath = path;
+    options.spawnAttempts = 1;
+    WorkerSupervisor supervisor(options);
+    std::string error;
+    ASSERT_TRUE(supervisor.start(error)) << error;
+
+    TermFactory f;
+    SandboxSolver solver(f, supervisor);
+    EXPECT_EQ(solver.checkSat({f.var("b", Sort::boolSort())}),
+              SatResult::Unknown);
+    EXPECT_EQ(solver.lastFailureKind(), FailureKind::WorkerKilled);
+    EXPECT_NE(solver.lastUnknownReason().find(
+                  "worker protocol version 5 != supervisor 6"),
+              std::string::npos)
+        << solver.lastUnknownReason();
+    supervisor.stop();
+    std::remove(path.c_str());
+}
+
 TEST(SandboxSolver, VerdictsMatchTheInProcessSolver)
 {
     WorkerSupervisor supervisor(baseOptions());
@@ -153,12 +189,34 @@ TEST(SandboxSolver, VerdictsMatchTheInProcessSolver)
         SatResult expected = reference.checkSat(build(local));
 
         SandboxSolver sandboxed(remote, supervisor);
-        SatResult actual = sandboxed.checkSat(build(remote));
+        sandboxed.enableModelCapture(true);
+        std::vector<Term> assertions = build(remote);
+        SatResult actual = sandboxed.checkSat(assertions);
 
         EXPECT_EQ(actual, expected) << "variant " << variant;
         EXPECT_EQ(sandboxed.lastFailureKind(), FailureKind::None);
         EXPECT_GT(sandboxed.stats().wireBytesSent, 0u);
         EXPECT_GT(sandboxed.stats().wireBytesReceived, 0u);
+
+        // A Sat answer brings the worker's model back over the wire.
+        // Variables the model leaves out read as zero, which is how the
+        // cache's model reuse completes a pooled model.
+        Assignment model;
+        ASSERT_EQ(sandboxed.lastModel(&model), actual == SatResult::Sat)
+            << "variant " << variant;
+        if (actual != SatResult::Sat)
+            continue;
+        for (const char *name : {"x", "y"}) {
+            if (!model.hasBv(name))
+                model.setBv(name, support::ApInt(32, 0));
+        }
+        if (!model.hasBv("addr"))
+            model.setBv("addr", support::ApInt(64, 0));
+        if (!model.hasBv("byte"))
+            model.setBv("byte", support::ApInt(8, 0));
+        Evaluator eval(model);
+        for (const Term &assertion : assertions)
+            EXPECT_TRUE(eval.evalBool(assertion)) << "variant " << variant;
     }
     supervisor.stop();
 }

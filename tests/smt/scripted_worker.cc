@@ -90,7 +90,7 @@ int
 main()
 {
     wire::ReadyFrame ready;
-    ready.protocolVersion = wire::kProtocolVersion;
+    ready.protocolVersion = wire::kWorkerProtocolVersion;
     ready.pid = static_cast<uint64_t>(::getpid());
     if (!writeAll(wire::encodeReady(ready)))
         return 3;

@@ -321,15 +321,15 @@ TEST(WireFrames, TypedFramesRoundTrip)
     EXPECT_EQ(beat_back.querySeq, 7u);
     EXPECT_EQ(beat_back.rssKb, 123456u);
 
-    ResetFrame reset{2500, 256, 1, 0, "int2bv:random_seed=7"};
+    ResetFrame reset{2500, 256, 3, true, "int2bv:random_seed=7"};
     ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
     EXPECT_EQ(type, FrameType::Reset);
     ResetFrame reset_back;
     ASSERT_TRUE(decodeReset(body, reset_back, error)) << error;
     EXPECT_EQ(reset_back.timeoutMs, 2500u);
     EXPECT_EQ(reset_back.memoryBudgetMb, 256u);
-    EXPECT_EQ(reset_back.useCache, 1);
-    EXPECT_EQ(reset_back.useGuard, 0);
+    EXPECT_EQ(reset_back.retries, 3u);
+    EXPECT_TRUE(reset_back.captureModels);
     EXPECT_EQ(reset_back.strategy, "int2bv:random_seed=7");
 
     CancelFrame cancel{77};
@@ -385,7 +385,7 @@ TEST(WireFrames, ResetStrategyDefaultsToTheV1Stack)
 {
     // An empty strategy string is the v1-equivalent session: the
     // worker builds the same default incremental stack it always did.
-    ResetFrame reset{1000, 0, 1, 1};
+    ResetFrame reset{1000, 0, 1, false, {}};
     EXPECT_TRUE(reset.strategy.empty());
 
     FrameType type;
@@ -415,6 +415,116 @@ TEST(WireFrames, PortfolioFailureKindSurvivesTheResultFrame)
     EXPECT_EQ(back.failureKind, FailureKind::PortfolioDisagreement);
     EXPECT_EQ(back.stats.crossLaneDisagreements, 1u);
     EXPECT_EQ(back.unknownReason, result.unknownReason);
+}
+
+/** Encodes @p frame and returns its body (type byte stripped). */
+std::string
+resultBody(const ResultFrame &frame)
+{
+    FrameType type;
+    std::string body;
+    EXPECT_TRUE(splitFrame(encodeResult(frame).substr(4), type, body));
+    EXPECT_EQ(type, FrameType::Result);
+    return body;
+}
+
+TEST(WireFrames, WorkerV6ResetAndResultModelRoundTrip)
+{
+    EXPECT_EQ(kWorkerProtocolVersion, 6u);
+    EXPECT_EQ(kProtocolVersion, 5u) << "the service protocol stays v5";
+
+    // Reset: timeout, memory budget, retries, capture flag, strategy.
+    ResetFrame reset{1500, 64, 4, true, "cold"};
+    FrameType type;
+    std::string body, error;
+    ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
+    ResetFrame reset_back;
+    ASSERT_TRUE(decodeReset(body, reset_back, error)) << error;
+    EXPECT_EQ(reset_back.retries, 4u);
+    EXPECT_TRUE(reset_back.captureModels);
+    EXPECT_EQ(reset_back.strategy, "cold");
+
+    // The capture byte is a flag: anything but 0 or 1 is corrupt.
+    std::string hostile = body;
+    hostile[12] = 2; // after timeout, budget and retries (3 x u32)
+    ResetFrame rejected;
+    EXPECT_FALSE(decodeReset(hostile, rejected, error));
+    EXPECT_NE(error.find("non-boolean"), std::string::npos) << error;
+
+    // Result: a Sat answer with its model, widths 1 and 64.
+    ResultFrame result;
+    result.seq = 11;
+    result.result = SatResult::Sat;
+    result.model.emplace();
+    result.model->setBv("x", support::ApInt(32, 0xdeadbeef));
+    result.model->setBv("wide", support::ApInt(64, ~uint64_t{0}));
+    result.model->setBv("bit", support::ApInt(1, 1));
+    result.model->setBool("flag", true);
+    result.model->setBool("off", false);
+    std::string model_body = resultBody(result);
+    ResultFrame back;
+    ASSERT_TRUE(decodeResult(model_body, back, error)) << error;
+    ASSERT_TRUE(back.model.has_value());
+    EXPECT_EQ(back.model->bvs(), result.model->bvs());
+    EXPECT_EQ(back.model->bools(), result.model->bools());
+    // Sorted names: equal models encode to equal bytes.
+    EXPECT_EQ(resultBody(back), model_body);
+
+    // Without a model the flag byte is 0 and nothing follows.
+    ResultFrame bare;
+    bare.seq = 12;
+    bare.result = SatResult::Unsat;
+    ASSERT_TRUE(decodeResult(resultBody(bare), back, error)) << error;
+    EXPECT_FALSE(back.model.has_value());
+}
+
+TEST(WireFrames, HostileResultModelsAreRejected)
+{
+    // One-variable models with a known layout: the bitvector entry is
+    // str name, u8 width, u64 value; the bool entry is str name, u8.
+    ResultFrame result;
+    result.seq = 3;
+    result.result = SatResult::Sat;
+    result.model.emplace();
+    result.model->setBv("v", support::ApInt(8, 0x7f));
+    std::string body = resultBody(result);
+    // Tail: flag, count, name length, name, width, value (8), count.
+    const size_t width_at = body.size() - 10;
+    ASSERT_EQ(body[width_at], 8);
+
+    std::string error;
+    ResultFrame out;
+    for (uint8_t width : {uint8_t{0}, uint8_t{65}, uint8_t{255}}) {
+        std::string bad = body;
+        bad[width_at] = static_cast<char>(width);
+        EXPECT_FALSE(decodeResult(bad, out, error)) << int(width);
+        EXPECT_NE(error.find("width out of range"), std::string::npos)
+            << error;
+    }
+    std::string too_wide = body;
+    too_wide[width_at + 2] = 1; // bit 8 set on an 8-bit value
+    EXPECT_FALSE(decodeResult(too_wide, out, error));
+
+    // The model flag and bool values are flags too.
+    std::string bad_flag = body;
+    bad_flag[body.size() - 14] = 7;
+    EXPECT_FALSE(decodeResult(bad_flag, out, error));
+    EXPECT_NE(error.find("non-boolean"), std::string::npos) << error;
+
+    ResultFrame boolean;
+    boolean.result = SatResult::Sat;
+    boolean.model.emplace();
+    boolean.model->setBool("b", true);
+    std::string bool_body = resultBody(boolean);
+    bool_body.back() = 2;
+    EXPECT_FALSE(decodeResult(bool_body, out, error));
+    EXPECT_NE(error.find("non-boolean"), std::string::npos) << error;
+
+    // Every strict prefix of a model-bearing Result is truncated.
+    for (size_t cut = 0; cut < body.size(); ++cut) {
+        EXPECT_FALSE(decodeResult(body.substr(0, cut), out, error))
+            << "cut at " << cut;
+    }
 }
 
 TEST(WireFrames, TruncatedCancelFailsCleanly)

@@ -9,15 +9,17 @@
  * solver segfault, allocation storm, wedged native code — kills this
  * process only, to be classified and absorbed by the supervisor.
  *
- * Protocol role: emit Ready, then serve Reset/Query/Shutdown frames.
- * A Reset begins a *session*: a fresh TermFactory plus a solver stack
- * of the same shape as the in-process pipeline's (the Reset's lane
- * backend -> memoizing cache -> guarded escalation ladder), so
- * sandboxed verdicts are bit-identical to in-process ones. The query
- * cache outlives sessions (its structural fingerprints are
- * factory-independent). While a query is in flight a heartbeat thread
- * reports liveness and resident-set size; the RSS rides into the
- * supervisor's OOM forensics.
+ * Protocol role: emit Ready, then serve Reset/Query/Cancel/Shutdown
+ * frames. A Reset begins a *session*: a fresh TermFactory plus the
+ * bottom of the in-process stack, built by the same builder
+ * (smt::workerStackSpec): the Reset's lane backend under the guard and
+ * its two cold rungs, with the parent's retry count. The rewrite,
+ * slice and cache front stays in the parent, which sees every query
+ * first; a Sat Result carries the backend's model back when the Reset
+ * asks for it, so the parent's model reuse keeps its hits. While a
+ * query is in flight a heartbeat thread reports liveness and
+ * resident-set size; the RSS rides into the supervisor's OOM
+ * forensics.
  *
  * Exit codes: 0 on Shutdown/EOF, 2 on usage errors, 77 when a query
  * hits std::bad_alloc (self-reported OOM under the rlimit), 3 on a
@@ -40,13 +42,10 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "src/smt/caching_solver.h"
-#include "src/smt/guarded_solver.h"
-#include "src/smt/portfolio_solver.h"
 #include "src/smt/sandbox.h"
+#include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
 #include "src/smt/wire.h"
-#include "src/smt/z3_solver.h"
 
 namespace {
 
@@ -137,54 +136,19 @@ applyRlimits(unsigned memoryMb, unsigned cpuSeconds)
 /** One Reset's worth of state: fresh factory + solver stack. */
 struct Session
 {
-    std::unique_ptr<smt::TermFactory> factory;
-    std::unique_ptr<smt::Solver> backend;
-    std::unique_ptr<smt::CachingSolver> caching;
-    std::unique_ptr<smt::GuardedSolver> guard;
-    smt::wire::VarSortContext varSorts;
-    unsigned timeoutMs = 0;
-
-    static Session
-    make(const smt::wire::ResetFrame &config,
-         const smt::LaneConfig &lane,
-         const std::shared_ptr<smt::QueryCache> &cache)
+    Session(const smt::wire::ResetFrame &config, smt::LaneConfig lane)
+        : factory(std::make_unique<smt::TermFactory>()),
+          stack(smt::buildSolverStack(
+              *factory, smt::workerStackSpec(config, std::move(lane)))),
+          guard(static_cast<smt::GuardedSolver &>(stack.top()))
     {
-        Session s;
-        s.factory = std::make_unique<smt::TermFactory>();
-        // The lane strategy decides the backend, as in the in-process
-        // pipeline: "default" when the parent optimizes queries, "cold"
-        // when it does not, or one lane of a raced portfolio.
-        s.backend = smt::makeLaneBackend(*s.factory, lane);
-        s.caching = std::make_unique<smt::CachingSolver>(
-            *s.factory, *s.backend, cache);
-        // The guard's ladder is one rung: a pristine cold solver. The
-        // in-process pipeline builds two cold rungs (the first is
-        // fault-injected under chaos, the second pristine), so a query
-        // that needs a second cold attempt gets it only in process.
-        // The rung stays untuned even for tuned lanes: a lane that
-        // needs its terminal rung should converge to the reference
-        // configuration.
-        smt::TermFactory *factory = s.factory.get();
-        std::vector<smt::GuardedSolver::RungFactory> fallbacks;
-        fallbacks.push_back([factory] {
-            return std::make_unique<smt::Z3Solver>(*factory);
-        });
-        smt::GuardedSolverOptions guardOptions;
-        guardOptions.deadlineMs =
-            config.timeoutMs > 0 ? config.timeoutMs + 1000 : 0;
-        // Arm the watchdog even without a deadline: the parent's
-        // Cancel frame rides guard->cancelCurrentQuery(), which needs
-        // the re-firing interrupt loop to reap a losing lane.
-        guardOptions.cancellable = true;
-        s.guard = std::make_unique<smt::GuardedSolver>(
-            *s.factory, *s.caching, std::move(fallbacks),
-            guardOptions);
-        s.timeoutMs = config.timeoutMs;
-        s.guard->setTimeoutMs(config.timeoutMs);
-        if (config.memoryBudgetMb > 0)
-            s.guard->setMemoryBudgetMb(config.memoryBudgetMb);
-        return s;
+        guard.enableModelCapture(config.captureModels);
     }
+
+    std::unique_ptr<smt::TermFactory> factory;
+    smt::SolverStack stack;
+    smt::GuardedSolver &guard; ///< the stack's top
+    smt::wire::VarSortContext varSorts;
 };
 
 /** Liveness thread: beats only while a query is in flight, and only
@@ -226,7 +190,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
 
     {
         smt::wire::ReadyFrame ready;
-        ready.protocolVersion = smt::wire::kProtocolVersion;
+        ready.protocolVersion = smt::wire::kWorkerProtocolVersion;
         ready.pid = static_cast<uint64_t>(::getpid());
         std::unique_lock<std::mutex> lock(gWriteMutex);
         if (!writeFrame(smt::wire::encodeReady(ready)))
@@ -238,10 +202,6 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                           heartbeatMs == 0 ? 250 : heartbeatMs,
                           &stopHeartbeat);
 
-    // The verdict cache outlives sessions: fingerprints are
-    // factory-independent, so verdicts proven for one function answer
-    // identical queries from later ones.
-    auto cache = std::make_shared<smt::QueryCache>();
     std::unique_ptr<Session> session;
 
     // Queries solve on their own thread so this loop keeps draining
@@ -262,7 +222,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
         if (!readExact(header, 4)) {
             exitCode = 0; // parent closed: normal teardown
             if (session != nullptr && solve.joinable())
-                session->guard->cancelCurrentQuery();
+                session->guard.cancelCurrentQuery();
             break;
         }
         smt::wire::Decoder headerDec(header);
@@ -306,7 +266,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             if (session != nullptr && cancel.seq != 0 &&
                 cancel.seq ==
                     gInFlight.load(std::memory_order_relaxed)) {
-                session->guard->cancelCurrentQuery();
+                session->guard.cancelCurrentQuery();
             }
             continue;
         }
@@ -332,8 +292,8 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                 continue;
             }
             joinSolve(); // the old session must be idle before dying
-            session = std::make_unique<Session>(
-                Session::make(config, lanes[0], cache));
+            session.reset();
+            session = std::make_unique<Session>(config, lanes[0]);
             continue;
         }
         if (type != smt::wire::FrameType::Query) {
@@ -361,10 +321,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             continue;
         }
 
-        if (query.timeoutMs != session->timeoutMs) {
-            session->guard->setTimeoutMs(query.timeoutMs);
-            session->timeoutMs = query.timeoutMs;
-        }
+        session->guard.setTimeoutMs(query.timeoutMs);
 
         // All frame decoding (factory mutation) happened above on this
         // thread; the solve thread only runs the solver stack, so the
@@ -375,13 +332,16 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
         solve = std::thread([live, query = std::move(query)] {
             smt::wire::ResultFrame result;
             result.seq = query.seq;
-            smt::SolverStats before = live->guard->stats();
+            smt::GuardedSolver &guard = live->guard;
+            smt::SolverStats before = guard.stats();
             try {
-                result.result =
-                    live->guard->checkSat(query.assertions);
-                result.failureKind = live->guard->lastFailureKind();
-                result.unknownReason =
-                    live->guard->lastUnknownReason();
+                result.result = guard.checkSat(query.assertions);
+                result.failureKind = guard.lastFailureKind();
+                result.unknownReason = guard.lastUnknownReason();
+                // Without capture the backend keeps no model.
+                if (result.result == smt::SatResult::Sat &&
+                    !guard.lastModel(&result.model.emplace()))
+                    result.model.reset();
             } catch (const std::bad_alloc &) {
                 // The rlimit tripped inside the solver. The heap may
                 // be unusable; report via the exit code, not the wire.
@@ -393,7 +353,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                 result.failureKind = FailureKind::SolverCrash;
                 result.unknownReason = crash.what();
             }
-            result.stats = live->guard->stats() - before;
+            result.stats = guard.stats() - before;
 
             std::unique_lock<std::mutex> lock(gWriteMutex);
             gInFlight.store(0, std::memory_order_relaxed);

@@ -153,6 +153,7 @@ CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions options;
+    unsigned portfolio_lanes = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value_of = [&](const std::string &prefix) {
@@ -249,10 +250,11 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--worker-path=", 0) == 0) {
             options.exec.workerPath = value_of("--worker-path=");
         } else if (arg.rfind("--portfolio=", 0) == 0) {
-            options.exec.portfolioLanes =
+            unsigned lanes =
                 static_cast<unsigned>(number_of("--portfolio="));
-            if (options.exec.portfolioLanes == 0)
+            if (lanes == 0)
                 usage(argv[0]);
+            portfolio_lanes = lanes;
         } else if (arg.rfind("--portfolio-lanes=", 0) == 0) {
             options.exec.portfolioLaneSpec =
                 value_of("--portfolio-lanes=");
@@ -321,6 +323,10 @@ parseArgs(int argc, char **argv)
     }
     if (options.path.empty() && options.gen_corpus == 0)
         usage(argv[0]);
+    // An explicit --portfolio-lanes roster wins over --portfolio=N.
+    if (portfolio_lanes > 1 && options.exec.portfolioLaneSpec.empty())
+        options.exec.portfolioLaneSpec =
+            keq::smt::defaultPortfolioSpec(portfolio_lanes);
     return options;
 }
 
