@@ -14,8 +14,7 @@ MatrixCell::label() const
 {
     std::ostringstream os;
     os << "sandbox=" << (sandbox ? 1 : 0) << " cache=" << (cache ? 1 : 0)
-       << " smtopt=" << (smtOpt ? 1 : 0) << " jobs=" << jobs
-       << " lanes=" << portfolioLanes;
+       << " smtopt=" << (smtOpt ? 1 : 0) << " jobs=" << jobs;
     return os.str();
 }
 
@@ -58,9 +57,6 @@ runCase(const CorpusCase &corpus_case, const MatrixCell &cell,
     exec.optimizeQueries = cell.smtOpt;
     exec.sandbox = cell.sandbox;
     exec.workerPath = options.workerPath;
-    if (cell.portfolioLanes > 1)
-        exec.portfolioLaneSpec =
-            smt::defaultPortfolioSpec(cell.portfolioLanes);
     if (cell.sandbox)
         exec.sandboxWorkers = cell.jobs;
 

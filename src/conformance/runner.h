@@ -40,14 +40,8 @@ struct MatrixCell
     bool cache = true;
     bool smtOpt = true;
     unsigned jobs = 1;
-    /**
-     * Solver strategy lanes raced per query; 1 keeps the stack
-     * byte-identical to the pre-portfolio pipeline. The portfolio
-     * parity suite pins lanes>1 cells against the reference cell.
-     */
-    unsigned portfolioLanes = 1;
 
-    /** "sandbox=0 cache=1 smtopt=1 jobs=4 lanes=1" (stable key). */
+    /** "sandbox=0 cache=1 smtopt=1 jobs=4" (stable key). */
     std::string label() const;
 };
 

@@ -113,9 +113,6 @@ namespace {
 struct SolveSetup
 {
     smt::StackSpec stack;
-    /** Nonempty when the lane roster did not parse: the validation
-     *  fails as Unsupported. */
-    std::string laneError;
     /** Cooperative cancellation for the checker. */
     support::CancellationToken cancel;
 };
@@ -165,9 +162,6 @@ validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
         vx86::MModule mmodule;
         mmodule.functions.push_back(std::move(mfn));
         vx86::SymbolicSemantics sem_b(mmodule, factory, layout);
-        // A malformed roster lands in the Unsupported catch below.
-        if (!setup.laneError.empty())
-            throw support::Error(setup.laneError);
         smt::SolverStack stack = smt::buildSolverStack(factory, setup.stack);
         smt::Solver &solver = stack.top();
 
@@ -178,14 +172,8 @@ validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
         checker::Checker checker(sem_a, sem_b, acceptability, solver,
                                  checker_config);
         report.verdict = checker.check(fn.name, fn.name, vc.points);
-        if (solver_stats != nullptr) {
+        if (solver_stats != nullptr)
             *solver_stats = solver.stats();
-            // Batching is attributed by the checker (no solver layer
-            // can see which queries shared a session), so the module
-            // aggregate picks it up from the verdict delta.
-            solver_stats->batchedQueries =
-                report.verdict.stats.solverStats.batchedQueries;
-        }
 
         switch (report.verdict.kind) {
           case checker::VerdictKind::Equivalent:
@@ -351,15 +339,6 @@ Pipeline::Pipeline(PipelineOptions options, ExecutionOptions exec)
     else if (exec_.solverCache)
         cache_ = std::make_shared<smt::QueryCache>(
             exec_.cacheShardCapacity, exec_.cacheMemoryMb << 20);
-
-    // The lane roster: an explicit spec, else one lane, "default" when
-    // optimizing queries and "cold" when not.
-    std::string spec = exec_.portfolioLaneSpec;
-    if (spec.empty())
-        spec = exec_.optimizeQueries ? "default" : "cold";
-    std::string error;
-    if (!smt::parsePortfolioLanes(spec, lanes_, error))
-        laneError_ = "invalid portfolio lane spec: " + error;
 }
 
 FunctionReport
@@ -370,10 +349,9 @@ Pipeline::validateWith(const llvmir::Module &module,
                        smt::SolverStats *stats) const
 {
     SolveSetup setup;
-    setup.laneError = laneError_;
     setup.cancel = exec.cancel;
     smt::StackSpec &spec = setup.stack;
-    spec.lanes = lanes_;
+    spec.lane = exec.optimizeQueries ? smt::Lane::Default : smt::Lane::Cold;
     spec.sandbox = sandbox;
     spec.cache = cache_;
     spec.front.simplify = exec.optimizeQueries;
@@ -438,17 +416,12 @@ Pipeline::sandboxSupervisor(unsigned workers)
     if (supervisor_ != nullptr && supervisor_->started())
         return supervisor_.get();
 
-    // Each concurrent function validation leases one worker per
-    // portfolio lane (an atomic multi-slot lease), so the default pool
-    // is jobs x lanes; an undersized explicit pool still works — the
-    // race just degrades to fewer lanes.
-    unsigned lanes = std::max<unsigned>(lanes_.size(), 1);
+    // One worker per concurrent function validation by default.
     smt::SandboxOptions sandbox;
     sandbox.workerPath = exec_.workerPath;
-    sandbox.workers =
-        exec_.sandboxWorkers > 0
-            ? exec_.sandboxWorkers
-            : std::max<unsigned>(workers, 1) * lanes;
+    sandbox.workers = exec_.sandboxWorkers > 0
+                          ? exec_.sandboxWorkers
+                          : std::max<unsigned>(workers, 1);
     sandbox.workerMemoryMb = exec_.workerMemoryMb;
     sandbox.memoryBudgetMb = exec_.solverMemoryMb;
     sandbox.retries = exec_.solverRetries;

@@ -34,7 +34,6 @@
 #include "src/sem/sync_point.h"
 #include "src/smt/caching_solver.h"
 #include "src/smt/fault_injection.h"
-#include "src/smt/portfolio_solver.h"
 #include "src/smt/sandbox.h"
 #include "src/support/cancellation.h"
 #include "src/support/journal.h"
@@ -90,8 +89,7 @@ struct ExecutionOptions
      * solver per query), in process and sandboxed alike (sandbox
      * workers run no front of their own). Both settings give the same
      * verdicts (asserted by the differential and conformance tests);
-     * false is the unoptimized reference stack. An explicit portfolio
-     * roster picks its own lanes.
+     * false is the unoptimized reference stack.
      */
     bool optimizeQueries = true;
 
@@ -188,21 +186,6 @@ struct ExecutionOptions
      */
     double sandboxChaosKillRate = 0.0;
     uint64_t sandboxChaosSeed = 0x5eed;
-
-    // --- Portfolio racing (smt::PortfolioSolver / WorkerSupervisor::solve) --------
-
-    /**
-     * Strategy lanes raced per solver query
-     * ("default,int2bv,cold:random_seed=3"); keqc --portfolio=N sets
-     * smt::defaultPortfolioSpec(N). Empty (default) solves on the one
-     * lane optimizeQueries picks. In-process runs race lane threads
-     * (PortfolioSolver); sandboxed runs race one worker per lane
-     * (WorkerSupervisor::solve). Entries follow
-     * smt::parsePortfolioLanes syntax; the Pipeline parses the spec
-     * once, and an invalid one fails every function with an
-     * Unsupported report rather than being ignored.
-     */
-    std::string portfolioLaneSpec;
 };
 
 /** Per-function validation report. */
@@ -316,9 +299,6 @@ class Pipeline
 
     PipelineOptions options_;
     ExecutionOptions exec_;
-    /** The parsed lane roster; empty when laneError_ is set. */
-    std::vector<smt::LaneConfig> lanes_;
-    std::string laneError_;
     std::shared_ptr<smt::QueryCache> cache_;
     std::unique_ptr<smt::WorkerSupervisor> supervisor_;
     bool sandboxDegraded_ = false;

@@ -180,25 +180,6 @@ crossCheck(const llvmir::Module &module, const llvmir::Function &fn,
     result.report = driver::validateFunctionPair(module, fn, mfn, hints,
                                                  options.pipeline);
 
-    // A portfolio disagreement means two solver lanes returned
-    // contradictory definite verdicts on the same query — some lane is
-    // unsound no matter what the executions observed. Promote it to the
-    // soundness report instead of letting it drown in the inconclusive
-    // bucket with the honest timeouts. The stats counter matters too: a
-    // guarded-solver retry can resolve the query on a later attempt and
-    // overwrite the failure classification, but the disagreement still
-    // happened.
-    if (result.report.verdict.failure ==
-            FailureKind::PortfolioDisagreement ||
-        result.report.verdict.stats.solverStats.crossLaneDisagreements >
-            0) {
-        result.verdict = OracleVerdict::SoundnessBug;
-        result.detail = result.report.verdict.reason.empty()
-                            ? "solver portfolio lanes disagreed"
-                            : result.report.verdict.reason;
-        return result;
-    }
-
     switch (result.report.outcome) {
     case driver::Outcome::Succeeded:
         result.verdict = result.execution == ExecAgreement::Diverged

@@ -146,9 +146,6 @@ class Run
         stats_.solverQueries = after.queries - before.queries;
         stats_.solverSeconds = after.totalSeconds - before.totalSeconds;
         stats_.solverStats = after - before;
-        // Batching is a checker-level decision; no solver layer can see
-        // which queries were batched, so the counter is attributed here.
-        stats_.solverStats.batchedQueries += batchedDischarges_;
         stats_.totalSeconds = watch_.seconds();
         verdict.stats = stats_;
         return verdict;
@@ -191,6 +188,25 @@ class Run
                                          : kind;
     }
 
+    /**
+     * Aborts the check after an Unknown @p during some query, with the
+     * failure kind and the backend's raw message (a Z3 reason, a
+     * worker's exit status) in the verdict's reason.
+     */
+    [[noreturn]] void
+    abortOnUnknown(const char *during) const
+    {
+        FailureKind failure = unknownFailure();
+        std::string reason = std::string("solver returned unknown ") +
+                             during + " (" + failureKindName(failure) +
+                             ")";
+        std::string raw = solver_.lastUnknownReason();
+        if (!raw.empty())
+            reason += ": " + raw;
+        throw BudgetExceeded{verdictKindFor(failure), failure,
+                             std::move(reason)};
+    }
+
     // --- solver helpers ------------------------------------------------------
 
     /**
@@ -213,13 +229,8 @@ class Run
             return true;
           case SatResult::Unsat:
             return false;
-          case SatResult::Unknown: {
-            FailureKind failure = unknownFailure();
-            throw BudgetExceeded{
-                verdictKindFor(failure), failure,
-                "solver returned unknown on a feasibility check (" +
-                    std::string(failureKindName(failure)) + ")"};
-          }
+          case SatResult::Unknown:
+            abortOnUnknown("on a feasibility check");
         }
         return true;
     }
@@ -229,8 +240,8 @@ class Run
      * degrades the verdict to refinement. An Unknown (a timeout, a
      * killed worker) is not evidence of reachability — counting it as
      * "possibly sat" would silently turn a lost query into a Refines
-     * verdict with no failure recorded. It aborts instead, classified
-     * like isSat and carrying the backend's raw message.
+     * verdict with no failure recorded. It aborts instead, like
+     * isSat.
      */
     bool
     ubReachable(Term condition)
@@ -243,16 +254,8 @@ class Run
         SatResult result = solver_.checkSat({condition});
         if (result != SatResult::Unknown)
             return result == SatResult::Sat;
-        FailureKind failure = unknownFailure();
-        std::string reason =
-            "solver returned unknown on the input-side undefined "
-            "behaviour reachability check (" +
-            std::string(failureKindName(failure)) + ")";
-        std::string raw = solver_.lastUnknownReason();
-        if (!raw.empty())
-            reason += ": " + raw;
-        throw BudgetExceeded{verdictKindFor(failure), failure,
-                             std::move(reason)};
+        abortOnUnknown("on the input-side undefined behaviour "
+                       "reachability check");
     }
 
     bool
@@ -260,27 +263,6 @@ class Run
     {
         checkBudgets();
         return solver_.proveImplication(hypothesis, conclusion);
-    }
-
-    /**
-     * Discharges one obligation, batched when configured: the
-     * hypothesis travels as separate assertions (@p parts) so that the
-     * next obligation of this pair — same parts, different conclusion —
-     * reuses the backend's warm prefix instead of re-asserting the
-     * path conditions from scratch.
-     */
-    bool
-    dischargeObligation(Term hypothesis,
-                        const std::vector<Term> &parts, Term conclusion)
-    {
-        checkBudgets();
-        if (!config_.batchDischarge)
-            return solver_.proveImplication(hypothesis, conclusion);
-        uint64_t before = solver_.stats().queries;
-        bool proven = solver_.proveImplication(parts, conclusion);
-        if (solver_.stats().queries != before)
-            ++batchedDischarges_;
-        return proven;
     }
 
     /**
@@ -641,14 +623,9 @@ class Run
         // either aborts on Unknown itself (isSat, ubReachable) or is
         // followed by this check.
         uint64_t unknowns_before = solver_.stats().unknown;
-        auto abortOnUnknown = [&](const char *during) {
-            if (solver_.stats().unknown == unknowns_before)
-                return;
-            FailureKind failure = unknownFailure();
-            throw BudgetExceeded{verdictKindFor(failure), failure,
-                                 std::string("solver returned unknown ") +
-                                     during + " (" +
-                                     failureKindName(failure) + ")"};
+        auto abortAfterUnknown = [&](const char *during) {
+            if (solver_.stats().unknown != unknowns_before)
+                abortOnUnknown(during);
         };
         auto fail = [&](std::string reason) {
             why = std::move(reason);
@@ -725,16 +702,9 @@ class Run
                                               family_b, b) &&
                          provePathImplication(b.pathCond, a.pathCond,
                                               family_a, a);
-            abortOnUnknown("on a path-equivalence check");
+            abortAfterUnknown("on a path-equivalence check");
             hypothesis = equivalent ? a.pathCond : joint;
         }
-        // Unmerged hypothesis for batched discharge: every candidate
-        // point below shares these parts, so an incremental backend
-        // keeps them asserted across the whole loop.
-        std::vector<Term> hypothesisParts =
-            equivalent ? std::vector<Term>{a.pathCond}
-                       : std::vector<Term>{a.pathCond, b.pathCond};
-
         for (const SyncPoint *q : candidates) {
             Term required = obligations(*q, a, b);
             // Call-boundary pairs additionally match callee and
@@ -755,9 +725,8 @@ class Run
                 // extra here.
             }
             uint64_t queries_before = solver_.stats().queries;
-            bool discharged = dischargeObligation(
-                hypothesis, hypothesisParts, required);
-            abortOnUnknown("while discharging obligations");
+            bool discharged = proveImplication(hypothesis, required);
+            abortAfterUnknown("while discharging obligations");
             if (discharged) {
                 recordStep(source, q, a, b,
                            solver_.stats().queries == queries_before
@@ -832,7 +801,6 @@ class Run
     CheckStats stats_;
     support::Stopwatch watch_;
     bool refinementFallback_ = false;
-    uint64_t batchedDischarges_ = 0;
     std::vector<ProofStep> proof_;
 };
 

@@ -51,16 +51,6 @@ struct CheckerConfig
     bool refinementOnly = false;
     /** Use the positive-form disjunction for path-condition queries. */
     bool positiveFormOpt = true;
-    /**
-     * Batched incremental discharge: ship each obligation's hypothesis
-     * as separate leading assertions instead of one collapsed
-     * conjunction, so consecutive obligations of a sync point share an
-     * identical prefix that an incremental backend keeps asserted in a
-     * warm scope (only the negated conclusion is push/popped).
-     * Verdict-neutral; CheckStats::solverStats.batchedQueries counts
-     * the obligations discharged this way.
-     */
-    bool batchDischarge = false;
     /** Per-Z3-query timeout (ms); 0 = none. */
     unsigned solverTimeoutMs = 30000;
     /** Whole-run wall budget (seconds); 0 = unlimited. */

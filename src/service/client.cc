@@ -223,10 +223,7 @@ DaemonClient::recvSupervised(std::string &payload, unsigned deadlineMs)
     auto start = std::chrono::steady_clock::now();
     bool pingOutstanding = false;
     auto pingSentAt = start;
-    // Heartbeats are a v5 frame pair; never probe an older daemon
-    // (it would answer Ping with a fatal "unexpected frame" error).
-    bool canPing = options_.heartbeatIntervalMs > 0 &&
-                   serverHello_.protocolVersion >= 5;
+    bool canPing = options_.heartbeatIntervalMs > 0;
     for (;;) {
         IoStatus status = channel_.waitReadable(kHeartbeatTickMs);
         if (status == IoStatus::Ok) {
@@ -294,10 +291,7 @@ DaemonClient::validateFunctions(
     // still each exercise the daemon's real (cache-warm) solving path
     // rather than replaying each other's ledger entries. Fingerprints
     // are therefore computed only for resubmits, and the module text is
-    // hashed at most once per call. A v4 daemon never sees the field at
-    // all (encodeSubmitJob drops it for v4 layouts).
-    uint32_t wireVersion = std::min(serverHello_.protocolVersion,
-                                    wire::kProtocolVersion);
+    // hashed at most once per call.
     std::optional<uint64_t> moduleHash;
     std::vector<char> everSubmitted(n, 0);
 
@@ -323,8 +317,7 @@ DaemonClient::validateFunctions(
         }
         everSubmitted[idx] = 1;
         submitted[idx] = std::chrono::steady_clock::now();
-        if (!channel_.sendFrame(wire::encodeSubmitJob(job,
-                                                      wireVersion))) {
+        if (!channel_.sendFrame(wire::encodeSubmitJob(job))) {
             error = "daemon connection lost while submitting " +
                     functions[idx];
             failure_ = FailureKind::WorkerKilled;
@@ -372,8 +365,6 @@ DaemonClient::validateFunctions(
         }
         ++failovers_;
         resubmits_ += outstanding;
-        wireVersion = std::min(serverHello_.protocolVersion,
-                               wire::kProtocolVersion);
         toSubmit.clear();
         for (size_t i = 0; i < n; ++i)
             if (!decided[i])

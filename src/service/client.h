@@ -84,12 +84,12 @@ struct DaemonClientOptions
      */
     unsigned busyBreakerRounds = 10;
     /**
-     * Connection heartbeat (wire v5 daemons only): after this much
-     * receive silence the client sends a Ping; a peer that answers
-     * nothing for heartbeatTimeoutMs more is declared dead — the
-     * typed Timeout that makes a silent TCP peer (power loss, cable
-     * pull: no FIN, no RST) indistinguishable from a killed daemon
-     * instead of a verdictTimeoutMs stall. 0 disables probing.
+     * Connection heartbeat: after this much receive silence the
+     * client sends a Ping; a peer that answers nothing for
+     * heartbeatTimeoutMs more is declared dead — the typed Timeout
+     * that makes a silent TCP peer (power loss, cable pull: no FIN, no
+     * RST) indistinguishable from a killed daemon instead of a
+     * verdictTimeoutMs stall. 0 disables probing.
      */
     unsigned heartbeatIntervalMs = 10000;
     unsigned heartbeatTimeoutMs = 30000;
@@ -187,7 +187,7 @@ class DaemonClient
     /**
      * Receive with liveness supervision: polls readability in short
      * ticks (never tearing a partially-arrived frame), Pings an idle
-     * v5 connection, and turns a silent peer into IoStatus::Timeout
+     * connection, and turns a silent peer into IoStatus::Timeout
      * after heartbeatTimeoutMs instead of stalling to the verdict
      * deadline. Pong frames are passed through to the caller.
      */

@@ -32,7 +32,6 @@ encodeJobOptions(const driver::PipelineOptions &options)
         options.vc.precision == vcgen::LivenessPrecision::BlockLocal
             ? 1
             : 0;
-    frame.batchDischarge = options.checker.batchDischarge ? 1 : 0;
     frame.smtTimeoutMs = options.checker.solverTimeoutMs;
     frame.wallBudgetSeconds = options.checker.wallBudgetSeconds;
     frame.specSizeBudget = options.specSizeBudget;
@@ -53,7 +52,6 @@ decodeJobOptions(const JobOptionsFrame &frame)
     options.vc.precision = frame.crudeLiveness != 0
                                ? vcgen::LivenessPrecision::BlockLocal
                                : vcgen::LivenessPrecision::Full;
-    options.checker.batchDischarge = frame.batchDischarge != 0;
     options.checker.solverTimeoutMs = frame.smtTimeoutMs;
     options.checker.wallBudgetSeconds = frame.wallBudgetSeconds;
     options.specSizeBudget =
@@ -65,11 +63,11 @@ std::string
 jobOptionsKey(const JobOptionsFrame &frame)
 {
     char buf[128];
-    std::snprintf(buf, sizeof buf, "%u%u%u%u%u%u%u|%u|%.17g|%llu",
+    std::snprintf(buf, sizeof buf, "%u%u%u%u%u%u|%u|%.17g|%llu",
                   frame.mergeStores, frame.foldExtLoad, frame.bug,
                   frame.refinementOnly, frame.positiveForm,
-                  frame.crudeLiveness, frame.batchDischarge,
-                  frame.smtTimeoutMs, frame.wallBudgetSeconds,
+                  frame.crudeLiveness, frame.smtTimeoutMs,
+                  frame.wallBudgetSeconds,
                   static_cast<unsigned long long>(
                       frame.specSizeBudget));
     return buf;

@@ -8,7 +8,7 @@
  * A job carries exactly the knobs that change *verdicts* (canonical
  * summaries): ISel toggles and reintroducible bugs, checker options,
  * liveness precision, budgets and timeouts. Execution policy — jobs,
- * caching, sandboxing, portfolio lanes — deliberately does NOT travel:
+ * caching, sandboxing, the solver lane — deliberately does NOT travel:
  * the daemon owns scheduling and isolation so every client shares the
  * warm pools, and verdicts are invariant under those choices anyway
  * (the byte-identity tests across serial/parallel/sandboxed stacks are

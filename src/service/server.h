@@ -12,8 +12,8 @@
  *    (loaded at start, appended on every fresh verdict), so verdicts
  *    survive across clients *and* across daemon restarts;
  *  - a pool of warm driver::Pipelines keyed by the job's deterministic
- *    options (jobOptionsKey) — Z3 contexts, sandbox worker pools and
- *    portfolio lanes persist across jobs instead of cold-starting;
+ *    options (jobOptionsKey) — Z3 contexts and sandbox worker pools
+ *    persist across jobs instead of cold-starting;
  *  - a support::ThreadPool executing jobs picked from the per-client
  *    round-robin FairQueue, so no client's backlog starves another;
  *  - a bounded parsed-module cache, since a client submits one job per

@@ -98,19 +98,14 @@ Session::handshake()
     }
     if (hello.protocolVersion < wire::kMinServiceProtocolVersion ||
         hello.protocolVersion > wire::kProtocolVersion) {
-        reject.message =
-            "unsupported protocol version " +
-            std::to_string(hello.protocolVersion) + " (daemon speaks " +
-            std::to_string(wire::kMinServiceProtocolVersion) + ".." +
-            std::to_string(wire::kProtocolVersion) + ")";
+        reject.message = "unsupported protocol version " +
+                         std::to_string(hello.protocolVersion) +
+                         " (daemon speaks " +
+                         std::to_string(wire::kProtocolVersion) + ")";
         sendLocked(wire::encodeHelloReject(reject));
         return false;
     }
-    // Negotiate down to the client's version: every frame this session
-    // sends from here on uses the client's layout.
-    protocolVersion_ = hello.protocolVersion;
     wire::ServerHelloFrame ack;
-    ack.protocolVersion = protocolVersion_;
     ack.pid = static_cast<uint64_t>(::getpid());
     return sendLocked(wire::encodeServerHello(ack));
 }
@@ -213,8 +208,7 @@ Session::handleSubmit(const std::string &body)
 void
 Session::handleStatus()
 {
-    sendLocked(wire::encodeJobStatus(server_.statusFrame(),
-                                     protocolVersion_));
+    sendLocked(wire::encodeJobStatus(server_.statusFrame()));
 }
 
 void

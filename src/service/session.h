@@ -9,15 +9,14 @@
  * lifecycle:
  *
  *  1. handshake — the first frame must be a well-formed ClientHello
- *     with the service magic and a protocol version in the daemon's
- *     supported window (kMinServiceProtocolVersion..kProtocolVersion;
- *     v4 clients are still served, v5-only frame forms are simply
- *     never sent to them); anything else gets a typed HelloReject
- *     (carrying the supported version) and the connection is closed.
+ *     with the service magic and the daemon's protocol version
+ *     (kMinServiceProtocolVersion..kProtocolVersion, one version);
+ *     anything else gets a typed HelloReject (carrying the supported
+ *     version) and the connection is closed.
  *     Negotiation failures are *answers*, never undefined decode
  *     behavior.
  *  2. frame loop — SubmitJob frames first consult the server's
- *     completed-job ledger (a v5 fingerprint resubmitted after a
+ *     completed-job ledger (a fingerprint resubmitted after a
  *     client failover is answered immediately: no admission, no quota
  *     charge, no solve), then pass admission control (the per-client
  *     in-flight cap; over-cap jobs get a typed Busy reply, the daemon
@@ -67,9 +66,6 @@ class Session
 
     uint64_t clientId() const { return clientId_; }
 
-    /** Negotiated wire version (valid after the handshake). */
-    uint32_t protocolVersion() const { return protocolVersion_; }
-
     /**
      * Sends one finished job's verdict (worker threads). Decrements
      * the in-flight count even when the client is already gone.
@@ -95,7 +91,6 @@ class Session
 
     Server &server_;
     uint64_t clientId_;
-    uint32_t protocolVersion_ = smt::wire::kProtocolVersion;
     WireChannel channel_;
     std::mutex writeMutex_;
     std::thread thread_;

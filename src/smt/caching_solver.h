@@ -252,7 +252,7 @@ class QueryCache
  * where cacheHits counts queries answered by the verdict store or a
  * reused model, and cacheMisses counts queries that reached the
  * backend. The Backend-class counters (CounterClass::Backend: backend
- * checks, recovery, transport, racing) are folded in from the backend's
+ * checks, recovery, transport) are folded in from the backend's
  * own stats per call, so one SolverStats describes the whole stack.
  */
 /**

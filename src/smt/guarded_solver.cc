@@ -92,18 +92,6 @@ GuardedSolver::interruptQuery()
     }
 }
 
-void
-GuardedSolver::cancelCurrentQuery()
-{
-    queryCancelled_.store(true, std::memory_order_relaxed);
-    // Immediate first interrupt so the reap does not wait for the next
-    // watchdog poll tick; the watchdog re-fires until the attempt
-    // returns (an interrupt that lands before the backend has created
-    // its Z3 context is a no-op).
-    interruptQuery();
-    watchCv_.notify_all();
-}
-
 Solver *
 GuardedSolver::rungSolver(size_t rung)
 {
@@ -133,8 +121,7 @@ GuardedSolver::ensureWatchdog()
 void
 GuardedSolver::armWatchdog(Solver *target)
 {
-    if (options_.deadlineMs == 0 && !options_.cancel.valid() &&
-        !options_.cancellable)
+    if (options_.deadlineMs == 0 && !options_.cancel.valid())
         return; // nothing to enforce
     ensureWatchdog();
     {
@@ -186,9 +173,7 @@ GuardedSolver::watchdogLoop()
                !watchShutdown_) {
             Clock::time_point now = Clock::now();
             bool expired = watchHasDeadline_ && now >= watchDeadline_;
-            bool cancelled =
-                options_.cancel.cancelled() ||
-                queryCancelled_.load(std::memory_order_relaxed);
+            bool cancelled = options_.cancel.cancelled();
             if (expired || cancelled) {
                 watchFired_ = true;
                 Solver *target = watchTarget_;
@@ -229,10 +214,6 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
     lastUnknownReason_.clear();
     lastFailure_ = FailureKind::None;
     lastAnswering_ = nullptr;
-    // A stale per-query cancel must not leak into this query; the host
-    // protocol guarantees cancelCurrentQuery only targets an in-flight
-    // checkSat.
-    queryCancelled_.store(false, std::memory_order_relaxed);
 
     support::Rng jitter(options_.jitterSeed ^ stats_.queries);
     size_t rungCount = 1 + rungFactories_.size();
@@ -242,8 +223,7 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
         Solver *solver = rungSolver(rung);
         for (unsigned attempt = 0; attempt <= options_.retries;
              ++attempt, ++attemptNumber) {
-            if (options_.cancel.cancelled() ||
-                queryCancelled_.load(std::memory_order_relaxed)) {
+            if (options_.cancel.cancelled()) {
                 lastFailure_ = FailureKind::Cancelled;
                 lastUnknownReason_ = "cancelled";
                 ++stats_.unknown;
@@ -278,9 +258,7 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
             }
             bool deadlineFired = disarmWatchdog();
             foldNonVerdictStats(stats_, solver->stats() - before);
-            bool cancelled =
-                options_.cancel.cancelled() ||
-                queryCancelled_.load(std::memory_order_relaxed);
+            bool cancelled = options_.cancel.cancelled();
 
             // A definite answer from an attempt the watchdog or a cancel
             // cut short is not trusted (Z3 4.8 can answer sat on an

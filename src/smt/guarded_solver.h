@@ -46,7 +46,6 @@
  * foldNonVerdictStats.
  */
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -74,13 +73,6 @@ struct GuardedSolverOptions
     uint64_t jitterSeed = 0x6a77;
     /** Cooperative cancellation; polled by the watchdog mid-query. */
     support::CancellationToken cancel;
-    /**
-     * Arm the watchdog even without a deadline or token so that
-     * cancelCurrentQuery() can reap the in-flight query. Set by hosts
-     * that cancel externally (the solver worker's portfolio Cancel
-     * frame); costs one mostly-idle thread.
-     */
-    bool cancellable = false;
 };
 
 /** Watchdogged escalation ladder over a primary solver + fallbacks. */
@@ -107,18 +99,6 @@ class GuardedSolver : public Solver
     void setMemoryBudgetMb(unsigned budget_mb) override;
     void interruptQuery() override;
 
-    /**
-     * Abandons the *current* checkSat (it returns Unknown classified
-     * Cancelled, never retried) without poisoning later queries — the
-     * flag auto-resets when the next checkSat starts, unlike the
-     * one-shot CancellationToken in the options. Safe from another
-     * thread; a no-op when no query is in flight. This is how a losing
-     * portfolio lane is reaped: the watchdog keeps re-firing the
-     * backend interrupt until the attempt returns. Requires
-     * options.cancellable (or a deadline/token) for mid-query
-     * enforcement.
-     */
-    void cancelCurrentQuery();
     void enableModelCapture(bool enabled) override;
     bool lastModel(Assignment *out) const override;
     std::string lastUnknownReason() const override;
@@ -153,8 +133,6 @@ class GuardedSolver : public Solver
     Solver *lastAnswering_ = nullptr;
     std::string lastUnknownReason_;
     FailureKind lastFailure_ = FailureKind::None;
-    /** Per-query cancel; reset at every checkSat entry. */
-    std::atomic<bool> queryCancelled_{false};
 
     // Watchdog state; every field below is guarded by watchMutex_.
     std::thread watchdog_;

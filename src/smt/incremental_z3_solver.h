@@ -23,8 +23,6 @@
  * interruptQuery() is not retried.
  */
 
-#include <utility>
-
 #include "src/smt/z3_solver.h"
 
 namespace keq::smt {
@@ -33,9 +31,8 @@ namespace keq::smt {
 class IncrementalZ3Solver final : public Z3Backend
 {
   public:
-    explicit IncrementalZ3Solver(TermFactory &factory,
-                                 BackendTuning tuning = {})
-        : Z3Backend(factory, std::move(tuning), /*incremental=*/true)
+    explicit IncrementalZ3Solver(TermFactory &factory)
+        : Z3Backend(factory, /*incremental=*/true)
     {}
 };
 

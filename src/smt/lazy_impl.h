@@ -11,11 +11,11 @@
  * backends therefore hold their Z3 state in a LazyImpl, create it on
  * the first checkSat, and may drop it after a Z3 exception so the next
  * query starts from a clean context. The one cross-thread access a
- * backend allows — interruptQuery() from a watchdog or a portfolio
- * reaper — goes through ifCreated(), which a mutex orders against
- * creation and reset. An interrupt that arrives before creation has
- * nothing to stop; both callers re-fire until the query returns, so
- * none is lost.
+ * backend allows — interruptQuery() from the guard's watchdog — goes
+ * through ifCreated(), which a mutex orders against creation and
+ * reset. An interrupt that arrives before creation has nothing to
+ * stop; the watchdog re-fires until the query returns, so none is
+ * lost.
  */
 
 #include <memory>

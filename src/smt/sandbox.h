@@ -26,13 +26,13 @@
  *
  *  - **SandboxSolver** adapts one supervisor session to the Solver
  *    interface so the checker cannot tell it is talking to another
- *    process. Each SandboxSolver is a session: the worker lazily builds
- *    a fresh TermFactory and a guarded lane backend (workerStackSpec)
- *    on the first query of a session (a Reset frame), so per-function
- *    variable namespaces never collide inside a long-lived worker. The
- *    rewrite/slice/cache front stays in the parent; a Sat Result
- *    carries the worker's model back when the session captures
- *    models, so the parent's model reuse sees it.
+ *    process. Each SandboxSolver is a session: the worker builds a
+ *    fresh TermFactory and the session lane's guarded backend
+ *    (workerStackSpec) on the first query of a session (a Reset
+ *    frame), so per-function variable namespaces never collide inside
+ *    a long-lived worker. The rewrite/slice/cache front stays in the
+ *    parent; a Sat Result carries the worker's model back when the
+ *    session captures models, so the parent's model reuse sees it.
  *
  *  - **Chaos.** When chaosKillRate > 0 the supervisor runs a chaos
  *    thread delivering real SIGKILL/SIGSEGV to live, busy workers —
@@ -64,7 +64,7 @@ struct SandboxOptions
 {
     /** Worker binary; empty => discoverWorkerBinary(). */
     std::string workerPath;
-    /** Pool size; solve() blocks while all slots are leased. */
+    /** Pool size; solve() blocks while every worker is busy. */
     unsigned workers = 1;
     /** Hard RLIMIT_AS cap per worker in MB (0 = uncapped). */
     unsigned workerMemoryMb = 0;
@@ -135,7 +135,10 @@ class WorkerSupervisor
      */
     bool start(std::string &error);
 
-    /** Kills and reaps every worker; idempotent. */
+    /**
+     * Asks every live worker to shut down, then reaps them all, killing
+     * any that outstay the grace period; idempotent.
+     */
     void stop();
 
     bool started() const { return started_; }
@@ -155,49 +158,28 @@ class WorkerSupervisor
          * SandboxSolver folds this via foldNonVerdictStats.
          */
         SolverStats stats;
-        /** The winning worker's model of a Sat answer, when the
-         *  session captures models. */
+        /** The worker's model of a Sat answer, when the session
+         *  captures models. */
         std::optional<Assignment> model;
     };
 
     /**
-     * Ships one checkSat to one leased worker per lane strategy and
-     * blocks for the outcome. @p sessionId groups queries that share a
-     * TermFactory (variable namespace); the supervisor resets a worker
-     * whenever it switches sessions, lane strategies or model capture.
-     * Each of @p lanes (at least one; "" = the worker's default lane)
-     * names the portfolio lane a worker session's backend is built
-     * from. @p interrupted, when non-null, is polled while awaiting the
-     * result — setting it cancels the query by killing its workers
-     * (classified Cancelled, not a crash). @p captureModels asks the
-     * worker sessions to send back the model of a Sat answer; the
-     * winner's lands in the outcome's model.
-     *
-     * With several lanes the query is raced. The first definite
-     * Sat/Unsat wins; every other in-flight lane is sent a wire Cancel
-     * frame and its (Cancelled) result is reaped but never surfaced —
-     * a losing lane contributes portfolioCancellations, not a
-     * user-visible FailureKind::Cancelled. A lane that dies mid-race
-     * (chaos kill, OOM) is ignored as long as some other lane answers;
-     * the race only fails when *every* lane fails. Two lanes returning
-     * conflicting definite verdicts is a soundness signal: the outcome
-     * is Unknown with FailureKind::PortfolioDisagreement and
-     * crossLaneDisagreements bumped. A loser's answer that arrived
-     * after its Cancel counts only if a re-check by the "cold" lane on
-     * a worker (one more solve() after the race's slots are freed)
-     * does not contradict it (lanesDisagree); a cancelled re-check
-     * makes the outcome Cancelled.
-     *
-     * Slots are leased atomically (all lanes or none, under one lock)
-     * so two concurrent races cannot deadlock on a partial grab; the
-     * lane count is clamped to the pool size. Wins land in
-     * stats.portfolioWins[lane] of the returned outcome.
+     * Ships one checkSat to a free worker and blocks for the outcome.
+     * @p sessionId groups queries that share a TermFactory (variable
+     * namespace); the supervisor resets a worker whenever it switches
+     * sessions, lanes or model capture, and the worker builds the
+     * session's backend from @p lane. @p interrupted, when non-null, is
+     * polled while awaiting the result — setting it cancels the query
+     * by killing its worker (classified Cancelled, not a crash).
+     * @p captureModels asks the worker to send back the model of a Sat
+     * answer, which lands in the outcome's model. A worker that dies
+     * mid-query costs exactly this query, classified from its exit
+     * status; the next query respawns it.
      */
     QueryOutcome solve(uint64_t sessionId,
                        const std::vector<Term> &assertions,
                        unsigned timeoutMs,
-                       const std::atomic<bool> *interrupted,
-                       const std::vector<std::string> &lanes,
+                       const std::atomic<bool> *interrupted, Lane lane,
                        bool captureModels);
 
     /** Fresh session identifier (never 0). */
@@ -222,7 +204,7 @@ class WorkerSupervisor
     {
         support::Subprocess proc;
         uint64_t sessionId = 0; ///< session the worker is reset to
-        std::string strategy;   ///< lane the session stack was built for
+        Lane lane = Lane::Default; ///< lane the session stack was built for
         bool captureModels = false; ///< the session sends models back
         uint64_t lastRssKb = 0;
         unsigned backoffMs = 0;
@@ -232,22 +214,31 @@ class WorkerSupervisor
         bool everSpawned = false; ///< distinguishes restarts from starts
     };
 
-    /** Atomically leases @p n slots (all-or-nothing, deadlock-free). */
-    std::vector<Slot *> leaseSlots(size_t n);
-    void releaseSlot(Slot *slot);
+    /** True once @p interrupted or the pool's token is set. */
+    bool queryCancelled(const std::atomic<bool> *interrupted) const;
+    /** Leases a free slot, waiting while every slot is busy. */
+    Slot &leaseSlot();
+    void releaseSlot(Slot &slot);
     /**
-     * Dispatch helper of solve(): respawn if needed,
-     * Reset on session/strategy switch, ship the Query. Returns false
-     * when the slot's worker died mid-dispatch (already reaped).
+     * Dispatch helper of solve(): respawn if needed, Reset on a
+     * session, lane or capture switch, ship the Query. Returns false
+     * when no worker took the query (every spawn or write failed).
      */
-    bool dispatchQuery(Slot &slot, uint64_t sessionId,
-                       const std::string &strategy, bool captureModels,
-                       uint64_t seq,
+    bool dispatchQuery(Slot &slot, uint64_t sessionId, Lane lane,
+                       bool captureModels, uint64_t seq,
                        const std::vector<Term> &assertions,
                        unsigned timeoutMs,
                        const std::atomic<bool> *interrupted,
                        SolverStats &transport,
                        std::string &spawnError);
+    /**
+     * Reads frames from @p slot's worker until the Result of query
+     * @p seq, filling @p out; kills the worker on cancellation, a
+     * heartbeat silence or a protocol violation.
+     */
+    void awaitResult(Slot &slot, uint64_t seq,
+                     const std::atomic<bool> *interrupted,
+                     SolverStats &transport, QueryOutcome &out);
     /** Spawns + handshakes a worker in @p slot (backoff applied). */
     bool spawnWorker(Slot &slot, std::string &error,
                      SolverStats &transport);
@@ -278,20 +269,16 @@ class WorkerSupervisor
 /**
  * Solver facade over one WorkerSupervisor session. Construct one per
  * function validation (like any other per-worker solver stack); the
- * heavyweight pool is shared through the supervisor reference.
- *
- * With more than one lane strategy the facade races each checkSat
- * across a worker group (WorkerSupervisor::solve); with exactly
- * one it pins the session to that lane's backend; with none the
- * worker builds its default lane.
+ * heavyweight pool is shared through the supervisor reference, and
+ * the session's worker solves on @p lane.
  */
 class SandboxSolver : public Solver
 {
   public:
     SandboxSolver(TermFactory &factory, WorkerSupervisor &supervisor,
-                  std::vector<std::string> laneStrategies = {});
+                  Lane lane = Lane::Default);
 
-    size_t laneCount() const { return laneStrategies_.size(); }
+    Lane lane() const { return lane_; }
 
     SatResult checkSat(const std::vector<Term> &assertions) override;
     void setTimeoutMs(unsigned timeout_ms) override
@@ -321,7 +308,7 @@ class SandboxSolver : public Solver
     TermFactory &factory_;
     WorkerSupervisor &supervisor_;
     uint64_t sessionId_;
-    std::vector<std::string> laneStrategies_;
+    Lane lane_;
     unsigned timeoutMs_ = 0;
     bool captureModels_ = false;
     std::optional<Assignment> lastModel_;

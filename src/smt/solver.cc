@@ -74,33 +74,4 @@ Solver::proveImplication(Term hypothesis, Term conclusion)
     return checkSat({negated}) == SatResult::Unsat;
 }
 
-bool
-Solver::proveImplication(const std::vector<Term> &hypothesis,
-                         Term conclusion)
-{
-    TermFactory &tf = factory();
-    // The folded conjunction decides the fast paths exactly like the
-    // single-term overload — the two forms must never disagree.
-    Term folded = tf.trueTerm();
-    for (const Term &part : hypothesis)
-        folded = tf.mkAnd(folded, part);
-    Term negated = tf.mkAnd(folded, tf.mkNot(conclusion));
-    if (negated.isFalse())
-        return true;
-    if (folded.isTrue() && conclusion.isFalse())
-        return false;
-    // Ship the hypothesis parts unmerged so consecutive obligations
-    // sharing them present an identical prefix to an incremental
-    // backend (trivially-true parts carry no information; drop them to
-    // keep the prefix canonical).
-    std::vector<Term> assertions;
-    assertions.reserve(hypothesis.size() + 1);
-    for (const Term &part : hypothesis) {
-        if (!part.isTrue())
-            assertions.push_back(part);
-    }
-    assertions.push_back(tf.mkNot(conclusion));
-    return checkSat(assertions) == SatResult::Unsat;
-}
-
 } // namespace keq::smt

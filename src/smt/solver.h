@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/smt/term.h"
@@ -26,13 +25,12 @@ namespace keq::smt {
 enum class SatResult { Sat, Unsat, Unknown };
 
 /**
- * Ordered (name, value) backend tuning parameters — the knobs a
- * portfolio lane turns ("bv.enable_int2bv" = "true", "random_seed" =
- * "7"). Applied best-effort: a parameter the backend build does not
- * recognize is skipped, never fatal, so lane specs stay portable
- * across Z3 versions.
+ * The backend a solver stack solves on. Default is the incremental
+ * lane (IncrementalZ3Solver: the previous query's scopes stay warm);
+ * Cold takes a fresh Z3Solver scope per query. ExecutionOptions::
+ * optimizeQueries picks Default, its unoptimized reference stack Cold.
  */
-using BackendTuning = std::vector<std::pair<std::string, std::string>>;
+enum class Lane : uint8_t { Default, Cold };
 
 const char *satResultName(SatResult result);
 
@@ -43,8 +41,7 @@ const char *satResultName(SatResult result);
 enum class CounterClass : uint8_t {
     /**
      * Logical queries and their answers. Every layer counts its own
-     * checkSat calls, so a retry or a raced lane never inflates them:
-     * never folded.
+     * checkSat calls, so a retry never inflates them: never folded.
      */
     Verdict,
     /**
@@ -55,8 +52,8 @@ enum class CounterClass : uint8_t {
      */
     Stage,
     /**
-     * Work below the cache: backend checks, recovery, transport and
-     * racing. Every layer folds it.
+     * Work below the cache: backend checks, recovery and transport.
+     * Every layer folds it.
      */
     Backend,
 };
@@ -118,15 +115,6 @@ struct SolverStats
     uint64_t wireBytesSent = 0;     ///< protocol bytes shipped to workers
     uint64_t wireBytesReceived = 0; ///< protocol bytes read from workers
 
-    // Portfolio counters (PortfolioSolver / batched discharge). Wins and
-    // cancellations count race outcomes, never logical queries; a lane
-    // losing a race is invisible to the verdict counters above.
-    static constexpr size_t kPortfolioMaxLanes = 4;
-    uint64_t batchedQueries = 0; ///< obligations reusing a warm batch prefix
-    uint64_t portfolioWins[kPortfolioMaxLanes] = {}; ///< first-answer wins
-    uint64_t portfolioCancellations = 0; ///< losing lanes interrupted
-    uint64_t crossLaneDisagreements = 0; ///< definite-verdict mismatches
-
     SolverStats &operator+=(const SolverStats &rhs);
     /** Field-wise difference; used to attribute counters to one check. */
     SolverStats operator-(const SolverStats &rhs) const;
@@ -139,7 +127,7 @@ struct SolverStats
  * the one list of the counters: the arithmetic, the folds, the wire
  * codec and --stats-json are all generated from it.
  *
- * The order is the protocol-v5 wire order: the 33 uint64_t counters,
+ * The order is the protocol-v6 wire order: the 26 uint64_t counters,
  * then totalSeconds (the one double). Reordering, adding or removing a
  * row changes the wire layout and needs a protocol version bump.
  */
@@ -174,20 +162,8 @@ forEachCounter(Fn &&fn, Stats &...stats)
     fn({"heartbeat_timeouts", Backend}, stats.heartbeatTimeouts...);
     fn({"wire_bytes_sent", Backend}, stats.wireBytesSent...);
     fn({"wire_bytes_received", Backend}, stats.wireBytesReceived...);
-    fn({"batched_queries", Backend}, stats.batchedQueries...);
-    fn({"portfolio_wins_0", Backend}, stats.portfolioWins[0]...);
-    fn({"portfolio_wins_1", Backend}, stats.portfolioWins[1]...);
-    fn({"portfolio_wins_2", Backend}, stats.portfolioWins[2]...);
-    fn({"portfolio_wins_3", Backend}, stats.portfolioWins[3]...);
-    fn({"portfolio_cancellations", Backend},
-       stats.portfolioCancellations...);
-    fn({"cross_lane_disagreements", Backend},
-       stats.crossLaneDisagreements...);
     fn({"total_seconds", Stage}, stats.totalSeconds...);
 }
-
-static_assert(SolverStats::kPortfolioMaxLanes == 4,
-              "forEachCounter lists one portfolio_wins row per lane");
 
 /**
  * Adds every field of @p delta to @p into EXCEPT the Verdict-class
@@ -261,20 +237,6 @@ class Solver
      *         results (e.g. timeouts) report false.
      */
     bool proveImplication(Term hypothesis, Term conclusion);
-
-    /**
-     * Batched-discharge form: proves `(/\ hypothesis) => conclusion` by
-     * shipping the hypothesis as *separate leading assertions* followed
-     * by `!conclusion`, instead of collapsing everything into one
-     * conjunction. Logically identical to the single-term overload, but
-     * consecutive obligations sharing a hypothesis then present an
-     * identical assertion prefix to an incremental backend, which keeps
-     * the prefix asserted in a warm scope and push/pops only the final
-     * negated conclusion (SolverStats::incrementalReused measures the
-     * effect). Verdicts never differ between the two forms.
-     */
-    bool proveImplication(const std::vector<Term> &hypothesis,
-                          Term conclusion);
 
     /** Per-query timeout; 0 means no limit. */
     virtual void setTimeoutMs(unsigned timeout_ms) = 0;

@@ -1,5 +1,6 @@
 #include "src/smt/solver_stack.h"
 
+#include "src/smt/incremental_z3_solver.h"
 #include "src/smt/sandbox.h"
 #include "src/smt/z3_solver.h"
 
@@ -9,6 +10,14 @@ SolverStack::~SolverStack()
 {
     while (!layers_.empty())
         layers_.pop_back();
+}
+
+std::unique_ptr<Solver>
+makeLaneBackend(TermFactory &factory, Lane lane)
+{
+    if (lane == Lane::Cold)
+        return std::make_unique<Z3Solver>(factory);
+    return std::make_unique<IncrementalZ3Solver>(factory);
 }
 
 std::unique_ptr<Solver>
@@ -24,18 +33,10 @@ buildSolverStack(TermFactory &factory, const StackSpec &spec)
     std::vector<std::unique_ptr<Solver>> &layers = stack.layers_;
 
     if (spec.sandbox != nullptr) {
-        // One worker per lane, raced by the supervisor when there are
-        // several; each lane travels as the roster entry it came from.
-        std::vector<std::string> entries;
-        for (const LaneConfig &lane : spec.lanes)
-            entries.push_back(lane.entry);
         layers.push_back(std::make_unique<SandboxSolver>(
-            factory, *spec.sandbox, std::move(entries)));
-    } else if (spec.lanes.size() > 1) {
-        layers.push_back(
-            std::make_unique<PortfolioSolver>(factory, spec.lanes));
+            factory, *spec.sandbox, spec.lane));
     } else {
-        layers.push_back(makeLaneBackend(factory, spec.lanes.front()));
+        layers.push_back(makeLaneBackend(factory, spec.lane));
     }
 
     if (spec.cache != nullptr) {
@@ -80,19 +81,15 @@ buildSolverStack(TermFactory &factory, const StackSpec &spec)
 }
 
 StackSpec
-workerStackSpec(const wire::ResetFrame &reset, LaneConfig lane)
+workerStackSpec(const wire::ResetFrame &reset)
 {
     StackSpec spec;
-    spec.lanes = {std::move(lane)};
+    spec.lane = reset.lane;
     GuardedSolverOptions guard;
     // A second of slack past the solver's own timeout: the watchdog
     // only fires on a check that ignored its soft timeout.
     guard.deadlineMs = reset.timeoutMs > 0 ? reset.timeoutMs + 1000 : 0;
     guard.retries = reset.retries;
-    // Armed even without a deadline: the parent's Cancel frame reaps
-    // a losing portfolio lane through cancelCurrentQuery(), which
-    // needs the re-firing interrupt loop.
-    guard.cancellable = true;
     spec.guard = guard;
     spec.memoryBudgetMb = reset.memoryBudgetMb;
     return spec;

@@ -8,9 +8,9 @@
  * Every query the checker asks travels down the same layers, listed
  * here from the bottom (the backend) to the top:
  *
- *  1. backend: one lane (makeLaneBackend), several lanes raced by a
- *     PortfolioSolver, or a SandboxSolver that ships each query to one
- *     worker process per lane;
+ *  1. backend: the lane's Z3 backend (makeLaneBackend), or a
+ *     SandboxSolver that ships each query to a worker process, whose
+ *     stack builds the same lane;
  *  2. front: a CachingSolver (rewrite, slice, verdict store, model
  *     reuse);
  *  3. injector: a FaultInjectingSolver, in chaos runs only;
@@ -32,7 +32,6 @@
 #include "src/smt/caching_solver.h"
 #include "src/smt/fault_injection.h"
 #include "src/smt/guarded_solver.h"
-#include "src/smt/portfolio_solver.h"
 #include "src/smt/wire.h"
 
 namespace keq::smt {
@@ -43,8 +42,8 @@ class WorkerSupervisor;
  *  stack: the "default" lane and nothing above it. */
 struct StackSpec
 {
-    /** Backend lanes; more than one are raced. */
-    std::vector<LaneConfig> lanes = defaultPortfolioLanes(1);
+    /** The backend lane, in process or in the sandbox workers. */
+    Lane lane = Lane::Default;
     /** Non-null: the backend is a SandboxSolver over this pool. */
     WorkerSupervisor *sandbox = nullptr;
     /** Non-null: a front memoizes into this store. */
@@ -90,21 +89,23 @@ class SolverStack
 /** Builds the stack @p spec describes; see the file comment. */
 SolverStack buildSolverStack(TermFactory &factory, const StackSpec &spec);
 
+/** The in-process backend of @p lane: an IncrementalZ3Solver for
+ *  Default, a Z3Solver for Cold. */
+std::unique_ptr<Solver> makeLaneBackend(TermFactory &factory, Lane lane);
+
 /**
- * The solver nothing can have tampered with: a fresh, untuned cold
- * Z3Solver. It is the guard's terminal rung and the cache auditor. It
- * stays untuned under a tuned lane, so a query that needs the terminal
- * rung converges to the reference configuration.
+ * The solver nothing can have tampered with: a fresh cold Z3Solver.
+ * It is the guard's terminal rung and the cache auditor.
  */
 std::unique_ptr<Solver> makePristineSolver(TermFactory &factory);
 
 /**
- * The stack of one sandbox worker session: @p lane under the guard,
- * with the parent's retry count. The worker has no front: the parent's
- * front already rewrote, sliced and looked up the query, and it stores
- * the verdict and the model the Result frame carries back.
+ * The stack of one sandbox worker session: the Reset's lane under the
+ * guard, with the parent's retry count. The worker has no front: the
+ * parent's front already rewrote, sliced and looked up the query, and
+ * it stores the verdict and the model the Result frame carries back.
  */
-StackSpec workerStackSpec(const wire::ResetFrame &reset, LaneConfig lane);
+StackSpec workerStackSpec(const wire::ResetFrame &reset);
 
 } // namespace keq::smt
 

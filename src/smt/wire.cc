@@ -16,6 +16,8 @@ namespace {
 constexpr uint8_t kMaxKind = static_cast<uint8_t>(Kind::Store);
 constexpr uint8_t kMaxFrameType =
     static_cast<uint8_t>(FrameType::Pong);
+/** The retired Cancel frame's type byte; no frame uses it now. */
+constexpr uint8_t kRetiredFrameType = 8;
 
 /** Fixed arity of each term kind (leaves are 0). */
 unsigned
@@ -124,8 +126,6 @@ frameTypeName(FrameType type)
         return "query";
     case FrameType::Shutdown:
         return "shutdown";
-    case FrameType::Cancel:
-        return "cancel";
     case FrameType::ClientHello:
         return "client-hello";
     case FrameType::SubmitJob:
@@ -559,9 +559,9 @@ constexpr uint64_t kStatsFieldCount = [] {
         stats);
     return count;
 }();
-static_assert(kStatsFieldCount == 33,
-              "the SolverStats counter table changed the v5 stats layout: "
-              "bump kProtocolVersion");
+static_assert(kStatsFieldCount == 26,
+              "the SolverStats counter table changed the v6 stats layout: "
+              "bump kProtocolVersion and kWorkerProtocolVersion");
 
 } // namespace
 
@@ -621,7 +621,7 @@ splitFrame(const std::string &payload, FrameType &type,
     if (payload.empty())
         return false;
     uint8_t raw = static_cast<uint8_t>(payload[0]);
-    if (raw < 1 || raw > kMaxFrameType)
+    if (raw < 1 || raw > kMaxFrameType || raw == kRetiredFrameType)
         return false;
     type = static_cast<FrameType>(raw);
     body = payload.substr(1);
@@ -654,7 +654,7 @@ encodeReset(const ResetFrame &frame)
     enc.u32(frame.memoryBudgetMb);
     enc.u32(frame.retries);
     enc.u8(frame.captureModels ? 1 : 0);
-    enc.str(frame.strategy);
+    enc.u8(static_cast<uint8_t>(frame.lane));
     return frameBytes(FrameType::Reset, enc.take());
 }
 
@@ -765,14 +765,6 @@ encodeShutdown()
     return frameBytes(FrameType::Shutdown, std::string());
 }
 
-std::string
-encodeCancel(const CancelFrame &frame)
-{
-    Encoder enc;
-    enc.u64(frame.seq);
-    return frameBytes(FrameType::Cancel, enc.take());
-}
-
 // --- Validation-service frames ------------------------------------------
 
 namespace {
@@ -786,7 +778,6 @@ encodeJobOptionsBody(Encoder &enc, const JobOptionsFrame &options)
     enc.u8(options.refinementOnly);
     enc.u8(options.positiveForm);
     enc.u8(options.crudeLiveness);
-    enc.u8(options.batchDischarge);
     enc.u32(options.smtTimeoutMs);
     enc.f64(options.wallBudgetSeconds);
     enc.u64(options.specSizeBudget);
@@ -798,13 +789,13 @@ decodeJobOptionsBody(Decoder &dec, JobOptionsFrame &out)
     if (!(dec.u8(out.mergeStores) && dec.u8(out.foldExtLoad) &&
           dec.u8(out.bug) && dec.u8(out.refinementOnly) &&
           dec.u8(out.positiveForm) && dec.u8(out.crudeLiveness) &&
-          dec.u8(out.batchDischarge) && dec.u32(out.smtTimeoutMs) &&
+          dec.u32(out.smtTimeoutMs) &&
           dec.f64(out.wallBudgetSeconds) &&
           dec.u64(out.specSizeBudget)))
         return false;
     if (out.mergeStores > 1 || out.foldExtLoad > 1 ||
         out.refinementOnly > 1 || out.positiveForm > 1 ||
-        out.crudeLiveness > 1 || out.batchDischarge > 1)
+        out.crudeLiveness > 1)
         return dec.fail("job-option flag not a boolean");
     if (out.bug > 2)
         return dec.fail("unknown isel bug discriminant");
@@ -842,23 +833,19 @@ encodeHelloReject(const HelloRejectFrame &frame)
 }
 
 std::string
-encodeSubmitJob(const SubmitJobFrame &frame, uint32_t version)
+encodeSubmitJob(const SubmitJobFrame &frame)
 {
     Encoder enc;
     enc.u64(frame.jobId);
     enc.str(frame.function);
     enc.str(frame.moduleText);
     encodeJobOptionsBody(enc, frame.options);
-    // v5 appends the job fingerprint; the v4 form is a strict prefix,
-    // so the decoder distinguishes them by atEnd, not by negotiation
-    // side channels.
-    if (version >= 5)
-        enc.u64(frame.fingerprint);
+    enc.u64(frame.fingerprint);
     return frameBytes(FrameType::SubmitJob, enc.take());
 }
 
 std::string
-encodeJobStatus(const JobStatusFrame &frame, uint32_t version)
+encodeJobStatus(const JobStatusFrame &frame)
 {
     Encoder enc;
     enc.u64(frame.queuedJobs);
@@ -873,11 +860,9 @@ encodeJobStatus(const JobStatusFrame &frame, uint32_t version)
     enc.u64(frame.auditMismatches);
     enc.u64(frame.quotaRejects);
     enc.u8(frame.draining);
-    if (version >= 5) {
-        enc.u64(frame.dedupHits);
-        enc.u64(frame.acceptedUnix);
-        enc.u64(frame.acceptedTcp);
-    }
+    enc.u64(frame.dedupHits);
+    enc.u64(frame.acceptedUnix);
+    enc.u64(frame.acceptedTcp);
     return frameBytes(FrameType::JobStatus, enc.take());
 }
 
@@ -956,9 +941,15 @@ bool
 decodeReset(const std::string &body, ResetFrame &out, std::string &error)
 {
     Decoder dec(body);
-    dec.u32(out.timeoutMs) && dec.u32(out.memoryBudgetMb) &&
+    uint8_t lane = 0;
+    if (dec.u32(out.timeoutMs) && dec.u32(out.memoryBudgetMb) &&
         dec.u32(out.retries) && decodeFlag(dec, out.captureModels) &&
-        dec.str(out.strategy);
+        dec.u8(lane)) {
+        if (lane > static_cast<uint8_t>(Lane::Cold))
+            dec.fail("bad Lane discriminant");
+        else
+            out.lane = static_cast<Lane>(lane);
+    }
     return finish(dec, error);
 }
 
@@ -985,7 +976,7 @@ decodeResult(const std::string &body, ResultFrame &out,
         if (sat > static_cast<uint8_t>(SatResult::Unknown))
             dec.fail("bad SatResult discriminant");
         else if (kind >
-                 static_cast<uint8_t>(FailureKind::PortfolioDisagreement))
+                 static_cast<uint8_t>(FailureKind::AuditMismatch))
             dec.fail("bad FailureKind discriminant");
         else {
             out.result = static_cast<SatResult>(sat);
@@ -1004,15 +995,6 @@ decodeError(const std::string &body, std::string &message)
     Decoder dec(body);
     std::string error;
     return dec.str(message) && finish(dec, error);
-}
-
-bool
-decodeCancel(const std::string &body, CancelFrame &out,
-             std::string &error)
-{
-    Decoder dec(body);
-    dec.u64(out.seq);
-    return finish(dec, error);
 }
 
 bool
@@ -1048,14 +1030,9 @@ decodeSubmitJob(const std::string &body, SubmitJobFrame &out,
                 std::string &error)
 {
     Decoder dec(body);
-    if (dec.u64(out.jobId) && dec.str(out.function) &&
-        dec.str(out.moduleText))
-        decodeJobOptionsBody(dec, out.options);
-    // v4 bodies end here; a v5 body carries exactly one trailing u64
-    // fingerprint. Anything else (a torn fingerprint, extra bytes) is
-    // corrupt and fails in finish().
-    if (dec.ok() && !dec.atEnd())
-        dec.u64(out.fingerprint);
+    dec.u64(out.jobId) && dec.str(out.function) &&
+        dec.str(out.moduleText) &&
+        decodeJobOptionsBody(dec, out.options) && dec.u64(out.fingerprint);
     if (dec.ok() && out.function.empty())
         dec.fail("job with empty function name");
     return finish(dec, error);
@@ -1071,11 +1048,9 @@ decodeJobStatus(const std::string &body, JobStatusFrame &out,
         dec.u64(out.activeClients) && dec.u64(out.busyRejects) &&
         dec.u64(out.storeBytes) && dec.u64(out.storeEvictions) &&
         dec.u64(out.storeQuarantined) && dec.u64(out.auditMismatches) &&
-        dec.u64(out.quotaRejects) && dec.u8(out.draining);
-    // v5 appends three counters as one all-or-nothing group.
-    if (dec.ok() && !dec.atEnd())
+        dec.u64(out.quotaRejects) && dec.u8(out.draining) &&
         dec.u64(out.dedupHits) && dec.u64(out.acceptedUnix) &&
-            dec.u64(out.acceptedTcp);
+        dec.u64(out.acceptedTcp);
     return finish(dec, error);
 }
 

@@ -52,7 +52,7 @@ namespace wire {
 
 /**
  * Version history. A service frame change bumps kProtocolVersion; a
- * worker frame change (Ready .. Cancel) from v6 on bumps only
+ * worker frame change (Ready .. Shutdown) from v6 on bumps only
  * kWorkerProtocolVersion, which the worker's Ready carries.
  * v2: Cancel frame, ResetFrame strategy string, portfolio stats
  * fields.
@@ -65,27 +65,27 @@ namespace wire {
  * v5: multi-host transport. SubmitJob carries a deterministic job
  * fingerprint (idempotent resubmission after failover), JobStatus
  * grows dedup + per-transport accept counters, and Ping/Pong frames
- * give clients a connection-level heartbeat. A v5 daemon still
- * negotiates with v4 clients (see kMinServiceProtocolVersion): the v4
- * frame forms remain valid prefixes of their v5 forms.
+ * give clients a connection-level heartbeat.
+ * v6: the stats block loses the seven portfolio and batched-discharge
+ * counters (26 counters, then totalSeconds), and JobOptions loses its
+ * batch-discharge byte. The daemon serves v6 clients only: the v4 and
+ * v5 frame forms are gone, and an older client gets a HelloReject.
  */
-constexpr uint32_t kProtocolVersion = 5;
+constexpr uint32_t kProtocolVersion = 6;
 
 /**
- * v6, worker frames only: Reset trades the two bytes the worker never
- * read (cache, guard) for the guard's retry count and a model-capture
- * flag, and a Sat Result can carry the backend's model. Only a parent
- * and a worker of the same build speak these frames, so the service
- * protocol (keqc <-> keqd) stays at kProtocolVersion.
+ * Worker frames, versioned apart from the service protocol: only a
+ * parent and a worker of the same build speak them.
+ * v6: Reset trades the two bytes the worker never read (cache, guard)
+ * for the guard's retry count and a model-capture flag, and a Sat
+ * Result can carry the backend's model.
+ * v7: the Cancel frame is gone, Reset names its lane in one byte
+ * instead of a lane-roster string, and the stats block is v6's.
  */
-constexpr uint32_t kWorkerProtocolVersion = 6;
+constexpr uint32_t kWorkerProtocolVersion = 7;
 
-/**
- * Oldest client protocol a daemon still serves. A v4 client simply
- * never sends fingerprints or Pings and receives v4-shaped JobStatus
- * replies; verdicts are version-independent.
- */
-constexpr uint32_t kMinServiceProtocolVersion = 4;
+/** Oldest client protocol a daemon serves: only its own. */
+constexpr uint32_t kMinServiceProtocolVersion = kProtocolVersion;
 
 /**
  * First four bytes of every ClientHello ("KEQD" little-endian). A
@@ -109,7 +109,7 @@ enum class FrameType : uint8_t {
     Reset = 5,    ///< begin a session: fresh factory + solver stack
     Query = 6,    ///< one checkSat request
     Shutdown = 7, ///< polite exit request (also client -> daemon)
-    Cancel = 8,   ///< abandon the in-flight Query (portfolio reap)
+    // 8 was Cancel (worker protocol 6 and older).
 
     // validation service: client -> daemon
     ClientHello = 9, ///< connect handshake: magic + version + name
@@ -122,7 +122,7 @@ enum class FrameType : uint8_t {
     JobVerdict = 14,  ///< one finished job's report + solver stats
     Busy = 15,        ///< admission control: in-flight cap reached
 
-    // validation service, v5: connection-level heartbeat
+    // validation service: connection-level heartbeat
     Ping = 16, ///< client -> daemon liveness probe (nonce)
     Pong = 17, ///< daemon -> client echo of the Ping nonce
 };
@@ -226,12 +226,7 @@ struct ResetFrame
     uint32_t memoryBudgetMb = 0; ///< soft solver budget (0 = none)
     uint32_t retries = 1;        ///< guard: same-rung retries per rung
     bool captureModels = false;  ///< Sat Results carry the model
-    /**
-     * Lane name the session's backend is built from ("default",
-     * "int2bv", "cold", "seed<K>", optionally with ":key=value"
-     * tuning). The pipeline always names one; empty selects "default".
-     */
-    std::string strategy;
+    Lane lane = Lane::Default;   ///< the session's backend
 };
 
 struct QueryFrame
@@ -239,17 +234,6 @@ struct QueryFrame
     uint64_t seq = 0;
     uint32_t timeoutMs = 0; ///< overrides the session deadline when != 0
     std::vector<Term> assertions;
-};
-
-/**
- * Parent -> worker: abandon the in-flight Query with sequence number
- * @p seq. The worker still replies with a Result for that seq (kind
- * Cancelled) so the frame stream stays in lockstep; a Cancel naming
- * any other seq is ignored (the race was already over).
- */
-struct CancelFrame
-{
-    uint64_t seq = 0;
 };
 
 struct ResultFrame
@@ -309,7 +293,6 @@ struct JobOptionsFrame
     uint8_t refinementOnly = 0; ///< CheckerConfig::refinementOnly
     uint8_t positiveForm = 1;   ///< CheckerConfig::positiveFormOpt
     uint8_t crudeLiveness = 0;  ///< VcOptions::crudeLiveness
-    uint8_t batchDischarge = 0; ///< CheckerConfig::batchDischarge
     uint32_t smtTimeoutMs = 30000; ///< CheckerConfig::solverTimeoutMs
     double wallBudgetSeconds = 0;  ///< CheckerConfig::wallBudgetSeconds
     uint64_t specSizeBudget = 0;   ///< PipelineOptions::specSizeBudget
@@ -328,17 +311,16 @@ struct SubmitJobFrame
     std::string moduleText;
     JobOptionsFrame options;
     /**
-     * v5: deterministic job identity — a stable hash over (module
+     * Deterministic job identity — a stable hash over (module
      * text, function, jobOptionsKey), computed with
      * service::jobFingerprint. A nonzero value is a *resubmission
      * claim*: the client already sent this job once and its connection
      * died before the verdict arrived, so the daemon's completed-job
      * ledger may serve it idempotently — no second solve, no second
      * quota charge, no second journal append. First-time submissions
-     * (and every v4 submit) carry 0: they always take the real
-     * solving path, so distinct clients submitting identical work
-     * still exercise the shared warm query cache, never replay each
-     * other's ledger entries.
+     * carry 0: they always take the real solving path, so distinct
+     * clients submitting identical work still exercise the shared warm
+     * query cache, never replay each other's ledger entries.
      */
     uint64_t fingerprint = 0;
 };
@@ -352,24 +334,25 @@ struct JobStatusFrame
     uint64_t storeEntries = 0; ///< cross-run verdict store size
     uint64_t activeClients = 0;
     uint64_t busyRejects = 0;
-    // v4: month-scale operability counters.
+    // Month-scale operability counters.
     uint64_t storeBytes = 0;      ///< accounted verdict-store bytes
     uint64_t storeEvictions = 0;  ///< entries evicted by the byte cap
     uint64_t storeQuarantined = 0;///< entries tombstoned by audits
     uint64_t auditMismatches = 0; ///< trust-but-verify contradictions
     uint64_t quotaRejects = 0;    ///< Busy replies from quota/queue caps
     uint8_t draining = 0;         ///< 1 once SIGTERM drain began
-    // v5: multi-host transport counters.
+    // Multi-host transport counters.
     uint64_t dedupHits = 0;     ///< jobs served from the completed ledger
     uint64_t acceptedUnix = 0;  ///< connections accepted on AF_UNIX
     uint64_t acceptedTcp = 0;   ///< connections accepted on TCP
 };
 
 /**
- * v5 heartbeat. A client waiting on a slow verdict over TCP cannot
- * tell a long solve from a silently-dead peer (no RST ever arrives
- * when a remote host vanishes); a Ping answered inline by the daemon's
- * reader thread bounds that uncertainty. The nonce is echoed verbatim.
+ * Connection-level heartbeat. A client waiting on a slow verdict over
+ * TCP cannot tell a long solve from a silently-dead peer (no RST ever
+ * arrives when a remote host vanishes); a Ping answered inline by the
+ * daemon's reader thread bounds that uncertainty. The nonce is echoed
+ * verbatim.
  */
 struct PingFrame
 {
@@ -415,19 +398,11 @@ std::string encodeQuery(const QueryFrame &frame);
 std::string encodeResult(const ResultFrame &frame);
 std::string encodeError(const std::string &message);
 std::string encodeShutdown();
-std::string encodeCancel(const CancelFrame &frame);
 std::string encodeClientHello(const ClientHelloFrame &frame);
 std::string encodeServerHello(const ServerHelloFrame &frame);
 std::string encodeHelloReject(const HelloRejectFrame &frame);
-/**
- * SubmitJob/JobStatus layouts grew in v5; @p version selects the form
- * so a v5 daemon can answer a v4 client with bytes it can decode (and
- * tests can fabricate v4 clients). Decoders accept both forms.
- */
-std::string encodeSubmitJob(const SubmitJobFrame &frame,
-                            uint32_t version = kProtocolVersion);
-std::string encodeJobStatus(const JobStatusFrame &frame,
-                            uint32_t version = kProtocolVersion);
+std::string encodeSubmitJob(const SubmitJobFrame &frame);
+std::string encodeJobStatus(const JobStatusFrame &frame);
 std::string encodeJobVerdict(const JobVerdictFrame &frame);
 std::string encodeBusy(const BusyFrame &frame);
 std::string encodePing(const PingFrame &frame);
@@ -452,8 +427,6 @@ bool decodeQuery(const std::string &body, TermFactory &factory,
 bool decodeResult(const std::string &body, ResultFrame &out,
                   std::string &error);
 bool decodeError(const std::string &body, std::string &message);
-bool decodeCancel(const std::string &body, CancelFrame &out,
-                  std::string &error);
 bool decodeClientHello(const std::string &body, ClientHelloFrame &out,
                        std::string &error);
 bool decodeServerHello(const std::string &body, ServerHelloFrame &out,

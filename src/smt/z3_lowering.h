@@ -12,11 +12,8 @@
  * over a shared factory re-lower nothing.
  */
 
-#include <cctype>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include <z3++.h>
@@ -26,52 +23,6 @@
 #include "src/support/diagnostics.h"
 
 namespace keq::smt {
-
-/**
- * Applies (name, value) tuning parameters to @p solver one at a time,
- * best-effort: unknown names are skipped so a lane spec written for
- * one Z3 build still runs on another. Z3's combined solver defers
- * parameter validation to the first check() — far too late to catch
- * here — so names are validated eagerly against the solver's own
- * parameter descriptors instead of trusting set() to throw. Values
- * parse as bool ("true"/"false"), unsigned (all digits), or a string
- * symbol.
- */
-inline void
-applyTuningParams(
-    z3::context &ctx, z3::solver &solver,
-    const std::vector<std::pair<std::string, std::string>> &tuning)
-{
-    std::unordered_map<std::string, bool> known;
-    try {
-        z3::param_descrs descrs = solver.get_param_descrs();
-        for (unsigned i = 0; i < descrs.size(); ++i)
-            known[descrs.name(i).str()] = true;
-    } catch (const z3::exception &) {
-        // No descriptors on this build: fall back to set-and-hope.
-    }
-    for (const auto &[name, value] : tuning) {
-        if (!known.empty() && known.find(name) == known.end())
-            continue;
-        try {
-            z3::params params(ctx);
-            if (value == "true" || value == "false") {
-                params.set(name.c_str(), value == "true");
-            } else if (!value.empty() &&
-                       value.find_first_not_of("0123456789") ==
-                           std::string::npos) {
-                params.set(name.c_str(),
-                           static_cast<unsigned>(
-                               std::strtoul(value.c_str(), nullptr, 10)));
-            } else {
-                params.set(name.c_str(), ctx.str_symbol(value.c_str()));
-            }
-            solver.set(params);
-        } catch (const z3::exception &) {
-            // Unknown parameter on this build; skip it.
-        }
-    }
-}
 
 /** Memoizing lowering of hash-consed terms into one z3::context. */
 class Z3Lowering

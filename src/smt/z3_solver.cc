@@ -53,16 +53,13 @@ struct Z3Backend::Impl
     unsigned timeoutMs = 0;
     unsigned memoryMb = 0;
 
-    /** The one solver constructor: QF_AUFBV, limits, then tuning. */
+    /** The one solver constructor: QF_AUFBV, then the limits. */
     void
-    fresh(unsigned timeout_ms, unsigned memory_mb,
-          const BackendTuning &tuning)
+    fresh(unsigned timeout_ms, unsigned memory_mb)
     {
         solver.emplace(ctx, "QF_AUFBV");
         scopes.clear();
         applyLimits(timeout_ms, memory_mb);
-        if (!tuning.empty())
-            applyTuningParams(ctx, *solver, tuning);
     }
 
     void
@@ -99,10 +96,8 @@ struct Z3Backend::Impl
     }
 };
 
-Z3Backend::Z3Backend(TermFactory &factory, BackendTuning tuning,
-                     bool incremental)
-    : factory_(factory), tuning_(std::move(tuning)),
-      incremental_(incremental)
+Z3Backend::Z3Backend(TermFactory &factory, bool incremental)
+    : factory_(factory), incremental_(incremental)
 {}
 
 Z3Backend::~Z3Backend() = default;
@@ -153,7 +148,7 @@ Z3Backend::checkSat(const std::vector<Term> &assertions)
         // check) and push only the new suffix. Cold: a fresh solver.
         size_t prefix = 0;
         if (!incremental_ || !impl->solver.has_value()) {
-            impl->fresh(timeoutMs_, memoryBudgetMb_, tuning_);
+            impl->fresh(timeoutMs_, memoryBudgetMb_);
         } else {
             if (impl->timeoutMs != timeoutMs_ ||
                 impl->memoryMb != memoryBudgetMb_)
@@ -183,7 +178,7 @@ Z3Backend::checkSat(const std::vector<Term> &assertions)
             ++stats_.incrementalFallbacks;
             impl_.reset();
             impl = &impl_.get();
-            impl->fresh(timeoutMs_, memoryBudgetMb_, tuning_);
+            impl->fresh(timeoutMs_, memoryBudgetMb_);
             z3_result = impl->check(assertions, 0);
         }
         // An answer from a check an interrupt cut short is not an

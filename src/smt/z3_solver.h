@@ -7,7 +7,7 @@
  *
  * Z3Backend is the shared core. It owns the lazily created z3::context
  * and lowering, builds every solver the same way — logic-specialized
- * `z3::solver(ctx, "QF_AUFBV")` with the limits and tuning applied —
+ * `z3::solver(ctx, "QF_AUFBV")` with the limits applied —
  * asserts each assertion in a scope of its own, then checks. It
  * captures models, classifies Unknowns, drops the whole context after
  * any z3::exception (a stale interrupt would otherwise make every
@@ -27,7 +27,6 @@
 #include <atomic>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/smt/evaluator.h"
@@ -49,9 +48,9 @@ class Z3Backend : public Solver
 
     /**
      * Fires Z3_interrupt on the owning context; safe from another
-     * thread (the watchdog, the portfolio reaper). The in-flight check
-     * returns Unknown, whatever Z3 answered, and is not retried. A no-op before the first
-     * query has created the context. An interrupt that lands between
+     * thread (the guard's watchdog). The in-flight check returns
+     * Unknown, whatever Z3 answered, and is not retried. A no-op before
+     * the first query has created the context. An interrupt that lands between
      * checks stays pending and costs the next query (a SolverCrashError
      * that drops the context), never the ones after it.
      */
@@ -80,12 +79,10 @@ class Z3Backend : public Solver
 
   protected:
     /**
-     * @p tuning: best-effort Z3 parameters applied to every solver the
-     * core builds — how a portfolio lane differentiates itself.
      * @p incremental: reuse the previous query's scopes (see
      * IncrementalZ3Solver) instead of a fresh solver per query.
      */
-    Z3Backend(TermFactory &factory, BackendTuning tuning, bool incremental);
+    Z3Backend(TermFactory &factory, bool incremental);
 
     TermFactory &factory() override { return factory_; }
 
@@ -96,7 +93,6 @@ class Z3Backend : public Solver
     LazyImpl<Impl> impl_; ///< created by the first checkSat
     /** Set by interruptQuery(), cleared when a query starts. */
     std::atomic<bool> interruptRequested_{false};
-    BackendTuning tuning_;
     bool incremental_;
     SolverStats stats_;
     unsigned timeoutMs_ = 0;
@@ -111,8 +107,8 @@ class Z3Backend : public Solver
 class Z3Solver final : public Z3Backend
 {
   public:
-    explicit Z3Solver(TermFactory &factory, BackendTuning tuning = {})
-        : Z3Backend(factory, std::move(tuning), /*incremental=*/false)
+    explicit Z3Solver(TermFactory &factory)
+        : Z3Backend(factory, /*incremental=*/false)
     {}
 };
 

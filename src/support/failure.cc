@@ -26,8 +26,6 @@ failureKindName(FailureKind kind)
         return "worker-killed";
     case FailureKind::WorkerOom:
         return "worker-oom";
-    case FailureKind::PortfolioDisagreement:
-        return "portfolio-disagreement";
     case FailureKind::AuditMismatch:
         return "audit-mismatch";
     }
@@ -43,7 +41,6 @@ failureKindFromName(const char *name, FailureKind &out)
         FailureKind::MemoryBudget,  FailureKind::SolverUnknown,
         FailureKind::SolverCrash,   FailureKind::Cancelled,
         FailureKind::WorkerKilled,  FailureKind::WorkerOom,
-        FailureKind::PortfolioDisagreement,
         FailureKind::AuditMismatch,
     };
     for (FailureKind kind : kAll) {

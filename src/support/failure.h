@@ -39,13 +39,6 @@ enum class FailureKind
     WorkerKilled,  ///< Worker process died (signal or abnormal exit).
     WorkerOom,     ///< Worker died breaching its hard memory cap.
 
-    // Portfolio-racing failure (smt::PortfolioSolver). Two lanes
-    // returned contradictory *definite* verdicts for the same query —
-    // a free differential-soundness oracle over solver strategies. The
-    // portfolio refuses to pick a side and reports Unknown with this
-    // classification; fuzz campaigns surface it as a soundness bug.
-    PortfolioDisagreement, ///< lanes disagreed on a definite verdict
-
     // Trust-but-verify failure (smt::CachingSolver audits). A warm
     // cached verdict — typically preloaded from a month-old verdict
     // journal — was independently re-checked (Sat via model replay,

@@ -2,9 +2,9 @@
  *  daemon dies mid-run fails over to a warm secondary and the spliced
  *  verdicts are byte-identical to a local run; a fingerprinted
  *  resubmit is served exactly once from the completed-job ledger (no
- *  duplicate quota charge, no duplicate journal append); a v4 client
- *  is still negotiated and served; and a silent peer is detected by
- *  heartbeat as a fast *typed* failure, never a stall. */
+ *  duplicate quota charge, no duplicate journal append); a client of
+ *  an older protocol gets a typed HelloReject; and a silent peer is
+ *  detected by heartbeat as a fast *typed* failure, never a stall. */
 
 #include <gtest/gtest.h>
 
@@ -149,13 +149,11 @@ TEST(FailoverTest, MidRunFailoverToSecondaryIsByteIdentical)
     secondary.stop();
 }
 
-/** Raw-wire v5 handshake helper (the client class hides versions). */
+/** Raw-wire handshake helper (the client class hides the frames). */
 bool
-rawHandshake(WireChannel &channel, uint32_t version,
-             wire::ServerHelloFrame &ack)
+rawHandshake(WireChannel &channel, wire::ServerHelloFrame &ack)
 {
     wire::ClientHelloFrame hello;
-    hello.protocolVersion = version;
     hello.clientName = "raw-test";
     if (!channel.sendFrame(wire::encodeClientHello(hello)))
         return false;
@@ -173,9 +171,9 @@ rawHandshake(WireChannel &channel, uint32_t version,
 /** Round-trips one SubmitJob and returns its verdict frame. */
 bool
 rawSubmit(WireChannel &channel, const wire::SubmitJobFrame &job,
-          uint32_t version, wire::JobVerdictFrame &verdict)
+          wire::JobVerdictFrame &verdict)
 {
-    if (!channel.sendFrame(wire::encodeSubmitJob(job, version)))
+    if (!channel.sendFrame(wire::encodeSubmitJob(job)))
         return false;
     std::string payload;
     if (channel.recvFrame(payload, 60000) != IoStatus::Ok)
@@ -222,16 +220,14 @@ TEST(FailoverTest, FingerprintedResubmitIsServedOnceFromLedger)
             << error;
         WireChannel channel(fd);
         wire::ServerHelloFrame ack;
-        ASSERT_TRUE(
-            rawHandshake(channel, wire::kProtocolVersion, ack));
+        ASSERT_TRUE(rawHandshake(channel, ack));
         for (size_t i = 0; i < names.size(); ++i) {
             wire::SubmitJobFrame job;
             job.jobId = i + 1;
             job.function = names[i];
             job.moduleText = source;
             job.options = jobOptions;
-            ASSERT_TRUE(rawSubmit(channel, job,
-                                  wire::kProtocolVersion, first[i]));
+            ASSERT_TRUE(rawSubmit(channel, job, first[i]));
         }
     }
     ServerStats before = server.stats();
@@ -246,8 +242,7 @@ TEST(FailoverTest, FingerprintedResubmitIsServedOnceFromLedger)
             << error;
         WireChannel channel(fd);
         wire::ServerHelloFrame ack;
-        ASSERT_TRUE(
-            rawHandshake(channel, wire::kProtocolVersion, ack));
+        ASSERT_TRUE(rawHandshake(channel, ack));
         for (size_t i = 0; i < names.size(); ++i) {
             wire::SubmitJobFrame job;
             job.jobId = 100 + i;
@@ -257,8 +252,7 @@ TEST(FailoverTest, FingerprintedResubmitIsServedOnceFromLedger)
             job.fingerprint =
                 jobFingerprint(source, names[i], jobOptions);
             wire::JobVerdictFrame verdict;
-            ASSERT_TRUE(rawSubmit(channel, job,
-                                  wire::kProtocolVersion, verdict));
+            ASSERT_TRUE(rawSubmit(channel, job, verdict));
             EXPECT_EQ(verdict.jobId, job.jobId);
             // Byte-identical replay of the recorded verdict.
             EXPECT_EQ(verdict.report, first[i].report)
@@ -303,7 +297,7 @@ TEST(FailoverTest, CollidingFingerprintNeverReplaysForeignVerdict)
         << error;
     WireChannel channel(fd);
     wire::ServerHelloFrame ack;
-    ASSERT_TRUE(rawHandshake(channel, wire::kProtocolVersion, ack));
+    ASSERT_TRUE(rawHandshake(channel, ack));
 
     // Record names[0] in the ledger.
     wire::SubmitJobFrame jobA;
@@ -313,7 +307,7 @@ TEST(FailoverTest, CollidingFingerprintNeverReplaysForeignVerdict)
     jobA.options = jobOptions;
     wire::JobVerdictFrame verdictA;
     ASSERT_TRUE(
-        rawSubmit(channel, jobA, wire::kProtocolVersion, verdictA));
+        rawSubmit(channel, jobA, verdictA));
 
     // Submit names[1] claiming names[0]'s fingerprint: the full
     // identity check must reject the ledger hit and solve for real.
@@ -325,7 +319,7 @@ TEST(FailoverTest, CollidingFingerprintNeverReplaysForeignVerdict)
     jobB.fingerprint = jobFingerprint(source, names[0], jobOptions);
     wire::JobVerdictFrame verdictB;
     ASSERT_TRUE(
-        rawSubmit(channel, jobB, wire::kProtocolVersion, verdictB));
+        rawSubmit(channel, jobB, verdictB));
     EXPECT_NE(verdictB.report, verdictA.report)
         << "colliding fingerprint replayed the wrong job's verdict";
     EXPECT_EQ(server.stats().dedupHits, 0u);
@@ -333,60 +327,51 @@ TEST(FailoverTest, CollidingFingerprintNeverReplaysForeignVerdict)
     server.stop();
 }
 
-/** A v4 client is negotiated down and fully served: the ServerHello
- *  echoes version 4, a v4-form SubmitJob (no fingerprint) gets its
- *  verdict, and the JobStatus reply stays v4-shaped (decodable, v5
- *  counters absent). */
-TEST(FailoverTest, V4ClientIsNegotiatedAndServed)
+/** Helloes with @p version and returns the daemon's HelloReject. */
+bool
+rawRejectedHello(const std::string &socket, uint32_t version,
+                 wire::HelloRejectFrame &reject)
 {
-    std::string source = testModule(1);
-    std::vector<std::string> names = definedFunctions(source);
+    int fd = -1;
+    std::string error;
+    if (!connectUnix(socket, 2000, fd, error))
+        return false;
+    WireChannel channel(fd);
+    wire::ClientHelloFrame hello;
+    hello.protocolVersion = version;
+    std::string payload;
+    wire::FrameType type{};
+    std::string body;
+    return channel.sendFrame(wire::encodeClientHello(hello)) &&
+           channel.recvFrame(payload, 5000) == IoStatus::Ok &&
+           wire::splitFrame(payload, type, body) &&
+           type == wire::FrameType::HelloReject &&
+           wire::decodeHelloReject(body, reject, error);
+}
 
+/** A v5 client, whose stats and job-option layouts v6 dropped fields
+ *  from, gets a typed HelloReject naming its version and the daemon's
+ *  instead of frames it would misread. */
+TEST(FailoverTest, V5ClientGetsATypedHelloReject)
+{
     ServerOptions options;
-    options.socketPath = socketPath("v4");
+    options.socketPath = socketPath("v5");
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
-    int fd = -1;
-    ASSERT_TRUE(connectUnix(options.socketPath, 2000, fd, error))
-        << error;
-    WireChannel channel(fd);
-    wire::ServerHelloFrame ack;
-    ASSERT_TRUE(rawHandshake(channel, 4, ack));
-    EXPECT_EQ(ack.protocolVersion, 4u)
-        << "the daemon must negotiate down to the client's version";
-
-    wire::SubmitJobFrame job;
-    job.jobId = 1;
-    job.function = names[0];
-    job.moduleText = source;
-    job.options = encodeJobOptions(driver::PipelineOptions{});
-    wire::JobVerdictFrame verdict;
-    ASSERT_TRUE(rawSubmit(channel, job, 4, verdict));
-    EXPECT_EQ(verdict.jobId, 1u);
-    EXPECT_FALSE(verdict.report.empty());
-
-    // Status probe: the reply must decode; being v4-shaped, the v5
-    // counters come back zero even though the daemon tracks them.
-    ASSERT_TRUE(channel.sendFrame(
-        wire::encodeJobStatus(wire::JobStatusFrame{})));
-    std::string payload;
-    ASSERT_EQ(channel.recvFrame(payload, 5000), IoStatus::Ok);
-    wire::FrameType type{};
-    std::string body;
-    ASSERT_TRUE(wire::splitFrame(payload, type, body));
-    ASSERT_EQ(type, wire::FrameType::JobStatus);
-    wire::JobStatusFrame status;
-    ASSERT_TRUE(wire::decodeJobStatus(body, status, error)) << error;
-    EXPECT_EQ(status.completedJobs, 1u);
-    EXPECT_EQ(status.acceptedUnix, 0u) << "v4 reply grew v5 fields";
-
+    wire::HelloRejectFrame reject;
+    ASSERT_TRUE(rawRejectedHello(options.socketPath, 5, reject));
+    EXPECT_EQ(reject.supportedVersion, 6u);
+    EXPECT_NE(reject.message.find("version 5"), std::string::npos)
+        << reject.message;
+    EXPECT_NE(reject.message.find("speaks 6"), std::string::npos)
+        << reject.message;
     server.stop();
 }
 
 /** Too-old and too-new versions still get typed HelloRejects naming
- *  the supported window. */
+ *  the supported version. */
 TEST(FailoverTest, OutOfWindowVersionsAreRejected)
 {
     ServerOptions options;
@@ -395,26 +380,12 @@ TEST(FailoverTest, OutOfWindowVersionsAreRejected)
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
-    for (uint32_t version : {3u, 6u, 99u}) {
-        int fd = -1;
-        ASSERT_TRUE(connectUnix(options.socketPath, 2000, fd, error))
-            << error;
-        WireChannel channel(fd);
-        wire::ClientHelloFrame hello;
-        hello.protocolVersion = version;
-        ASSERT_TRUE(
-            channel.sendFrame(wire::encodeClientHello(hello)));
-        std::string payload;
-        ASSERT_EQ(channel.recvFrame(payload, 5000), IoStatus::Ok);
-        wire::FrameType type{};
-        std::string body;
-        ASSERT_TRUE(wire::splitFrame(payload, type, body));
-        EXPECT_EQ(type, wire::FrameType::HelloReject)
-            << "version " << version << " negotiated";
+    for (uint32_t version : {3u, 4u, 7u, 99u}) {
         wire::HelloRejectFrame reject;
-        ASSERT_TRUE(wire::decodeHelloReject(body, reject, error));
-        EXPECT_NE(reject.message.find("4..5"), std::string::npos)
-            << "reject does not name the window: " << reject.message;
+        ASSERT_TRUE(rawRejectedHello(options.socketPath, version, reject))
+            << "version " << version << " negotiated";
+        EXPECT_NE(reject.message.find("speaks 6"), std::string::npos)
+            << "reject does not name the version: " << reject.message;
     }
     server.stop();
 }

@@ -2,9 +2,9 @@
  *  encode/decode, the JobOptions <-> PipelineOptions mapping is an
  *  exact inverse on the carried subset, hostile hello bytes
  *  (truncations, bit flips) decode-fail or reject instead of
- *  negotiating a bogus session, and the v5 additions (job
- *  fingerprints, per-transport status counters, Ping/Pong heartbeats)
- *  keep every v4 frame form a valid strict prefix. */
+ *  negotiating a bogus session, and the frames of older protocol
+ *  versions (without job fingerprints or per-transport status
+ *  counters) fail to decode instead of being misread. */
 
 #include <gtest/gtest.h>
 
@@ -194,7 +194,6 @@ TEST(ServiceProtocolTest, JobOptionsPipelineMappingIsInverse)
     options.isel.bug = isel::Bug::LoadWidening;
     options.checker.refinementOnly = true;
     options.checker.positiveFormOpt = false;
-    options.checker.batchDischarge = true;
     options.checker.solverTimeoutMs = 4444;
     options.checker.wallBudgetSeconds = 2.75;
     options.vc.precision = vcgen::LivenessPrecision::BlockLocal;
@@ -210,8 +209,6 @@ TEST(ServiceProtocolTest, JobOptionsPipelineMappingIsInverse)
               options.checker.refinementOnly);
     EXPECT_EQ(back.checker.positiveFormOpt,
               options.checker.positiveFormOpt);
-    EXPECT_EQ(back.checker.batchDischarge,
-              options.checker.batchDischarge);
     EXPECT_EQ(back.checker.solverTimeoutMs,
               options.checker.solverTimeoutMs);
     EXPECT_DOUBLE_EQ(back.checker.wallBudgetSeconds,
@@ -300,7 +297,7 @@ TEST(ServiceProtocolTest, BitFlippedHelloIsRejectedOrHarmless)
     }
 }
 
-// ---- wire v5: fingerprints, status counters, heartbeat frames ----
+// ---- fingerprints, status counters, heartbeat frames ----
 
 TEST(ServiceProtocolTest, SubmitJobV5CarriesFingerprint)
 {
@@ -319,38 +316,9 @@ TEST(ServiceProtocolTest, SubmitJobV5CarriesFingerprint)
     EXPECT_EQ(out.fingerprint, job.fingerprint);
 }
 
-/** The v4 SubmitJob layout is a strict prefix of v5: a v4 encode is
- *  byte-for-byte the v5 encode minus the trailing fingerprint, and it
- *  decodes with fingerprint 0 ("no idempotency claim"). */
-TEST(ServiceProtocolTest, SubmitJobV4FormIsPrefixOfV5)
-{
-    SubmitJobFrame job;
-    job.jobId = 4;
-    job.function = "@g";
-    job.moduleText = "define i32 @g() {\nret i32 1\n}\n";
-    job.fingerprint = 0x1234567890ABCDEFULL;
-
-    FrameType type{};
-    std::string v4body;
-    std::string v5body;
-    ASSERT_TRUE(
-        splitFrame(encodeSubmitJob(job, 4).substr(4), type, v4body));
-    ASSERT_TRUE(
-        splitFrame(encodeSubmitJob(job, 5).substr(4), type, v5body));
-    ASSERT_LT(v4body.size(), v5body.size());
-    EXPECT_EQ(v5body.substr(0, v4body.size()), v4body);
-
-    SubmitJobFrame out;
-    std::string error;
-    ASSERT_TRUE(decodeSubmitJob(v4body, out, error)) << error;
-    EXPECT_EQ(out.fingerprint, 0u) << "v4 form must not claim dedup";
-    EXPECT_EQ(out.function, job.function);
-    EXPECT_EQ(out.moduleText, job.moduleText);
-}
-
 /** A torn trailing fingerprint (any strict prefix of the 8 bytes) must
- *  fail decode — the optional field is all-or-nothing, never a partial
- *  read that silently fabricates a bogus idempotency key. */
+ *  fail decode — never a partial read that silently fabricates a bogus
+ *  idempotency key. */
 TEST(ServiceProtocolTest, SubmitJobTornFingerprintRejected)
 {
     SubmitJobFrame job;
@@ -390,30 +358,39 @@ TEST(ServiceProtocolTest, JobStatusV5CountersRoundTrip)
     EXPECT_EQ(out.acceptedTcp, 9u);
 }
 
-/** A v4-shaped JobStatus (no trailing counter group) still decodes,
- *  with the v5 counters defaulting to zero. */
-TEST(ServiceProtocolTest, JobStatusV4FormStillDecodes)
+/** The v4 SubmitJob layout (no trailing fingerprint) is a truncated
+ *  v6 frame now: it fails to decode instead of reading as a job with
+ *  no idempotency claim. */
+TEST(ServiceProtocolTest, SubmitJobV4FormIsRejected)
+{
+    SubmitJobFrame job;
+    job.jobId = 4;
+    job.function = "@g";
+    job.moduleText = "define i32 @g() {\nret i32 1\n}\n";
+    FrameType type{};
+    std::string body;
+    ASSERT_TRUE(splitFrame(encodeSubmitJob(job).substr(4), type, body));
+    SubmitJobFrame out;
+    std::string error;
+    EXPECT_FALSE(
+        decodeSubmitJob(body.substr(0, body.size() - 8), out, error));
+}
+
+/** The v4 JobStatus layout (no dedup or per-transport counters) is a
+ *  truncated v6 frame now: it fails to decode instead of reading as a
+ *  status with zero counters. */
+TEST(ServiceProtocolTest, JobStatusV4FormIsRejected)
 {
     JobStatusFrame status;
     status.completedJobs = 17;
-    status.dedupHits = 99; // must NOT survive a v4 encode
     FrameType type{};
-    std::string v4body;
-    std::string v5body;
+    std::string body;
     ASSERT_TRUE(
-        splitFrame(encodeJobStatus(status, 4).substr(4), type, v4body));
-    ASSERT_TRUE(
-        splitFrame(encodeJobStatus(status, 5).substr(4), type, v5body));
-    ASSERT_LT(v4body.size(), v5body.size());
-    EXPECT_EQ(v5body.substr(0, v4body.size()), v4body);
-
+        splitFrame(encodeJobStatus(status).substr(4), type, body));
     JobStatusFrame out;
     std::string error;
-    ASSERT_TRUE(decodeJobStatus(v4body, out, error)) << error;
-    EXPECT_EQ(out.completedJobs, 17u);
-    EXPECT_EQ(out.dedupHits, 0u);
-    EXPECT_EQ(out.acceptedUnix, 0u);
-    EXPECT_EQ(out.acceptedTcp, 0u);
+    EXPECT_FALSE(decodeJobStatus(body.substr(0, body.size() - 24),
+                                 out, error));
 }
 
 TEST(ServiceProtocolTest, PingPongRoundTrip)

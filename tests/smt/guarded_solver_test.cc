@@ -289,18 +289,18 @@ TEST(GuardedSolverTest, AnswerPastTheDeadlineWithoutFallbackIsUnknown)
 
 TEST(GuardedSolverTest, AnswerAfterACancelIsCancelled)
 {
-    // A reaped query's late answer must not escape as a verdict.
+    // A cancelled query's late answer must not escape as a verdict.
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::LateSat});
     GuardedSolverOptions options = fastOptions();
-    options.cancellable = true;
+    options.cancel = support::CancellationToken::create();
     options.retries = 3;
     GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Sat})},
                         options);
 
     std::thread canceller([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        guard.cancelCurrentQuery();
+        options.cancel.cancel();
     });
     SatResult result = guard.checkSat({});
     canceller.join();

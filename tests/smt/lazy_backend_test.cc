@@ -19,7 +19,6 @@
 
 #include "src/smt/guarded_solver.h"
 #include "src/smt/incremental_z3_solver.h"
-#include "src/smt/portfolio_solver.h"
 #include "src/smt/term_factory.h"
 #include "src/smt/z3_solver.h"
 #include "src/support/cancellation.h"
@@ -44,15 +43,6 @@ allZ3Backends()
                    }});
     out.push_back({"incremental", [](TermFactory &tf) {
                        return std::make_unique<IncrementalZ3Solver>(tf);
-                   }});
-    for (const LaneConfig &lane : defaultPortfolioLanes(3)) {
-        out.push_back({"lane:" + lane.name, [lane](TermFactory &tf) {
-                           return makeLaneBackend(tf, lane);
-                       }});
-    }
-    out.push_back({"portfolio", [](TermFactory &tf) {
-                       return std::make_unique<PortfolioSolver>(
-                           tf, defaultPortfolioLanes(2));
                    }});
     return out;
 }
@@ -108,8 +98,8 @@ TEST(LazyBackendTest, InterruptBeforeFirstQueryDoesNotPoisonIt)
 
 TEST(LazyBackendTest, StaleInterruptCostsAtMostOneQuery)
 {
-    // An interrupt that lands after a query returned (a portfolio
-    // Cancel racing the loser's answer) stays pending in the context.
+    // An interrupt that lands after a query returned (a watchdog
+    // firing as the answer arrives) stays pending in the context.
     // It may cost the next query, but never the ones after it.
     for (const NamedBackend &backend : allZ3Backends()) {
         SCOPED_TRACE(backend.name);

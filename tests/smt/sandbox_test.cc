@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -118,14 +117,14 @@ TEST(WorkerSupervisor, StartFailsLoudlyWithoutABinary)
 
 TEST(WorkerSupervisor, StaleWorkerIsRefusedAtReady)
 {
-    // A worker from another build announces worker protocol 5 in its
-    // Ready (u32 length 13, type 1, u32 version 5, u64 pid 0). The
-    // supervisor must refuse it before it sends a v6 Reset.
+    // A worker from another build announces worker protocol 6 in its
+    // Ready (u32 length 13, type 1, u32 version 6, u64 pid 0). The
+    // supervisor must refuse it before it sends a v7 Reset.
     std::string path = ::testing::TempDir() + "keq-stale-worker.sh";
     {
         std::ofstream script(path);
         script << "#!/bin/sh\n"
-                  "printf '\\015\\000\\000\\000\\001\\005\\000\\000\\000"
+                  "printf '\\015\\000\\000\\000\\001\\006\\000\\000\\000"
                   "\\000\\000\\000\\000\\000\\000\\000\\000'\n"
                   "exec cat >/dev/null\n";
     }
@@ -143,7 +142,7 @@ TEST(WorkerSupervisor, StaleWorkerIsRefusedAtReady)
               SatResult::Unknown);
     EXPECT_EQ(solver.lastFailureKind(), FailureKind::WorkerKilled);
     EXPECT_NE(solver.lastUnknownReason().find(
-                  "worker protocol version 5 != supervisor 6"),
+                  "worker protocol version 6 != supervisor 7"),
               std::string::npos)
         << solver.lastUnknownReason();
     supervisor.stop();
@@ -330,25 +329,16 @@ TEST(SandboxSolver, InterruptClassifiesCancelledNotCrash)
     supervisor.stop();
 }
 
-/**
- * Finds one live keq-solver-worker child of this process and SIGKILLs
- * it — the deterministic "shoot exactly one lane" lever the portfolio
- * chaos test needs (the chaos monkey shoots *every* busy worker).
- * Returns the pid killed, or 0 when no worker child exists yet.
- */
-pid_t
-killOneWorkerChild()
+/** The live keq-solver-worker children of this process. */
+size_t
+liveWorkerChildren()
 {
     DIR *proc = opendir("/proc");
     if (proc == nullptr)
         return 0;
     pid_t self = getpid();
-    pid_t victim = 0;
-    while (victim == 0) {
-        errno = 0;
-        struct dirent *entry = readdir(proc);
-        if (entry == nullptr)
-            break;
+    size_t count = 0;
+    while (struct dirent *entry = readdir(proc)) {
         char *end = nullptr;
         long pid = std::strtol(entry->d_name, &end, 10);
         if (end == entry->d_name || *end != '\0' || pid <= 0)
@@ -369,215 +359,47 @@ killOneWorkerChild()
         std::string state;
         pid_t ppid = 0;
         rest >> state >> ppid;
-        if (ppid == self && comm.rfind("keq-solver", 0) == 0) {
-            victim = static_cast<pid_t>(pid);
-            kill(victim, SIGKILL);
-        }
+        if (ppid == self && comm.rfind("keq-solver", 0) == 0 &&
+            state != "Z")
+            ++count;
     }
     closedir(proc);
-    return victim;
+    return count;
 }
 
-TEST(SolveGroup, RaceMatchesSingleLaneVerdicts)
+TEST(WorkerSupervisor, StopShutsTheWholePoolDownAtOnce)
 {
+    // Four workers whose heartbeat waits two seconds between beats:
+    // stopping them must not wait out an interval per worker.
     SandboxOptions options = baseOptions();
-    options.workers = 2;
+    options.workers = 4;
+    options.heartbeatIntervalMs = 2000;
     WorkerSupervisor supervisor(options);
     std::string error;
     ASSERT_TRUE(supervisor.start(error)) << error;
 
-    for (int variant = 0; variant < 2; ++variant) {
-        TermFactory local;
-        TermFactory remote;
-        auto build = [variant](TermFactory &f) -> std::vector<Term> {
-            Sort bv32 = Sort::bitVec(32);
-            Term x = f.var("x", bv32);
-            if (variant == 0) // sat
-                return {f.bvUlt(x, f.bvConst(32, 10)),
-                        f.bvUgt(x, f.bvConst(32, 5))};
-            return {f.bvUlt(x, f.bvConst(32, 5)), // unsat
-                    f.bvUgt(x, f.bvConst(32, 10))};
-        };
-
-        Z3Solver reference(local);
-        SatResult expected = reference.checkSat(build(local));
-
-        SandboxSolver raced(remote, supervisor, {"default", "cold"});
-        ASSERT_EQ(raced.laneCount(), 2u);
-        SatResult actual = raced.checkSat(build(remote));
-
-        EXPECT_EQ(actual, expected) << "variant " << variant;
-        EXPECT_EQ(raced.lastFailureKind(), FailureKind::None);
-
-        const SolverStats &stats = raced.stats();
-        EXPECT_EQ(stats.queries, 1u);
-        EXPECT_EQ(stats.sat + stats.unsat, 1u);
-        EXPECT_EQ(stats.unknown, 0u)
-            << "a cancelled loser must never surface in the verdict "
-               "counters";
-        uint64_t wins = 0;
-        for (uint64_t lane_wins : stats.portfolioWins)
-            wins += lane_wins;
-        EXPECT_EQ(wins, 1u);
+    // Four concurrent queries, each held for its 300 ms solver timeout,
+    // occupy (and so spawn) all four workers.
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 4; ++i) {
+        clients.emplace_back([&supervisor] {
+            TermFactory f;
+            SandboxSolver solver(f, supervisor);
+            solver.setTimeoutMs(300);
+            solver.checkSat(hardAssertions(f));
+        });
     }
+    for (std::thread &client : clients)
+        client.join();
+    ASSERT_EQ(liveWorkerChildren(), 4u);
+
+    auto begin = std::chrono::steady_clock::now();
     supervisor.stop();
-}
-
-TEST(SolveGroup, LaneCountClampsToThePoolSize)
-{
-    // One worker, two requested lanes: the race degrades to a
-    // single-lane solve instead of deadlocking on the second slot.
-    WorkerSupervisor supervisor(baseOptions());
-    std::string error;
-    ASSERT_TRUE(supervisor.start(error)) << error;
-
-    TermFactory f;
-    SandboxSolver raced(f, supervisor, {"default", "cold"});
-    Term x = f.var("x", Sort::bitVec(8));
-    EXPECT_EQ(raced.checkSat({f.mkEq(x, f.bvConst(8, 9))}),
-              SatResult::Sat);
-    EXPECT_EQ(raced.lastFailureKind(), FailureKind::None);
-    supervisor.stop();
-}
-
-TEST(SolveGroup, UserInterruptIsStillClassifiedCancelled)
-{
-    SandboxOptions options = baseOptions();
-    options.workers = 2;
-    WorkerSupervisor supervisor(options);
-    std::string error;
-    ASSERT_TRUE(supervisor.start(error)) << error;
-
-    TermFactory f;
-    SandboxSolver raced(f, supervisor, {"default", "cold"});
-    std::thread interrupter([&raced] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        raced.interruptQuery();
-    });
-    SatResult result = raced.checkSat(hardAssertions(f));
-    interrupter.join();
-
-    EXPECT_EQ(result, SatResult::Unknown);
-    EXPECT_EQ(raced.lastFailureKind(), FailureKind::Cancelled)
-        << "user cancellation (unlike loser reaping) must surface";
-    supervisor.stop();
-}
-
-TEST(SolveGroup, KilledLaneMidRaceConvergesAndPoolRecovers)
-{
-    SandboxOptions options = baseOptions();
-    options.workers = 2;
-    WorkerSupervisor supervisor(options);
-    std::string error;
-    ASSERT_TRUE(supervisor.start(error)) << error;
-
-    // Both lanes grind on the factoring query (bounded by the solver
-    // timeout); one lane's worker takes a real SIGKILL mid-race. The
-    // race must still converge: the survivor's honest answer (here a
-    // timeout-bounded Unknown) comes back classified, never Cancelled,
-    // never a hang.
-    TermFactory f;
-    SandboxSolver raced(f, supervisor, {"default", "cold"});
-    raced.setTimeoutMs(2000);
-    std::vector<Term> hard = hardAssertions(f);
-
-    SatResult result = SatResult::Sat;
-    std::thread solver_thread(
-        [&] { result = raced.checkSat(hard); });
-    // Let both lanes get busy, then shoot exactly one of them.
-    pid_t victim = 0;
-    for (int attempt = 0; attempt < 100 && victim == 0; ++attempt) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        victim = killOneWorkerChild();
-    }
-    solver_thread.join();
-    ASSERT_NE(victim, 0) << "never saw a live worker child to kill";
-
-    EXPECT_EQ(result, SatResult::Unknown);
-    EXPECT_NE(raced.lastFailureKind(), FailureKind::None);
-    EXPECT_NE(raced.lastFailureKind(), FailureKind::Cancelled)
-        << "a killed lane must never masquerade as a cancellation";
-
-    // Convergence after the kill: the pool respawns and a fresh race
-    // over the same lanes answers definitely again.
-    bool recovered = false;
-    for (int attempt = 0; attempt < 50 && !recovered; ++attempt) {
-        TermFactory fresh;
-        SandboxSolver retry(fresh, supervisor, {"default", "cold"});
-        Term x = fresh.var("x", Sort::bitVec(8));
-        recovered = retry.checkSat({fresh.mkEq(
-                         x, fresh.bvConst(8, 7))}) == SatResult::Sat &&
-                    retry.lastFailureKind() == FailureKind::None;
-    }
-    EXPECT_TRUE(recovered) << "no race succeeded after the lane kill";
-    supervisor.stop();
-}
-
-/**
- * Races lanes "default" and "int2bv" on the scripted stand-in worker
- * (scripted_worker.cc): "default" wins with unsat, "int2bv" answers sat
- * after its Cancel, and the query's timeout (@p recheckScript) picks
- * what the "cold" re-check answers.
- */
-struct ScriptedRace
-{
-    WorkerSupervisor supervisor{[] {
-        SandboxOptions options;
-        options.workerPath = KEQ_SCRIPTED_WORKER_BIN;
-        options.workers = 2;
-        return options;
-    }()};
-    TermFactory f;
-    SandboxSolver raced{f, supervisor, {"default", "int2bv"}};
-
-    explicit ScriptedRace(unsigned recheckScript)
-    {
-        std::string error;
-        EXPECT_TRUE(supervisor.start(error)) << error;
-        raced.setTimeoutMs(recheckScript);
-    }
-
-    ~ScriptedRace() { supervisor.stop(); }
-
-    SatResult
-    run()
-    {
-        Term x = f.var("x", Sort::bitVec(8));
-        return raced.checkSat({f.mkEq(x, f.bvConst(8, 1))});
-    }
-};
-
-TEST(SolveGroup, RecheckDropsALateAnswerItContradicts)
-{
-    ScriptedRace race(/*recheckScript: unsat*/ 1);
-    EXPECT_EQ(race.run(), SatResult::Unsat);
-    EXPECT_EQ(race.raced.lastFailureKind(), FailureKind::None);
-    EXPECT_EQ(race.raced.stats().crossLaneDisagreements, 0u);
-}
-
-TEST(SolveGroup, ContradictionTheRecheckConfirmsIsADisagreement)
-{
-    ScriptedRace race(/*recheckScript: sat*/ 2);
-    EXPECT_EQ(race.run(), SatResult::Unknown);
-    EXPECT_EQ(race.raced.lastFailureKind(),
-              FailureKind::PortfolioDisagreement);
-    EXPECT_EQ(race.raced.stats().crossLaneDisagreements, 1u);
-}
-
-TEST(SolveGroup, RecheckCancelledMidRaceEndsCancelled)
-{
-    // The scripted re-check never answers; the user's interrupt lands
-    // while it runs, long after the race itself was decided.
-    ScriptedRace race(/*recheckScript: never answers*/ 0);
-    std::thread interrupter([&race] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
-        race.raced.interruptQuery();
-    });
-    SatResult result = race.run();
-    interrupter.join();
-    EXPECT_EQ(result, SatResult::Unknown);
-    EXPECT_EQ(race.raced.lastFailureKind(), FailureKind::Cancelled);
-    EXPECT_EQ(race.raced.stats().crossLaneDisagreements, 0u);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - begin)
+                         .count();
+    EXPECT_LT(seconds, 1.0);
+    EXPECT_EQ(liveWorkerChildren(), 0u);
 }
 
 TEST(SandboxSolver, StatsKeepTheVerdictCounterContract)

@@ -250,13 +250,26 @@ TEST(WireStatsCodec, AllFieldsRoundTrip)
         stats, back);
 }
 
-TEST(WireStatsCodec, V5LayoutGoldenBytes)
+/** Lower-case hex of @p bytes. */
+std::string
+hexOf(const std::string &bytes)
 {
-    // The bytes protocol v5 has always produced for these values: the
-    // field count, the 33 uint64_t counters little-endian, then
-    // totalSeconds as IEEE bits.
+    static const char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (unsigned char byte : bytes) {
+        hex += kDigits[byte >> 4];
+        hex += kDigits[byte & 0xf];
+    }
+    return hex;
+}
+
+TEST(WireStatsCodec, V6LayoutGoldenBytes)
+{
+    // The bytes protocol v6 produces for these values: the field
+    // count, the 26 uint64_t counters little-endian, then totalSeconds
+    // as IEEE bits.
     static const std::string kGolden =
-        "21" // varuint field count: 33
+        "1a" // varuint field count: 26
         "0100000000000000" "0200000000000000" "0300000000000000"
         "0400000000000000" "0500000000000000" "0600000000000000"
         "0700000000000000" "0800000000000000" "0900000000000000"
@@ -265,23 +278,15 @@ TEST(WireStatsCodec, V5LayoutGoldenBytes)
         "1000000000000000" "1100000000000000" "1200000000000000"
         "1300000000000000" "1400000000000000" "1500000000000000"
         "1600000000000000" "1700000000000000" "1800000000000000"
-        "1900000000000000" "1a00000000000000" "1b00000000000000"
-        "1c00000000000000" "1d00000000000000" "1e00000000000000"
-        "1f00000000000000" "2000000000000000" "2100000000000000"
-        "0000000000004140"; // totalSeconds = 34.0
+        "1900000000000000" "1a00000000000000"
+        "0000000000003b40"; // totalSeconds = 27.0
     SolverStats stats = numberedStats();
     Encoder enc;
     encodeStats(enc, stats);
-    std::string hex;
-    for (unsigned char byte : enc.take()) {
-        static const char kDigits[] = "0123456789abcdef";
-        hex += kDigits[byte >> 4];
-        hex += kDigits[byte & 0xf];
-    }
-    EXPECT_EQ(hex, kGolden);
+    EXPECT_EQ(hexOf(enc.take()), kGolden);
 
     // The golden bytes alone cannot see two table rows trade places;
-    // these rows pin the table order to the v5 field order.
+    // these rows pin the table order to the v6 field order.
     EXPECT_EQ(stats.queries, 1u);
     EXPECT_EQ(stats.unknown, 4u);
     EXPECT_EQ(stats.cacheHits, 5u);
@@ -289,10 +294,35 @@ TEST(WireStatsCodec, V5LayoutGoldenBytes)
     EXPECT_EQ(stats.coldSolves, 15u);
     EXPECT_EQ(stats.faultsInjected, 21u);
     EXPECT_EQ(stats.wireBytesReceived, 26u);
-    EXPECT_EQ(stats.portfolioWins[0], 28u);
-    EXPECT_EQ(stats.portfolioWins[3], 31u);
-    EXPECT_EQ(stats.crossLaneDisagreements, 33u);
-    EXPECT_EQ(stats.totalSeconds, 34.0);
+    EXPECT_EQ(stats.totalSeconds, 27.0);
+}
+
+TEST(WireFrames, SubmitJobV6LayoutGoldenBytes)
+{
+    // The v6 SubmitJob body: job id, function, module text, the six
+    // JobOptions flag bytes (no batch-discharge byte), the query
+    // timeout, the wall budget, the spec budget, then the fingerprint.
+    SubmitJobFrame job;
+    job.jobId = 1;
+    job.function = "@f";
+    job.moduleText = "m";
+    job.options.mergeStores = 1;
+    job.options.bug = 2;
+    job.options.refinementOnly = 1;
+    job.options.wallBudgetSeconds = 0.5;
+    job.options.specSizeBudget = 7;
+    job.fingerprint = 9;
+    FrameType type;
+    std::string body;
+    ASSERT_TRUE(splitFrame(encodeSubmitJob(job).substr(4), type, body));
+    EXPECT_EQ(type, FrameType::SubmitJob);
+    EXPECT_EQ(hexOf(body), "0100000000000000"  // job id
+                           "024066" "016d"     // "@f", "m"
+                           "010002010100"      // flags
+                           "30750000"          // smtTimeoutMs = 30000
+                           "000000000000e03f"  // wallBudgetSeconds
+                           "0700000000000000"  // specSizeBudget
+                           "0900000000000000"); // fingerprint
 }
 
 TEST(WireFrames, TypedFramesRoundTrip)
@@ -321,7 +351,7 @@ TEST(WireFrames, TypedFramesRoundTrip)
     EXPECT_EQ(beat_back.querySeq, 7u);
     EXPECT_EQ(beat_back.rssKb, 123456u);
 
-    ResetFrame reset{2500, 256, 3, true, "int2bv:random_seed=7"};
+    ResetFrame reset{2500, 256, 3, true, Lane::Cold};
     ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
     EXPECT_EQ(type, FrameType::Reset);
     ResetFrame reset_back;
@@ -330,14 +360,7 @@ TEST(WireFrames, TypedFramesRoundTrip)
     EXPECT_EQ(reset_back.memoryBudgetMb, 256u);
     EXPECT_EQ(reset_back.retries, 3u);
     EXPECT_TRUE(reset_back.captureModels);
-    EXPECT_EQ(reset_back.strategy, "int2bv:random_seed=7");
-
-    CancelFrame cancel{77};
-    ASSERT_TRUE(splitFrame(encodeCancel(cancel).substr(4), type, body));
-    EXPECT_EQ(type, FrameType::Cancel);
-    CancelFrame cancel_back;
-    ASSERT_TRUE(decodeCancel(body, cancel_back, error)) << error;
-    EXPECT_EQ(cancel_back.seq, 77u);
+    EXPECT_EQ(reset_back.lane, Lane::Cold);
 
     TermFactory f;
     QueryFrame query;
@@ -381,42 +404,6 @@ TEST(WireFrames, TypedFramesRoundTrip)
     EXPECT_EQ(type, FrameType::Shutdown);
 }
 
-TEST(WireFrames, ResetStrategyDefaultsToTheV1Stack)
-{
-    // An empty strategy string is the v1-equivalent session: the
-    // worker builds the same default incremental stack it always did.
-    ResetFrame reset{1000, 0, 1, false, {}};
-    EXPECT_TRUE(reset.strategy.empty());
-
-    FrameType type;
-    std::string body, error;
-    ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
-    ResetFrame back;
-    ASSERT_TRUE(decodeReset(body, back, error)) << error;
-    EXPECT_TRUE(back.strategy.empty());
-}
-
-TEST(WireFrames, PortfolioFailureKindSurvivesTheResultFrame)
-{
-    // A cross-lane disagreement travels the wire as a first-class
-    // failure kind; the discriminant bound admits it and nothing past.
-    ResultFrame result;
-    result.seq = 5;
-    result.result = SatResult::Unknown;
-    result.failureKind = FailureKind::PortfolioDisagreement;
-    result.unknownReason = "portfolio disagreement: default=sat, cold=unsat";
-    result.stats.crossLaneDisagreements = 1;
-
-    FrameType type;
-    std::string body, error;
-    ASSERT_TRUE(splitFrame(encodeResult(result).substr(4), type, body));
-    ResultFrame back;
-    ASSERT_TRUE(decodeResult(body, back, error)) << error;
-    EXPECT_EQ(back.failureKind, FailureKind::PortfolioDisagreement);
-    EXPECT_EQ(back.stats.crossLaneDisagreements, 1u);
-    EXPECT_EQ(back.unknownReason, result.unknownReason);
-}
-
 /** Encodes @p frame and returns its body (type byte stripped). */
 std::string
 resultBody(const ResultFrame &frame)
@@ -428,13 +415,58 @@ resultBody(const ResultFrame &frame)
     return body;
 }
 
-TEST(WireFrames, WorkerV6ResetAndResultModelRoundTrip)
+TEST(WireFrames, ResetNamesOneOfTheTwoLanes)
 {
-    EXPECT_EQ(kWorkerProtocolVersion, 6u);
-    EXPECT_EQ(kProtocolVersion, 5u) << "the service protocol stays v5";
+    // A Reset names the default lane unless told otherwise, and its
+    // lane byte admits the two lanes and nothing past them.
+    ResetFrame reset{1000, 0, 1, false};
+    EXPECT_EQ(reset.lane, Lane::Default);
 
-    // Reset: timeout, memory budget, retries, capture flag, strategy.
-    ResetFrame reset{1500, 64, 4, true, "cold"};
+    FrameType type;
+    std::string body, error;
+    ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
+    ResetFrame back;
+    ASSERT_TRUE(decodeReset(body, back, error)) << error;
+    EXPECT_EQ(back.lane, Lane::Default);
+
+    std::string hostile = body;
+    hostile.back() = 2; // the lane byte closes the body
+    EXPECT_FALSE(decodeReset(hostile, back, error));
+    EXPECT_NE(error.find("Lane"), std::string::npos) << error;
+}
+
+TEST(WireFrames, LastFailureKindSurvivesTheResultFrame)
+{
+    // The failure-kind discriminant bound admits the last kind and
+    // nothing past it.
+    ResultFrame result;
+    result.seq = 5;
+    result.result = SatResult::Unknown;
+    result.failureKind = FailureKind::AuditMismatch;
+    result.unknownReason = "audit mismatch";
+
+    std::string body = resultBody(result);
+    std::string error;
+    ResultFrame back;
+    ASSERT_TRUE(decodeResult(body, back, error)) << error;
+    EXPECT_EQ(back.failureKind, FailureKind::AuditMismatch);
+    EXPECT_EQ(back.unknownReason, result.unknownReason);
+
+    std::string past = body;
+    past[9] = static_cast<char>( // after the u64 seq and the SatResult
+        static_cast<uint8_t>(FailureKind::AuditMismatch) + 1);
+    EXPECT_FALSE(decodeResult(past, back, error));
+    EXPECT_NE(error.find("FailureKind"), std::string::npos) << error;
+}
+
+TEST(WireFrames, WorkerV7ResetAndResultModelRoundTrip)
+{
+    EXPECT_EQ(kWorkerProtocolVersion, 7u);
+    EXPECT_EQ(kProtocolVersion, 6u);
+    EXPECT_EQ(kMinServiceProtocolVersion, kProtocolVersion);
+
+    // Reset: timeout, memory budget, retries, capture flag, lane.
+    ResetFrame reset{1500, 64, 4, true, Lane::Cold};
     FrameType type;
     std::string body, error;
     ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
@@ -442,7 +474,7 @@ TEST(WireFrames, WorkerV6ResetAndResultModelRoundTrip)
     ASSERT_TRUE(decodeReset(body, reset_back, error)) << error;
     EXPECT_EQ(reset_back.retries, 4u);
     EXPECT_TRUE(reset_back.captureModels);
-    EXPECT_EQ(reset_back.strategy, "cold");
+    EXPECT_EQ(reset_back.lane, Lane::Cold);
 
     // The capture byte is a flag: anything but 0 or 1 is corrupt.
     std::string hostile = body;
@@ -527,20 +559,6 @@ TEST(WireFrames, HostileResultModelsAreRejected)
     }
 }
 
-TEST(WireFrames, TruncatedCancelFailsCleanly)
-{
-    std::string payload = encodeCancel({42}).substr(4);
-    FrameType type;
-    std::string body;
-    ASSERT_TRUE(splitFrame(payload, type, body));
-    std::string error;
-    CancelFrame out;
-    for (size_t cut = 0; cut < body.size(); ++cut) {
-        EXPECT_FALSE(decodeCancel(body.substr(0, cut), out, error))
-            << "prefix of " << cut << " bytes decoded";
-    }
-}
-
 TEST(WireFrames, HostileResultDiscriminantsAreRejected)
 {
     ResultFrame result;
@@ -571,6 +589,8 @@ TEST(WireFrames, SplitFrameRejectsGarbage)
     EXPECT_FALSE(splitFrame("", type, body));
     EXPECT_FALSE(splitFrame(std::string(1, '\x00'), type, body));
     EXPECT_FALSE(splitFrame(std::string(1, '\x63'), type, body));
+    // The retired Cancel frame's type byte is no frame now.
+    EXPECT_FALSE(splitFrame(std::string(1, '\x08'), type, body));
 }
 
 } // namespace

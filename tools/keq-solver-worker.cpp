@@ -9,9 +9,9 @@
  * solver segfault, allocation storm, wedged native code — kills this
  * process only, to be classified and absorbed by the supervisor.
  *
- * Protocol role: emit Ready, then serve Reset/Query/Cancel/Shutdown
- * frames. A Reset begins a *session*: a fresh TermFactory plus the
- * bottom of the in-process stack, built by the same builder
+ * Protocol role: emit Ready, then serve Reset/Query/Shutdown frames.
+ * A Reset begins a *session*: a fresh TermFactory plus the bottom of
+ * the in-process stack, built by the same builder
  * (smt::workerStackSpec): the Reset's lane backend under the guard and
  * its two cold rungs, with the parent's retry count. The rewrite,
  * slice and cache front stays in the parent, which sees every query
@@ -59,6 +59,8 @@ int gWireOut = -1;
 
 std::mutex gWriteMutex;           // serializes whole frames
 std::atomic<uint64_t> gInFlight{0}; // seq of the running query, 0 = idle
+std::condition_variable gHeartbeatCv; // wakes the heartbeat to stop
+bool gStopHeartbeat = false;          // guarded by gWriteMutex
 
 bool
 writeFrame(const std::string &bytes)
@@ -136,10 +138,10 @@ applyRlimits(unsigned memoryMb, unsigned cpuSeconds)
 /** One Reset's worth of state: fresh factory + solver stack. */
 struct Session
 {
-    Session(const smt::wire::ResetFrame &config, smt::LaneConfig lane)
+    explicit Session(const smt::wire::ResetFrame &config)
         : factory(std::make_unique<smt::TermFactory>()),
-          stack(smt::buildSolverStack(
-              *factory, smt::workerStackSpec(config, std::move(lane)))),
+          stack(smt::buildSolverStack(*factory,
+                                      smt::workerStackSpec(config))),
           guard(static_cast<smt::GuardedSolver &>(stack.top()))
     {
         guard.enableModelCapture(config.captureModels);
@@ -154,14 +156,15 @@ struct Session
 /** Liveness thread: beats only while a query is in flight, and only
  *  outside the moment the main thread is emitting that query's Result
  *  (the shared write mutex + in-flight re-check guarantee no frame is
- *  ever sequenced after its own Result). */
+ *  ever sequenced after its own Result). Its wait ends at once when
+ *  the worker stops, so teardown never waits out an interval. */
 void
-heartbeatLoop(unsigned intervalMs, const std::atomic<bool> *stop)
+heartbeatLoop(unsigned intervalMs)
 {
-    while (!stop->load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(intervalMs));
-        std::unique_lock<std::mutex> lock(gWriteMutex);
+    std::unique_lock<std::mutex> lock(gWriteMutex);
+    while (!gHeartbeatCv.wait_for(lock,
+                                  std::chrono::milliseconds(intervalMs),
+                                  [] { return gStopHeartbeat; })) {
         uint64_t seq = gInFlight.load(std::memory_order_relaxed);
         if (seq == 0)
             continue;
@@ -197,19 +200,15 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             return 3;
     }
 
-    std::atomic<bool> stopHeartbeat{false};
     std::thread heartbeat(heartbeatLoop,
-                          heartbeatMs == 0 ? 250 : heartbeatMs,
-                          &stopHeartbeat);
+                          heartbeatMs == 0 ? 250 : heartbeatMs);
 
     std::unique_ptr<Session> session;
 
-    // Queries solve on their own thread so this loop keeps draining
-    // frames — a Cancel must be able to land *during* a solve (that is
-    // its whole point: reaping a losing portfolio lane mid-race). The
-    // parent never pipelines a second Query/Reset before this one's
-    // Result, so joinSolve() only ever blocks when the parent vanished
-    // mid-query (we cancel first so the join terminates).
+    // Queries solve on their own thread so this loop keeps reading the
+    // pipe during a solve and sees the parent close it. The parent
+    // never pipelines a second Query/Reset before this one's Result, so
+    // joinSolve() only waits for a query whose Result is on its way.
     std::thread solve;
     auto joinSolve = [&] {
         if (solve.joinable())
@@ -220,9 +219,12 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
     for (;;) {
         std::string header;
         if (!readExact(header, 4)) {
-            exitCode = 0; // parent closed: normal teardown
-            if (session != nullptr && solve.joinable())
-                session->guard.cancelCurrentQuery();
+            // The parent closed the pipe: normal teardown. A query
+            // still in flight has nobody left to answer; end it with
+            // the process instead of solving on.
+            if (gInFlight.load(std::memory_order_relaxed) != 0)
+                std::_Exit(0);
+            exitCode = 0;
             break;
         }
         smt::wire::Decoder headerDec(header);
@@ -250,26 +252,6 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             exitCode = 0;
             break;
         }
-        if (type == smt::wire::FrameType::Cancel) {
-            smt::wire::CancelFrame cancel;
-            std::string error;
-            if (!smt::wire::decodeCancel(body, cancel, error)) {
-                std::unique_lock<std::mutex> lock(gWriteMutex);
-                writeFrame(smt::wire::encodeError(
-                    "corrupt cancel frame: " + error));
-                continue;
-            }
-            // Only the in-flight seq is cancellable; a stale Cancel
-            // (the race already ended) is silently ignored. The solve
-            // thread still emits a Result (kind Cancelled) for the
-            // cancelled seq, keeping the stream in lockstep.
-            if (session != nullptr && cancel.seq != 0 &&
-                cancel.seq ==
-                    gInFlight.load(std::memory_order_relaxed)) {
-                session->guard.cancelCurrentQuery();
-            }
-            continue;
-        }
         if (type == smt::wire::FrameType::Reset) {
             smt::wire::ResetFrame config;
             std::string error;
@@ -279,21 +261,9 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                     "corrupt reset frame: " + error));
                 continue;
             }
-            std::vector<smt::LaneConfig> lanes;
-            if (!smt::parsePortfolioLanes(config.strategy.empty()
-                                              ? "default"
-                                              : config.strategy,
-                                          lanes, error) ||
-                lanes.size() != 1) {
-                std::unique_lock<std::mutex> lock(gWriteMutex);
-                writeFrame(smt::wire::encodeError(
-                    "bad reset strategy: " +
-                    (error.empty() ? "expected one lane" : error)));
-                continue;
-            }
             joinSolve(); // the old session must be idle before dying
             session.reset();
-            session = std::make_unique<Session>(config, lanes[0]);
+            session = std::make_unique<Session>(config);
             continue;
         }
         if (type != smt::wire::FrameType::Query) {
@@ -365,8 +335,11 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
     }
 
     joinSolve();
-    stopHeartbeat = true;
-    gInFlight = 0;
+    {
+        std::unique_lock<std::mutex> lock(gWriteMutex);
+        gStopHeartbeat = true;
+    }
+    gHeartbeatCv.notify_one();
     heartbeat.join();
     return exitCode;
 }

@@ -42,14 +42,6 @@
  *     --sandbox-workers=N worker pool size (0 = match --jobs)
  *     --worker-memory-mb=N hard RLIMIT_AS per worker (0 = uncapped)
  *     --worker-path=PATH  explicit keq-solver-worker binary
- *     --portfolio=N       race each query across N solver strategy
- *                         lanes; first definite answer wins (1 = off)
- *     --portfolio-lanes=SPEC
- *                         explicit lane roster, e.g.
- *                         "default,int2bv,cold:random_seed=3"
- *     --batch-discharge   ship obligation hypotheses as separate
- *                         assertions so the incremental backend keeps
- *                         them in a warm scope across obligations
  *     --daemon=ENDPOINTS  submit jobs to a running keq-daemon instead
  *                         of solving locally. ENDPOINTS is a comma-
  *                         separated failover list (unix:PATH,
@@ -89,7 +81,6 @@
 #include "src/isel/isel.h"
 #include "src/llvmir/parser.h"
 #include "src/llvmir/verifier.h"
-#include "src/smt/portfolio_solver.h"
 #include "src/support/cancellation.h"
 #include "src/support/journal.h"
 #include "src/vcgen/vcgen.h"
@@ -141,8 +132,6 @@ usage(const char *argv0)
               << "  --chaos=PCT --chaos-seed=N\n"
               << "  --sandbox --sandbox-workers=N --worker-memory-mb=N "
                  "--worker-path=PATH\n"
-              << "  --portfolio=N --portfolio-lanes=SPEC "
-                 "--batch-discharge\n"
               << "  --daemon=ENDPOINTS (comma-separated failover "
                  "list: unix:PATH,tcp:HOST:PORT)\n"
               << "  --stats-json=PATH --gen-corpus=N --corpus-seed=N\n";
@@ -153,7 +142,6 @@ CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions options;
-    unsigned portfolio_lanes = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value_of = [&](const std::string &prefix) {
@@ -249,27 +237,6 @@ parseArgs(int argc, char **argv)
                 static_cast<unsigned>(number_of("--worker-memory-mb="));
         } else if (arg.rfind("--worker-path=", 0) == 0) {
             options.exec.workerPath = value_of("--worker-path=");
-        } else if (arg.rfind("--portfolio=", 0) == 0) {
-            unsigned lanes =
-                static_cast<unsigned>(number_of("--portfolio="));
-            if (lanes == 0)
-                usage(argv[0]);
-            portfolio_lanes = lanes;
-        } else if (arg.rfind("--portfolio-lanes=", 0) == 0) {
-            options.exec.portfolioLaneSpec =
-                value_of("--portfolio-lanes=");
-            // Reject malformed rosters at the CLI instead of failing
-            // every function Unsupported deep inside the pipeline.
-            std::vector<keq::smt::LaneConfig> lanes;
-            std::string error;
-            if (!keq::smt::parsePortfolioLanes(
-                    options.exec.portfolioLaneSpec, lanes, error)) {
-                std::cerr << argv[0] << ": --portfolio-lanes: " << error
-                          << "\n";
-                usage(argv[0]);
-            }
-        } else if (arg == "--batch-discharge") {
-            options.pipeline.checker.batchDischarge = true;
         } else if (arg.rfind("--daemon=", 0) == 0) {
             options.daemon_socket = value_of("--daemon=");
             std::string endpointError;
@@ -323,10 +290,6 @@ parseArgs(int argc, char **argv)
     }
     if (options.path.empty() && options.gen_corpus == 0)
         usage(argv[0]);
-    // An explicit --portfolio-lanes roster wins over --portfolio=N.
-    if (portfolio_lanes > 1 && options.exec.portfolioLaneSpec.empty())
-        options.exec.portfolioLaneSpec =
-            keq::smt::defaultPortfolioSpec(portfolio_lanes);
     return options;
 }
 
@@ -334,8 +297,7 @@ parseArgs(int argc, char **argv)
  * --stats-json: machine-readable dump of the run — outcome counts, the
  * FailureKind histogram over verdicts, the full SolverStats block
  * (aggregated over functions exactly like --stats), and the cache
- * counters. Keys are snake_case and only ever added, so dashboards can
- * diff runs across versions.
+ * counters. Keys are snake_case; a key leaves only with its counter.
  */
 bool
 writeStatsJson(const std::string &path,
@@ -355,7 +317,6 @@ writeStatsJson(const std::string &path,
         FailureKind::Cancelled,
         FailureKind::WorkerKilled,
         FailureKind::WorkerOom,
-        FailureKind::PortfolioDisagreement,
     };
     uint64_t failure_counts[std::size(kKinds)] = {};
     for (const driver::FunctionReport &fn : report.functions) {
@@ -711,14 +672,6 @@ main(int argc, char **argv)
                     u(stats.workerCrashes), u(stats.workerRestarts),
                     u(stats.heartbeatTimeouts), u(stats.wireBytesSent),
                     u(stats.wireBytesReceived));
-        std::printf("  portfolio:   wins by lane [%llu %llu %llu %llu], "
-                    "%llu losers cancelled, %llu disagreements, %llu "
-                    "batched queries\n",
-                    u(stats.portfolioWins[0]), u(stats.portfolioWins[1]),
-                    u(stats.portfolioWins[2]), u(stats.portfolioWins[3]),
-                    u(stats.portfolioCancellations),
-                    u(stats.crossLaneDisagreements),
-                    u(stats.batchedQueries));
     }
     if (!options.stats_json.empty() &&
         !writeStatsJson(options.stats_json, report)) {

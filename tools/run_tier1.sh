@@ -2,7 +2,7 @@
 # Configure, build, and run the tier-1 test suite in one shot.
 #
 # Usage:
-#   tools/run_tier1.sh [sanitizer] [chaos|conformance|net|portfolio|service|soak] [build-dir]
+#   tools/run_tier1.sh [sanitizer] [chaos|conformance|net|service|soak] [build-dir]
 #
 #   tools/run_tier1.sh                # plain build in build/
 #   tools/run_tier1.sh tsan           # ThreadSanitizer build in build-tsan/
@@ -13,7 +13,6 @@
 #   tools/run_tier1.sh conformance    # conformance suite (-L conformance)
 #   tools/run_tier1.sh net            # multi-host transport/failover suite
 #                                     #   (-L net)
-#   tools/run_tier1.sh portfolio      # portfolio racing suite (-L portfolio)
 #   tools/run_tier1.sh service        # validation daemon suite (-L service)
 #   tools/run_tier1.sh soak           # daemon soak (-L soak; stretch with
 #                                     #   KEQ_SOAK_SECONDS=60)
@@ -36,7 +35,7 @@ esac
 
 suite=all
 case ${1:-} in
-    chaos|conformance|net|portfolio|service|soak)
+    chaos|conformance|net|service|soak)
         suite=$1
         shift
         ;;
@@ -93,7 +92,7 @@ elif [ "$suite" = conformance ]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -L conformance
 elif [ "$suite" = service ]; then
-    # The validation-daemon gate: wire v3 negotiation properties, the
+    # The validation-daemon gate: wire handshake properties, the
     # fair queue, the cross-run verdict store, in-process daemon
     # integration (full-corpus parity, warm-cache, backpressure), the
     # SIGKILL chaos suite against real keq-daemon processes, and the
@@ -104,8 +103,8 @@ elif [ "$suite" = net ]; then
     # The multi-host gate: endpoint grammar + EX_USAGE diagnostics,
     # TCP/unix listener round-trips, WireChannel framing under
     # fragmentation/truncation/silence fault injection, in-process
-    # failover determinism (ledger idempotency, heartbeat, v4
-    # compatibility, full corpus over TCP), and real-binary keqc
+    # failover determinism (ledger idempotency, heartbeat, rejection
+    # of older clients, full corpus over TCP), and real-binary keqc
     # failover chaos (tests labelled `net`).
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -L net
@@ -117,14 +116,6 @@ elif [ "$suite" = soak ]; then
     # the wall-clock budget (CI uses 60 under ASan).
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -L soak
-elif [ "$suite" = portfolio ]; then
-    # The portfolio racing gate: lane roster/spec parsing, race
-    # accounting, disagreement oracle, portfolio-off byte-identity,
-    # portfolio-vs-single-lane parity over random DAGs and the corpus,
-    # and the kill-a-lane-mid-race chaos test (tests labelled
-    # `portfolio`).
-    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-        -L portfolio
 else
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 fi
