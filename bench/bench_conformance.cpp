@@ -3,15 +3,12 @@
  * Experiment E13 — conformance-matrix throughput (no paper
  * counterpart; the differential conformance harness of DESIGN.md §12).
  *
- * Runs the checked-in corpus (tests/corpus) through the configuration
- * matrix and reports wall-clock per (file, cell) validation, the
+ * Runs the checked-in corpus (tests/corpus) through the 8-cell
+ * configuration matrix and reports wall-clock per (file, cell) validation, the
  * verdict-identity outcome, and the coverage ledger totals. The bench
  * doubles as a release-shaped rehearsal of the `conformance` ctest
  * gate: it fails loudly on any EXPECT mismatch, any cross-cell verdict
  * divergence, or an incomplete opcode ledger.
- *
- * Scale knobs: KEQ_CONFORMANCE_FULL=1 runs the full 16-cell matrix
- * (default is the 4-cell quick diagonal).
  */
 
 #include <cstdio>
@@ -24,14 +21,12 @@
 
 namespace {
 
-/** "sandbox=1 cache=0 smtopt=1 jobs=4" -> "s1_c0_o1_j4" (JSON key). */
+/** "sandbox=1 smtopt=1 jobs=4" -> "s1_o1_j4" (JSON key). */
 std::string
 cellKey(const keq::conformance::MatrixCell &cell)
 {
     std::string key = "s";
     key += cell.sandbox ? '1' : '0';
-    key += "_c";
-    key += cell.cache ? '1' : '0';
     key += "_o";
     key += cell.smtOpt ? '1' : '0';
     key += "_j";
@@ -46,20 +41,15 @@ main()
 {
     using namespace keq;
 
-    bool full = bench::envSize("KEQ_CONFORMANCE_FULL", 0) != 0;
-
     std::vector<conformance::CorpusCase> cases =
         conformance::loadCorpusDir(KEQ_CORPUS_DIR);
 
     conformance::RunnerOptions options;
-    options.matrix = full ? conformance::fullMatrix()
-                          : conformance::quickMatrix();
     options.workerPath = KEQ_WORKER_BIN;
 
     std::cout << "=== E13: conformance matrix throughput ===\n";
     std::cout << "corpus: " << cases.size() << " files, "
-              << options.matrix.size() << " configuration cells ("
-              << (full ? "full" : "quick") << " matrix)\n\n";
+              << options.matrix.size() << " configuration cells\n\n";
 
     conformance::ConformanceReport report =
         conformance::runConformance(cases, options);
@@ -77,7 +67,7 @@ main()
 
     // Per-cell wall-clock breakdown: the same corpus timed one
     // configuration at a time, so the cost of each knob (sandbox IPC,
-    // cache, the smt-opt stack, parallelism) is visible in isolation.
+    // the optimized stack, parallelism) is visible in isolation.
     std::printf("\nper-cell breakdown:\n");
     std::vector<std::pair<std::string, double>> cell_seconds;
     for (const conformance::MatrixCell &cell : options.matrix) {
@@ -110,7 +100,6 @@ main()
     json.field("bench", std::string("conformance"));
     json.field("files", uint64_t{cases.size()});
     json.field("cells", uint64_t{options.matrix.size()});
-    json.field("full_matrix", full);
     json.field("seconds", report.seconds);
     json.field("seconds_per_validation", per_validation);
     json.field("expect_mismatches", uint64_t{report.expectMismatches()});

@@ -60,11 +60,10 @@ main()
               << support::ThreadPool::hardwareThreads()
               << " hardware thread(s); workers are capped there)\n\n";
 
-    // Baseline: the legacy serial pipeline (cold solver per query, no
-    // preprocessing, no incremental backend).
+    // Baseline: the serial reference stack (cold solver per query, no
+    // preprocessing, no cache, no incremental backend).
     driver::ExecutionOptions serial_exec;
     serial_exec.jobs = 1;
-    serial_exec.solverCache = false;
     serial_exec.optimizeQueries = false;
     driver::Pipeline serial_pipeline(options, serial_exec);
     support::Stopwatch watch;

@@ -4,9 +4,9 @@
  * the optimization-stack benchmark for the incremental backend.
  *
  * Part 1 (optimization stack): the Figure 6 corpus validated twice
- * through identically-configured pipelines, once with the PR 1 stack
- * (cached serial, cold Z3 per query, no preprocessing) and once with the
- * full stack (rewrite engine -> cone slicer -> cache -> incremental Z3).
+ * through identically-configured pipelines, once with the reference
+ * stack (serial, cold Z3 per query, no preprocessing, no cache) and once
+ * with the full stack (rewrite engine -> cone slicer -> cache -> incremental Z3).
  * The harness *asserts* verdict identity — the stack must shift timings,
  * never outcomes — then reports the per-function geomean speedup and the
  * per-stage attribution of where queries were resolved.
@@ -141,8 +141,8 @@ runStackComparison()
     std::cout << "corpus: " << function_count
               << " Figure 6 functions (seed " << copts.seed << ")\n\n";
 
-    // Baseline: the PR 1 stack — shared cache, serial, cold Z3 per
-    // query, no preprocessing.
+    // Baseline: the reference stack — serial, cold Z3 per query, no
+    // preprocessing, no cache.
     driver::ExecutionOptions base_exec;
     base_exec.jobs = 1;
     base_exec.optimizeQueries = false;
@@ -181,7 +181,7 @@ runStackComparison()
                                     double(baseline.functions.size()));
 
     const smt::SolverStats &stats = optimized.solverStats;
-    std::printf("baseline (cache only):  %7.2f s  (%.2f s in solver)\n",
+    std::printf("reference stack:        %7.2f s  (%.2f s in solver)\n",
                 baseline_seconds,
                 baseline.solverStats.totalSeconds);
     std::printf("optimized stack:        %7.2f s  (%.2f s in solver)\n",

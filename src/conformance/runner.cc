@@ -13,8 +13,8 @@ std::string
 MatrixCell::label() const
 {
     std::ostringstream os;
-    os << "sandbox=" << (sandbox ? 1 : 0) << " cache=" << (cache ? 1 : 0)
-       << " smtopt=" << (smtOpt ? 1 : 0) << " jobs=" << jobs;
+    os << "sandbox=" << (sandbox ? 1 : 0) << " smtopt=" << (smtOpt ? 1 : 0)
+       << " jobs=" << jobs;
     return os.str();
 }
 
@@ -23,22 +23,10 @@ fullMatrix()
 {
     std::vector<MatrixCell> cells;
     for (bool sandbox : {false, true})
-        for (bool cache : {true, false})
-            for (bool smt_opt : {true, false})
-                for (unsigned jobs : {1u, 4u})
-                    cells.push_back({sandbox, cache, smt_opt, jobs});
+        for (bool smt_opt : {true, false})
+            for (unsigned jobs : {1u, 4u})
+                cells.push_back({sandbox, smt_opt, jobs});
     return cells;
-}
-
-std::vector<MatrixCell>
-quickMatrix()
-{
-    return {
-        {false, true, true, 1},  // reference: the default stack
-        {false, false, false, 1}, // everything off (PR 1 baseline shape)
-        {true, true, true, 4},   // sandboxed and parallel
-        {false, true, false, 4}, // parallel, unoptimized queries
-    };
 }
 
 driver::ModuleReport
@@ -53,7 +41,6 @@ runCase(const CorpusCase &corpus_case, const MatrixCell &cell,
 
     driver::ExecutionOptions exec;
     exec.jobs = cell.jobs;
-    exec.solverCache = cell.cache;
     exec.optimizeQueries = cell.smtOpt;
     exec.sandbox = cell.sandbox;
     exec.workerPath = options.workerPath;

@@ -6,8 +6,8 @@
  * The differential conformance runner (DESIGN.md §12).
  *
  * Drives every corpus file through the full validation stack in a
- * *configuration matrix* — in-process vs sandboxed solving, solver
- * cache on/off, SMT optimization stack on/off, 1 vs 4 worker threads —
+ * *configuration matrix* — in-process vs sandboxed solving, the
+ * optimized vs the reference solver stack, 1 vs 4 worker threads —
  * and asserts two properties per file:
  *
  *   1. matrix consistency — every cell produces the identical canonical
@@ -37,22 +37,17 @@ namespace keq::conformance {
 struct MatrixCell
 {
     bool sandbox = false;
-    bool cache = true;
+    /** ExecutionOptions::optimizeQueries: the optimized stack, or the
+     *  reference stack (no front, no cache, the cold lane). */
     bool smtOpt = true;
     unsigned jobs = 1;
 
-    /** "sandbox=0 cache=1 smtopt=1 jobs=4" (stable key). */
+    /** "sandbox=0 smtopt=1 jobs=4" (stable key). */
     std::string label() const;
 };
 
-/** The full 2x2x2x2 matrix (16 cells). */
+/** The full 2x2x2 matrix (8 cells). */
 std::vector<MatrixCell> fullMatrix();
-
-/**
- * A 4-cell diagonal for time-boxed runs: the reference cell, the
- * all-off cell, and the two extreme sandbox/parallel cells.
- */
-std::vector<MatrixCell> quickMatrix();
 
 struct RunnerOptions
 {

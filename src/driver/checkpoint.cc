@@ -1,44 +1,14 @@
 #include "src/driver/checkpoint.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/support/diagnostics.h"
+#include "src/support/strings.h"
 
 namespace keq::driver {
 
 namespace {
-
-/** Splits a payload on raw tabs (fields are individually escaped). */
-std::vector<std::string>
-splitFields(const std::string &payload)
-{
-    std::vector<std::string> fields;
-    size_t start = 0;
-    for (;;) {
-        size_t tab = payload.find('\t', start);
-        if (tab == std::string::npos) {
-            fields.push_back(payload.substr(start));
-            return fields;
-        }
-        fields.push_back(payload.substr(start, tab - start));
-        start = tab + 1;
-    }
-}
-
-bool
-parseU64(const std::string &field, uint64_t &out)
-{
-    if (field.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(field.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    out = value;
-    return true;
-}
 
 constexpr size_t kVerdictFields = 16;
 
@@ -71,7 +41,8 @@ bool
 deserializeFunctionReport(const std::string &payload,
                           FunctionReport &report)
 {
-    std::vector<std::string> fields = splitFields(payload);
+    // Fields are individually escaped, so raw tabs only separate them.
+    std::vector<std::string> fields = support::split(payload, '\t');
     if (fields.size() != kVerdictFields || fields[0] != "verdict")
         return false;
 
@@ -81,10 +52,10 @@ deserializeFunctionReport(const std::string &payload,
     uint64_t outcome = 0;
     uint64_t kind = 0;
     uint64_t refine = 0;
-    if (!parseU64(fields[2], outcome) || outcome > 4 ||
-        !parseU64(fields[3], kind) || kind > 4 ||
+    if (!support::parseU64(fields[2], outcome) || outcome > 4 ||
+        !support::parseU64(fields[3], kind) || kind > 4 ||
         !failureKindFromName(fields[4].c_str(), out.verdict.failure) ||
-        !parseU64(fields[5], refine) || refine > 1) {
+        !support::parseU64(fields[5], refine) || refine > 1) {
         return false;
     }
     out.outcome = static_cast<Outcome>(outcome);
@@ -92,12 +63,14 @@ deserializeFunctionReport(const std::string &payload,
     out.verdict.usedRefinementFallback = refine != 0;
 
     uint64_t llvm = 0, x86 = 0, sync = 0, spec = 0;
-    if (!parseU64(fields[6], llvm) || !parseU64(fields[7], x86) ||
-        !parseU64(fields[8], sync) || !parseU64(fields[9], spec) ||
-        !parseU64(fields[10], out.verdict.stats.solverQueries) ||
-        !parseU64(fields[11], out.verdict.stats.pointsChecked) ||
-        !parseU64(fields[12], out.verdict.stats.symbolicSteps) ||
-        !parseU64(fields[13], out.verdict.stats.pairsExamined)) {
+    if (!support::parseU64(fields[6], llvm) ||
+        !support::parseU64(fields[7], x86) ||
+        !support::parseU64(fields[8], sync) ||
+        !support::parseU64(fields[9], spec) ||
+        !support::parseU64(fields[10], out.verdict.stats.solverQueries) ||
+        !support::parseU64(fields[11], out.verdict.stats.pointsChecked) ||
+        !support::parseU64(fields[12], out.verdict.stats.symbolicSteps) ||
+        !support::parseU64(fields[13], out.verdict.stats.pairsExamined)) {
         return false;
     }
     out.llvmInstructions = static_cast<size_t>(llvm);

@@ -333,12 +333,15 @@ validateRegAlloc(const llvmir::Module &module, const llvmir::Function &fn,
 Pipeline::Pipeline(PipelineOptions options, ExecutionOptions exec)
     : options_(std::move(options)), exec_(std::move(exec))
 {
-    // The verdict store: entry cap + byte budget (LRU).
-    if (exec_.externalCache != nullptr)
-        cache_ = exec_.externalCache;
-    else if (exec_.solverCache)
-        cache_ = std::make_shared<smt::QueryCache>(
-            exec_.cacheShardCapacity, exec_.cacheMemoryMb << 20);
+    // The optimized stack's verdict store, byte-budgeted (LRU); the
+    // reference stack has none.
+    if (exec_.optimizeQueries) {
+        cache_ = exec_.externalCache != nullptr
+                     ? exec_.externalCache
+                     : std::make_shared<smt::QueryCache>(
+                           smt::QueryCache::kDefaultMaxEntriesPerShard,
+                           exec_.cacheMemoryMb << 20);
+    }
 }
 
 FunctionReport
@@ -354,8 +357,6 @@ Pipeline::validateWith(const llvmir::Module &module,
     spec.lane = exec.optimizeQueries ? smt::Lane::Default : smt::Lane::Cold;
     spec.sandbox = sandbox;
     spec.cache = cache_;
-    spec.front.simplify = exec.optimizeQueries;
-    spec.front.slice = exec.optimizeQueries;
     // Trust-but-verify: sample journal-preloaded hits and recheck them
     // against the pristine solver before serving.
     spec.front.auditRate = exec.auditRate;

@@ -78,18 +78,15 @@ struct ExecutionOptions
      * at the host's hardware parallelism (and at the function count).
      */
     unsigned jobs = 1;
-    /** Memoize solver verdicts across sync points and functions. */
-    bool solverCache = true;
-    /** Per-shard entry cap before eviction (0 = unlimited). */
-    size_t cacheShardCapacity = 1 << 16;
     /**
-     * Run the rewrite engine (simplify) and cone-of-influence slicer in
-     * front of the cache, and solve on the incremental "default" lane;
-     * false skips both stages and solves on the "cold" lane (fresh
-     * solver per query), in process and sandboxed alike (sandbox
-     * workers run no front of their own). Both settings give the same
-     * verdicts (asserted by the differential and conformance tests);
-     * false is the unoptimized reference stack.
+     * The one stack switch. true is the optimized stack: the rewrite
+     * engine, cone-of-influence slicer, verdict cache and model reuse
+     * in front of the incremental "default" lane. false is the
+     * reference stack: no front and no cache, every query on the
+     * "cold" lane (a fresh solver per query), in process and sandboxed
+     * alike (sandbox workers run no front of their own). Both give the
+     * same verdicts (asserted by the differential and conformance
+     * tests).
      */
     bool optimizeQueries = true;
 
@@ -109,7 +106,7 @@ struct ExecutionOptions
     size_t cacheMemoryMb = 512;
     /**
      * Fault-injection plan for chaos testing; disabled by default.
-     * Injection wraps the optimized rungs only — the terminal pristine
+     * Injection wraps the primary only — the guard's pristine fallback
      * rung never misbehaves, which is what lets a chaos run converge
      * to the clean run's exact verdicts.
      */
@@ -139,10 +136,11 @@ struct ExecutionOptions
                        smt::SatResult recheck)>
         onAuditMismatch;
     /**
-     * Externally-owned verdict cache to validate through. When set it
-     * overrides solverCache/cacheShardCapacity — the
-     * validation daemon hands every Pipeline the one store-backed
-     * cache so verdicts are shared across clients and runs.
+     * Externally-owned verdict cache the optimized stack validates
+     * through instead of a cache of its own (the reference stack has
+     * none). The validation daemon hands every Pipeline the one
+     * store-backed cache so verdicts are shared across clients and
+     * runs.
      */
     std::shared_ptr<smt::QueryCache> externalCache;
     /**
@@ -275,7 +273,7 @@ class Pipeline
     const PipelineOptions &options() const { return options_; }
     const ExecutionOptions &execution() const { return exec_; }
 
-    /** The shared cache; null when caching is disabled. */
+    /** The shared cache; null on the reference stack. */
     const std::shared_ptr<smt::QueryCache> &cache() const
     {
         return cache_;

@@ -16,6 +16,7 @@
 #include "src/llvmir/verifier.h"
 #include "src/support/diagnostics.h"
 #include "src/support/journal.h"
+#include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 
 namespace keq::fuzz {
@@ -117,36 +118,6 @@ struct IterationOutcome
 
 constexpr const char *kCampaignJournalKind = "fuzz-campaign";
 
-/** Splits a payload on raw tabs (fields are individually escaped). */
-std::vector<std::string>
-splitFields(const std::string &payload)
-{
-    std::vector<std::string> fields;
-    size_t start = 0;
-    for (;;) {
-        size_t tab = payload.find('\t', start);
-        if (tab == std::string::npos) {
-            fields.push_back(payload.substr(start));
-            return fields;
-        }
-        fields.push_back(payload.substr(start, tab - start));
-        start = tab + 1;
-    }
-}
-
-bool
-parseU64Field(const std::string &field, uint64_t &out)
-{
-    if (field.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(field.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    out = value;
-    return true;
-}
-
 /** Campaign identity a checkpoint is bound to. */
 std::string
 campaignFingerprint(const CampaignOptions &options)
@@ -201,10 +172,11 @@ bool
 deserializeOutcome(const std::string &payload, size_t &index,
                    IterationOutcome &outcome)
 {
-    std::vector<std::string> fields = splitFields(payload);
+    // Fields are individually escaped, so raw tabs only separate them.
+    std::vector<std::string> fields = support::split(payload, '\t');
     size_t at = 0;
     auto next = [&](uint64_t &out) {
-        return at < fields.size() && parseU64Field(fields[at++], out);
+        return at < fields.size() && support::parseU64(fields[at++], out);
     };
     if (fields.empty() || fields[0] != "iter")
         return false;
@@ -233,7 +205,7 @@ deserializeOutcome(const std::string &payload, size_t &index,
             std::string id;
             uint64_t count = 0;
             if (!support::unescapeLine(fields[at++], id) ||
-                !parseU64Field(fields[at++], count)) {
+                !support::parseU64(fields[at++], count)) {
                 return false;
             }
             (*map)[id] = count;
@@ -253,10 +225,10 @@ deserializeOutcome(const std::string &payload, size_t &index,
                                    failure.repro.mutationId) ||
             !support::unescapeLine(fields[at + 1],
                                    failure.repro.classification) ||
-            !parseU64Field(fields[at + 2], iteration) ||
-            !parseU64Field(fields[at + 3], failure.repro.mutationSeed) ||
-            !parseU64Field(fields[at + 4], failure.oracleSeed) ||
-            !parseU64Field(fields[at + 5], from_cal) || from_cal > 1 ||
+            !support::parseU64(fields[at + 2], iteration) ||
+            !support::parseU64(fields[at + 3], failure.repro.mutationSeed) ||
+            !support::parseU64(fields[at + 4], failure.oracleSeed) ||
+            !support::parseU64(fields[at + 5], from_cal) || from_cal > 1 ||
             !support::unescapeLine(fields[at + 6], source)) {
             return false;
         }
@@ -815,7 +787,7 @@ replayReproducer(const std::string &artifact,
         // std::stoull (which aborts the tool).
         auto parse_count = [](const std::string &text, const char *key) {
             uint64_t value = 0;
-            if (!parseU64Field(text, value)) {
+            if (!support::parseU64(text, value)) {
                 throw support::Error(
                     std::string("reproducer artifact: malformed ") +
                     key + " value '" + text + "'");

@@ -57,7 +57,8 @@ Server::start(std::string &error)
     if (!store_.open(error))
         return false;
     cache_ = std::make_shared<smt::QueryCache>(
-        options_.cacheShardCapacity, options_.cacheMemoryMb << 20);
+        smt::QueryCache::kDefaultMaxEntriesPerShard,
+        options_.cacheMemoryMb << 20);
     store_.attach(*cache_);
     // The legacy socketPath is just a one-element unix listen list;
     // both forms may be combined (keqd --socket plus --listen=tcp:..).

@@ -100,7 +100,6 @@ struct ServerOptions
     unsigned clientBurst = 64;
     /** Shared query-cache budget (same semantics as keqc). */
     size_t cacheMemoryMb = 512;
-    size_t cacheShardCapacity = 1 << 16;
     /** Handshake deadline; a silent connector is dropped after this. */
     unsigned handshakeTimeoutMs = 5000;
     /**

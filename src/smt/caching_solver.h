@@ -103,12 +103,15 @@ class QueryCache
     static constexpr size_t kDefaultMaxBytes = size_t(512) << 20;
     /** Per-entry bookkeeping charge on top of the key bytes. */
     static constexpr size_t kEntryOverheadBytes = 128;
+    /** Default entry-count threshold of each shard. */
+    static constexpr size_t kDefaultMaxEntriesPerShard = 1 << 16;
 
     /**
      * @param max_entries_per_shard Entry-count threshold (0 = none).
      * @param max_bytes Byte budget across all shards (0 = none).
      */
-    explicit QueryCache(size_t max_entries_per_shard = 1 << 16,
+    explicit QueryCache(size_t max_entries_per_shard =
+                            kDefaultMaxEntriesPerShard,
                         size_t max_bytes = kDefaultMaxBytes);
 
     /**

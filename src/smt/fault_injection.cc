@@ -59,16 +59,6 @@ FaultInjectingSolver::FaultInjectingSolver(TermFactory &factory,
     : factory_(factory), backend_(&backend), plan_(plan)
 {}
 
-FaultInjectingSolver::FaultInjectingSolver(
-    TermFactory &factory, std::unique_ptr<Solver> backend, FaultPlan plan)
-    : factory_(factory), owned_(std::move(backend)),
-      backend_(owned_.get()), plan_(plan)
-{
-    KEQ_ASSERT(backend_ != nullptr, "FaultInjectingSolver: null backend");
-}
-
-FaultInjectingSolver::~FaultInjectingSolver() = default;
-
 void
 FaultInjectingSolver::setTimeoutMs(unsigned timeout_ms)
 {

@@ -15,14 +15,13 @@
  *
  * Faults are *transient*: they key on the call counter, so the
  * GuardedSolver's retry of the same query draws a fresh schedule slot
- * and (usually) passes through. A plan with rates high enough to
- * exhaust every ladder rung exercises the terminal-failure paths
- * instead.
+ * and (usually) passes through. The guard's fallback rung is never
+ * injected, so under a plan with rates high enough to exhaust every
+ * retry on the primary that rung decides the query.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "src/smt/solver.h"
 
@@ -73,12 +72,6 @@ class FaultInjectingSolver : public Solver
     FaultInjectingSolver(TermFactory &factory, Solver &backend,
                          FaultPlan plan);
 
-    /** Owning: for lazily-built ladder rungs. */
-    FaultInjectingSolver(TermFactory &factory,
-                         std::unique_ptr<Solver> backend,
-                         FaultPlan plan);
-    ~FaultInjectingSolver() override;
-
     SatResult checkSat(const std::vector<Term> &assertions) override;
     void setTimeoutMs(unsigned timeout_ms) override;
     void setMemoryBudgetMb(unsigned budget_mb) override;
@@ -96,7 +89,6 @@ class FaultInjectingSolver : public Solver
 
   private:
     TermFactory &factory_;
-    std::unique_ptr<Solver> owned_;
     Solver *backend_;
     FaultPlan plan_;
     uint64_t callIndex_ = 0;

@@ -3,17 +3,16 @@
 #include <algorithm>
 
 #include "src/support/diagnostics.h"
-#include "src/support/rng.h"
 
 namespace keq::smt {
 
 using Clock = std::chrono::steady_clock;
 
 GuardedSolver::GuardedSolver(TermFactory &factory, Solver &primary,
-                             std::vector<RungFactory> fallbacks,
+                             RungFactory fallback,
                              GuardedSolverOptions options)
     : factory_(factory), primary_(primary),
-      rungFactories_(std::move(fallbacks)), options_(options)
+      fallbackFactory_(std::move(fallback)), options_(options)
 {}
 
 GuardedSolver::~GuardedSolver()
@@ -33,10 +32,8 @@ GuardedSolver::setTimeoutMs(unsigned timeout_ms)
 {
     timeoutMs_ = timeout_ms;
     primary_.setTimeoutMs(timeout_ms);
-    for (auto &rung : rungs_) {
-        if (rung)
-            rung->setTimeoutMs(timeout_ms);
-    }
+    if (fallback_)
+        fallback_->setTimeoutMs(timeout_ms);
 }
 
 void
@@ -44,10 +41,8 @@ GuardedSolver::setMemoryBudgetMb(unsigned budget_mb)
 {
     memoryBudgetMb_ = budget_mb;
     primary_.setMemoryBudgetMb(budget_mb);
-    for (auto &rung : rungs_) {
-        if (rung)
-            rung->setMemoryBudgetMb(budget_mb);
-    }
+    if (fallback_)
+        fallback_->setMemoryBudgetMb(budget_mb);
 }
 
 void
@@ -55,10 +50,8 @@ GuardedSolver::enableModelCapture(bool enabled)
 {
     captureModels_ = enabled;
     primary_.enableModelCapture(enabled);
-    for (auto &rung : rungs_) {
-        if (rung)
-            rung->enableModelCapture(enabled);
-    }
+    if (fallback_)
+        fallback_->enableModelCapture(enabled);
 }
 
 bool
@@ -82,33 +75,28 @@ GuardedSolver::lastFailureKind() const
 void
 GuardedSolver::interruptQuery()
 {
-    // Forward to whatever could be solving right now; harmless for idle
-    // rungs (a stray interrupt makes at most one future attempt return
-    // Unknown, which the ladder retries).
+    // Forward to whatever could be solving right now; harmless for an
+    // idle rung (a stray interrupt makes at most one future attempt
+    // return Unknown, which the guard retries).
     primary_.interruptQuery();
-    for (auto &rung : rungs_) {
-        if (rung)
-            rung->interruptQuery();
-    }
+    if (fallback_)
+        fallback_->interruptQuery();
 }
 
 Solver *
-GuardedSolver::rungSolver(size_t rung)
+GuardedSolver::rungSolver(unsigned rung)
 {
     if (rung == 0)
         return &primary_;
-    size_t index = rung - 1;
-    if (rungs_.size() <= index)
-        rungs_.resize(rungFactories_.size());
-    if (!rungs_[index]) {
-        rungs_[index] = rungFactories_[index]();
-        KEQ_ASSERT(rungs_[index] != nullptr,
+    if (!fallback_) {
+        fallback_ = fallbackFactory_();
+        KEQ_ASSERT(fallback_ != nullptr,
                    "GuardedSolver: rung factory returned null");
-        rungs_[index]->setTimeoutMs(timeoutMs_);
-        rungs_[index]->setMemoryBudgetMb(memoryBudgetMb_);
-        rungs_[index]->enableModelCapture(captureModels_);
+        fallback_->setTimeoutMs(timeoutMs_);
+        fallback_->setMemoryBudgetMb(memoryBudgetMb_);
+        fallback_->enableModelCapture(captureModels_);
     }
-    return rungs_[index].get();
+    return fallback_.get();
 }
 
 void
@@ -180,7 +168,7 @@ GuardedSolver::watchdogLoop()
                 // Interrupt outside the lock: Z3_interrupt is
                 // thread-safe but can take a moment. A lost race with
                 // disarm costs at most one spurious Unknown on a later
-                // attempt, which the ladder absorbs; it can never flip
+                // attempt, which the guard absorbs; it can never flip
                 // a definite verdict.
                 lock.unlock();
                 target->interruptQuery();
@@ -215,29 +203,15 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
     lastFailure_ = FailureKind::None;
     lastAnswering_ = nullptr;
 
-    support::Rng jitter(options_.jitterSeed ^ stats_.queries);
-    size_t rungCount = 1 + rungFactories_.size();
-    unsigned attemptNumber = 0; // across rungs, for backoff growth
-
-    for (size_t rung = 0; rung < rungCount; ++rung) {
+    unsigned rungCount = hasFallback() ? 2 : 1;
+    for (unsigned rung = 0; rung < rungCount; ++rung) {
         Solver *solver = rungSolver(rung);
-        for (unsigned attempt = 0; attempt <= options_.retries;
-             ++attempt, ++attemptNumber) {
+        for (unsigned attempt = 0; attempt <= options_.retries; ++attempt) {
             if (options_.cancel.cancelled()) {
                 lastFailure_ = FailureKind::Cancelled;
                 lastUnknownReason_ = "cancelled";
                 ++stats_.unknown;
                 return SatResult::Unknown;
-            }
-            if (attemptNumber > 0 && options_.backoffBaseMs > 0) {
-                // Exponential backoff with jitter: decorrelates retry
-                // storms across workers hammering a shared resource.
-                unsigned shift = std::min(attemptNumber - 1, 4u);
-                uint64_t base =
-                    static_cast<uint64_t>(options_.backoffBaseMs)
-                    << shift;
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    base + jitter.below(options_.backoffBaseMs)));
             }
 
             SolverStats before = solver->stats();
@@ -316,7 +290,7 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
             ++stats_.guardedEscalations;
     }
 
-    // Ladder exhausted: report Unknown carrying the final attempt's
+    // Every rung exhausted: report Unknown carrying the final attempt's
     // classification. Crashes are absorbed here by design — the caller
     // gets a classified failure, never an exception.
     ++stats_.unknown;

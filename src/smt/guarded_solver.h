@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Fault-tolerant solver front: watchdog + retry/escalation ladder.
+ * Fault-tolerant solver front: watchdog, retries and one fallback rung.
  *
  * Real ISel corpora wedge solvers (paper Section 6): Z3's soft timeout
  * is best-effort and a pathological query can ignore it for minutes,
@@ -21,16 +21,17 @@
  *    attempt the watchdog or a cancel interrupted fails that attempt:
  *    an interrupted Z3 check can answer wrongly.
  *
- *  - **Escalation ladder.** On a failed attempt (Unknown or crash) the
- *    query is retried a bounded number of times per rung with jittered
- *    backoff, then escalated to the next rung: typically
- *    incremental+cache -> fresh cold solver -> pristine unoptimized
- *    solver. Rungs are built lazily from caller-supplied factories, so
- *    a healthy run never pays for them. The last rung is conventionally
- *    pristine (no fault injection, no optimization) which is what makes
- *    chaos runs converge to the clean run's verdicts.
+ *  - **Fallback rung.** On a failed attempt (Unknown or crash) the
+ *    query is retried a bounded number of times on the primary, then
+ *    escalated to the one optional fallback rung, which gets the same
+ *    number of attempts. The rung is built lazily from a
+ *    caller-supplied factory, so a healthy run never pays for it. It is
+ *    conventionally pristine (no fault injection, no optimization),
+ *    which is what makes chaos runs converge to the clean run's
+ *    verdicts. Retries follow at once: no two stacks share a Z3 context
+ *    or a worker process, so there is nothing to back off from.
  *
- *  - **Classified failure.** When the ladder is exhausted the query
+ *  - **Classified failure.** When every rung is exhausted the query
  *    returns Unknown and lastFailureKind() says why (Timeout,
  *    MemoryBudget, SolverUnknown, SolverCrash, Cancelled) — crashes are
  *    absorbed, never propagated, so one wedged query costs one verdict,
@@ -67,31 +68,26 @@ struct GuardedSolverOptions
     unsigned deadlineMs = 0;
     /** Extra attempts on the same rung after the first fails. */
     unsigned retries = 1;
-    /** Base backoff before a retry/escalation attempt; 0 disables. */
-    unsigned backoffBaseMs = 5;
-    /** Seed for backoff jitter (timing only, never verdicts). */
-    uint64_t jitterSeed = 0x6a77;
     /** Cooperative cancellation; polled by the watchdog mid-query. */
     support::CancellationToken cancel;
 };
 
-/** Watchdogged escalation ladder over a primary solver + fallbacks. */
+/** Watchdogged retries over a primary solver and one fallback rung. */
 class GuardedSolver : public Solver
 {
   public:
-    /** Builds one fallback rung on first use. */
+    /** Builds the fallback rung on first use. */
     using RungFactory = std::function<std::unique_ptr<Solver>()>;
 
     /**
      * @param factory Factory owning the terms.
      * @param primary Rung 0; must outlive this object.
-     * @param fallbacks Lazily-instantiated rungs 1..n, cheapest first;
-     *                  each inherits the current timeout/memory/model
-     *                  settings when built.
+     * @param fallback Builds rung 1 on first escalation, which inherits
+     *                 the current timeout/memory/model settings; null
+     *                 means the primary is the only rung.
      */
     GuardedSolver(TermFactory &factory, Solver &primary,
-                  std::vector<RungFactory> fallbacks,
-                  GuardedSolverOptions options);
+                  RungFactory fallback, GuardedSolverOptions options);
     ~GuardedSolver() override;
 
     SatResult checkSat(const std::vector<Term> &assertions) override;
@@ -105,15 +101,15 @@ class GuardedSolver : public Solver
     FailureKind lastFailureKind() const override;
     const SolverStats &stats() const override { return stats_; }
 
-    /** Fallback rungs above the primary, built or not. */
-    size_t fallbackCount() const { return rungFactories_.size(); }
+    /** Is there a fallback rung above the primary, built or not? */
+    bool hasFallback() const { return fallbackFactory_ != nullptr; }
     const GuardedSolverOptions &options() const { return options_; }
 
   protected:
     TermFactory &factory() override { return factory_; }
 
   private:
-    Solver *rungSolver(size_t rung);
+    Solver *rungSolver(unsigned rung);
     void ensureWatchdog();
     void armWatchdog(Solver *target);
     /** @return true when the watchdog fired during this attempt. */
@@ -122,8 +118,8 @@ class GuardedSolver : public Solver
 
     TermFactory &factory_;
     Solver &primary_;
-    std::vector<RungFactory> rungFactories_;
-    std::vector<std::unique_ptr<Solver>> rungs_; // lazily built
+    RungFactory fallbackFactory_;
+    std::unique_ptr<Solver> fallback_; // lazily built
     GuardedSolverOptions options_;
     SolverStats stats_;
 

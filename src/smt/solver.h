@@ -101,7 +101,7 @@ struct SolverStats
     // which is what lets the chaos suite diff canonical summaries.
     uint64_t watchdogInterrupts = 0; ///< deadline/cancel interrupts fired
     uint64_t guardedRetries = 0;     ///< same-rung retry attempts
-    uint64_t guardedEscalations = 0; ///< moves to the next ladder rung
+    uint64_t guardedEscalations = 0; ///< moves to the fallback rung
     uint64_t escalatedResolved = 0;  ///< queries decided by a fallback rung
     uint64_t solverCrashes = 0;      ///< backend exceptions absorbed
     uint64_t faultsInjected = 0;     ///< faults the injection harness fired
@@ -181,8 +181,8 @@ class Assignment; // evaluator.h
 /**
  * Thrown when a backend solver fails abnormally (a z3::exception or an
  * injected crash) rather than answering Unknown. The GuardedSolver
- * absorbs these while ladder rungs remain; only an exhausted ladder
- * lets one escape to the checker, which classifies it
+ * absorbs these while a rung remains; only exhausted rungs let one
+ * escape to the checker, which classifies it
  * FailureKind::SolverCrash.
  */
 class SolverCrashError : public std::runtime_error

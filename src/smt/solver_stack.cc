@@ -48,7 +48,7 @@ buildSolverStack(TermFactory &factory, const StackSpec &spec)
     }
 
     // The injector sits above the front, so injected misbehavior
-    // exercises the guard's retries and rungs without ever reaching
+    // exercises the guard's retries and fallback without ever reaching
     // the verdicts the front stores.
     if (spec.faults.enabled()) {
         layers.push_back(std::make_unique<FaultInjectingSolver>(
@@ -56,23 +56,12 @@ buildSolverStack(TermFactory &factory, const StackSpec &spec)
     }
 
     if (spec.guard) {
-        // Rung 1 is a fresh cold solver on the raw (unpreprocessed)
-        // query, still fault-injected under chaos; rung 2 is pristine,
-        // which is what makes chaos verdicts converge to clean ones.
-        FaultPlan rung1_plan = spec.faults.derive(1);
-        std::vector<GuardedSolver::RungFactory> rungs;
-        rungs.push_back(
-            [&factory, rung1_plan]() -> std::unique_ptr<Solver> {
-                std::unique_ptr<Solver> fresh = makePristineSolver(factory);
-                if (rung1_plan.enabled()) {
-                    return std::make_unique<FaultInjectingSolver>(
-                        factory, std::move(fresh), rung1_plan);
-                }
-                return fresh;
-            });
-        rungs.push_back([&factory] { return makePristineSolver(factory); });
+        // The fallback is pristine, never fault-injected: that is what
+        // makes chaos verdicts converge to clean ones.
         layers.push_back(std::make_unique<GuardedSolver>(
-            factory, stack.top(), std::move(rungs), *spec.guard));
+            factory, stack.top(),
+            [&factory] { return makePristineSolver(factory); },
+            *spec.guard));
     }
 
     if (spec.memoryBudgetMb > 0)

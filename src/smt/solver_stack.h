@@ -15,14 +15,17 @@
  *     reuse);
  *  3. injector: a FaultInjectingSolver, in chaos runs only;
  *  4. guard: a GuardedSolver, whose watchdog and retries cover the
- *     layers below, then two cold rungs: a fresh Z3Solver (fault
- *     injected under chaos) and a pristine one.
+ *     layers below, with one fallback rung: a pristine Z3Solver.
  *
  * A StackSpec says which layers a stack has; buildSolverStack alone
  * knows their order. The pipeline (in process and as a sandbox
  * parent), the sandbox worker and the register-allocation check all
- * build their stacks here. The guard's terminal rung and the front's
+ * build their stacks here. The guard's fallback rung and the front's
  * cache auditor are both makePristineSolver.
+ *
+ * Callers build one of two stacks. The optimized stack is the Default
+ * lane under the front; the reference stack is the Cold lane with no
+ * front (ExecutionOptions::optimizeQueries picks between them).
  */
 
 #include <memory>
@@ -38,8 +41,8 @@ namespace keq::smt {
 
 class WorkerSupervisor;
 
-/** Which layers a solver stack has. The default is the reference
- *  stack: the "default" lane and nothing above it. */
+/** Which layers a solver stack has. The default spec is the bare
+ *  "default" lane with nothing above it. */
 struct StackSpec
 {
     /** The backend lane, in process or in the sandbox workers. */
@@ -51,7 +54,7 @@ struct StackSpec
     /** The front's stages and audit rate; the builder supplies the
      *  audit solver. */
     CachingSolverOptions front;
-    /** Chaos plan for the injector and the first cold rung. */
+    /** Chaos plan for the injector. */
     FaultPlan faults;
     /** Set: a guard tops the stack. */
     std::optional<GuardedSolverOptions> guard;
@@ -95,7 +98,7 @@ std::unique_ptr<Solver> makeLaneBackend(TermFactory &factory, Lane lane);
 
 /**
  * The solver nothing can have tampered with: a fresh cold Z3Solver.
- * It is the guard's terminal rung and the cache auditor.
+ * It is the guard's fallback rung and the cache auditor.
  */
 std::unique_ptr<Solver> makePristineSolver(TermFactory &factory);
 

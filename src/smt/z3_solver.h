@@ -20,8 +20,8 @@
  * Z3Solver ("cold") takes a fresh solver and scope per query: no state
  * but the context's lowering memo survives between queries (and not
  * even that after an Unknown), which makes it the reference oracle of
- * the tests and the fresh rung of the escalation ladder. IncrementalZ3Solver (incremental_z3_solver.h)
- * pops back to the longest prefix shared with the previous query.
+ * the tests and the guard's fallback rung. IncrementalZ3Solver
+ * (incremental_z3_solver.h) pops back to the longest prefix shared with the previous query.
  */
 
 #include <atomic>

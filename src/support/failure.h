@@ -28,7 +28,7 @@ enum class FailureKind
     Timeout,       ///< Wall-clock or solver deadline exhausted.
     MemoryBudget,  ///< Term-node or solver memory budget exhausted.
     SolverUnknown, ///< Solver answered Unknown for a non-resource reason.
-    SolverCrash,   ///< Solver threw/crashed even on the last ladder rung.
+    SolverCrash,   ///< Solver threw/crashed even on the last rung.
     Cancelled,     ///< Cooperative cancellation (SIGINT, shutdown).
 
     // Process-isolation failures (smt::SandboxSolver). A sandboxed

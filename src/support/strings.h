@@ -6,6 +6,7 @@
  * Small string utilities used by the parsers and printers.
  */
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,13 @@ std::vector<std::string> splitWhitespace(std::string_view text);
 
 bool startsWith(std::string_view text, std::string_view prefix);
 bool endsWith(std::string_view text, std::string_view suffix);
+
+/**
+ * Parses a decimal uint64: one or more ASCII digits and nothing else
+ * (no sign, no whitespace). @return false, leaving @p out untouched,
+ * on any other text or a value past 2^64-1.
+ */
+bool parseU64(std::string_view text, uint64_t &out);
 
 /** Joins pieces with a separator. */
 std::string join(const std::vector<std::string> &pieces,

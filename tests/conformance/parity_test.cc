@@ -6,7 +6,7 @@
  * byte-identical `--stats-json` outcome sections and byte-identical
  * canonical summaries. This is the matrix-consistency contract of
  * DESIGN.md §12, pinned per-family so a regression names the corpus
- * family that diverged instead of a 16-cell aggregate.
+ * family that diverged instead of an 8-cell aggregate.
  *
  * The corpus directory and the worker binary are baked in at compile
  * time (KEQ_CORPUS_DIR, KEQ_WORKER_BIN), mirroring the sandbox suite.
@@ -51,8 +51,8 @@ TEST_P(ConformanceParityTest, SandboxMatchesInProcess)
 {
     const CorpusCase &corpus_case = corpusCase(GetParam());
     RunnerOptions options = runnerOptions();
-    MatrixCell in_process{false, true, true, 1};
-    MatrixCell sandboxed{true, true, true, 1};
+    MatrixCell in_process{false, true, 1};
+    MatrixCell sandboxed{true, true, 1};
 
     driver::ModuleReport reference =
         runCase(corpus_case, in_process, options);
@@ -75,8 +75,8 @@ TEST_P(ConformanceParityTest, ParallelUnoptimizedMatchesReference)
 {
     const CorpusCase &corpus_case = corpusCase(GetParam());
     RunnerOptions options = runnerOptions();
-    MatrixCell reference_cell{false, true, true, 1};
-    MatrixCell stripped{false, false, false, 4};
+    MatrixCell reference_cell{false, true, 1};
+    MatrixCell stripped{false, false, 4};
 
     driver::ModuleReport reference =
         runCase(corpus_case, reference_cell, options);

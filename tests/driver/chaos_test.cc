@@ -1,6 +1,6 @@
 /** @file Chaos suite (ctest -L chaos): the fault-tolerance contract,
  *  end to end, on the Figure 6 corpus. Injected solver faults must
- *  never change a verdict (the ladder's pristine terminal rung wins),
+ *  never change a verdict (the guard's pristine fallback rung wins),
  *  the pipeline must terminate with every failure classified, and
  *  checkpointed runs — pipeline and fuzz campaign — must survive
  *  truncation + resume with byte-identical canonical summaries. */
@@ -95,7 +95,7 @@ TEST(ChaosTest, InjectedFaultsNeverChangeVerdicts)
     ModuleReport faulted = Pipeline(options, chaos).run(module);
 
     EXPECT_EQ(faulted.canonicalSummary(), clean.canonicalSummary())
-        << "the pristine terminal rung must reconverge every verdict";
+        << "the pristine fallback rung must reconverge every verdict";
     EXPECT_GT(faulted.solverStats.faultsInjected, 0u)
         << "10% over a corpus run must actually fire";
     EXPECT_GT(faulted.solverStats.guardedRetries +

@@ -13,6 +13,8 @@
 
 #include "src/driver/checkpoint.h"
 #include "src/llvmir/parser.h"
+#include "src/support/journal.h"
+#include "src/support/strings.h"
 
 namespace keq::driver {
 namespace {
@@ -210,6 +212,36 @@ TEST(CheckpointTest, LaterRecordsWinOnRerun)
         CheckpointJournal::load(file.path, "fp-1");
     ASSERT_TRUE(load.ok) << load.error;
     EXPECT_EQ(load.decided.at("f").detail, "second decision");
+}
+
+TEST(CheckpointTest, OutOfRangeCountIsSchemaDriftNotAVerdict)
+{
+    // A checksum-valid record whose count field reads -1 (which a
+    // strtoull parser wraps to 2^64-1) must not restore a function with
+    // llvmInstructions = SIZE_MAX: it is dropped like a torn tail.
+    TempFile file("negative-count");
+    {
+        CheckpointJournal journal(file.path, "fp-1", false);
+        journal.record(sampleReport("intact"));
+    }
+    std::vector<std::string> fields =
+        support::split(serializeFunctionReport(sampleReport("drift")),
+                       '\t');
+    fields[6] = "-1"; // llvmInstructions
+    {
+        support::JournalWriter writer(file.path,
+                                      CheckpointJournal::kKind);
+        writer.append(support::join(fields, "\t"));
+    }
+
+    CheckpointJournal::Load load =
+        CheckpointJournal::load(file.path, "fp-1");
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.decided.count("intact"), 1u);
+    EXPECT_EQ(load.decided.count("drift"), 0u)
+        << "restored llvmInstructions = "
+        << load.decided.at("drift").llvmInstructions;
+    EXPECT_EQ(load.truncatedRecords, 1u);
 }
 
 TEST(CheckpointTest, MissingFileIsAFreshCampaign)

@@ -81,12 +81,18 @@ TEST(ParallelPipelineTest, CachingNeverChangesVerdicts)
     llvmir::Module module = corpusModule(10);
     PipelineOptions options;
 
-    ExecutionOptions uncached;
-    uncached.jobs = 1;
-    uncached.solverCache = false;
-    ModuleReport cold = Pipeline(options, uncached).run(module);
+    ExecutionOptions reference; // no front, no cache, the cold lane
+    reference.jobs = 1;
+    reference.optimizeQueries = false;
+    // The reference stack adopts no cache, not even a handed-in one.
+    reference.externalCache = std::make_shared<smt::QueryCache>();
+    Pipeline reference_pipeline(options, reference);
+    EXPECT_EQ(reference_pipeline.cache(), nullptr);
+    ModuleReport cold = reference_pipeline.run(module);
+    EXPECT_EQ(cold.cacheStats.hits + cold.cacheStats.misses, 0u);
+    EXPECT_EQ(reference.externalCache->stats().misses, 0u);
 
-    ExecutionOptions cached; // defaults: cache on
+    ExecutionOptions cached; // defaults: the optimized stack
     ModuleReport warm = Pipeline(options, cached).run(module);
     EXPECT_EQ(cold.canonicalSummary(), warm.canonicalSummary());
     EXPECT_GT(warm.cacheStats.hits + warm.cacheStats.modelHits, 0u)

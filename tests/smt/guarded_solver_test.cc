@@ -1,5 +1,5 @@
-/** @file GuardedSolver: retries recover transient Unknowns, the ladder
- *  escalates to fresh rungs, crashes are absorbed into classified
+/** @file GuardedSolver: retries recover transient Unknowns, the guard
+ *  escalates to its fallback rung, crashes are absorbed into classified
  *  failures, the watchdog enforces deadlines and cancellation, and the
  *  stats contract counts each logical query exactly once. */
 
@@ -104,14 +104,6 @@ class ScriptedSolver : public Solver
 
 using Step = ScriptedSolver::Step;
 
-GuardedSolverOptions
-fastOptions()
-{
-    GuardedSolverOptions options;
-    options.backoffBaseMs = 0; // keep the suite quick
-    return options;
-}
-
 GuardedSolver::RungFactory
 rungOf(TermFactory &tf, std::vector<Step> script)
 {
@@ -124,7 +116,7 @@ TEST(GuardedSolverTest, HealthyPrimaryPassesStraightThrough)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Sat, Step::Unsat});
-    GuardedSolver guard(tf, primary, {}, fastOptions());
+    GuardedSolver guard(tf, primary, nullptr, {});
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Sat);
     EXPECT_EQ(guard.checkSat({}), SatResult::Unsat);
@@ -139,9 +131,9 @@ TEST(GuardedSolverTest, TransientUnknownIsRetriedOnTheSameRung)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Unknown, Step::Sat});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.retries = 1;
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Sat);
     EXPECT_EQ(primary.calls(), 2u);
@@ -161,9 +153,9 @@ TEST(GuardedSolverTest, EscalationResolvesOnAFreshRung)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Unknown}); // wedged forever
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.retries = 0;
-    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Unsat})},
+    GuardedSolver guard(tf, primary, rungOf(tf, {Step::Unsat}),
                         options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unsat);
@@ -178,9 +170,9 @@ TEST(GuardedSolverTest, ExhaustedLadderReportsAClassifiedUnknown)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Unknown});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.retries = 1;
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::SolverUnknown);
@@ -193,9 +185,9 @@ TEST(GuardedSolverTest, CrashesAreAbsorbedAndClassified)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Crash});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.retries = 1;
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     SatResult result = SatResult::Sat;
     EXPECT_NO_THROW(result = guard.checkSat({}));
@@ -209,9 +201,9 @@ TEST(GuardedSolverTest, MemoryCrashesClassifyAsMemoryBudget)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::MemoryCrash});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.retries = 0;
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::MemoryBudget);
@@ -221,10 +213,10 @@ TEST(GuardedSolverTest, WatchdogEnforcesTheDeadlineAndEscalates)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Hang});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.deadlineMs = 50;
     options.retries = 0;
-    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Sat})},
+    GuardedSolver guard(tf, primary, rungOf(tf, {Step::Sat}),
                         options);
 
     auto start = std::chrono::steady_clock::now();
@@ -241,10 +233,10 @@ TEST(GuardedSolverTest, DeadlineWithoutFallbackClassifiesAsTimeout)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Hang});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.deadlineMs = 50;
     options.retries = 0;
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::Timeout);
@@ -257,10 +249,10 @@ TEST(GuardedSolverTest, AnswerPastTheDeadlineFailsTheAttempt)
     // that answer is not trusted, so the ladder escalates.
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::LateSat});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.deadlineMs = 50;
     options.retries = 1;
-    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Unsat})},
+    GuardedSolver guard(tf, primary, rungOf(tf, {Step::Unsat}),
                         options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unsat);
@@ -276,10 +268,10 @@ TEST(GuardedSolverTest, AnswerPastTheDeadlineWithoutFallbackIsUnknown)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::LateSat});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.deadlineMs = 50;
     options.retries = 0;
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::Timeout);
@@ -292,10 +284,10 @@ TEST(GuardedSolverTest, AnswerAfterACancelIsCancelled)
     // A cancelled query's late answer must not escape as a verdict.
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::LateSat});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.cancel = support::CancellationToken::create();
     options.retries = 3;
-    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Sat})},
+    GuardedSolver guard(tf, primary, rungOf(tf, {Step::Sat}),
                         options);
 
     std::thread canceller([&] {
@@ -314,10 +306,10 @@ TEST(GuardedSolverTest, PreCancelledTokenShortCircuits)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Sat});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.cancel = support::CancellationToken::create();
     options.cancel.cancel();
-    GuardedSolver guard(tf, primary, {}, options);
+    GuardedSolver guard(tf, primary, nullptr, options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::Cancelled);
@@ -328,10 +320,10 @@ TEST(GuardedSolverTest, MidQueryCancellationInterruptsTheBackend)
 {
     TermFactory tf;
     ScriptedSolver primary(tf, {Step::Hang});
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.cancel = support::CancellationToken::create();
     options.retries = 3; // must not be consumed retrying cancelled work
-    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Sat})},
+    GuardedSolver guard(tf, primary, rungOf(tf, {Step::Sat}),
                         options);
 
     std::thread canceller([&] {
@@ -404,14 +396,14 @@ class CancelOnInterruptSolver : public Solver
 TEST(GuardedSolverTest, CancellationRacingTheDeadlineClassifiesCancelled)
 {
     TermFactory tf;
-    GuardedSolverOptions options = fastOptions();
+    GuardedSolverOptions options;
     options.deadlineMs = 40;
     options.retries = 3;
     options.cancel = support::CancellationToken::create();
     CancelOnInterruptSolver primary(tf, options.cancel);
     // A fallback rung that would happily answer — escalating cancelled
     // work would be as wrong as retrying it.
-    GuardedSolver guard(tf, primary, {rungOf(tf, {Step::Sat})},
+    GuardedSolver guard(tf, primary, rungOf(tf, {Step::Sat}),
                         options);
 
     EXPECT_EQ(guard.checkSat({}), SatResult::Unknown);

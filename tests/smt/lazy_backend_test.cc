@@ -163,7 +163,7 @@ TEST(LazyBackendTest, GuardedCancelBeforeFirstQueryEndsCancelled)
         GuardedSolverOptions options;
         options.cancel = support::CancellationToken::create();
         options.cancel.cancel();
-        GuardedSolver guard(tf, *primary, {}, options);
+        GuardedSolver guard(tf, *primary, nullptr, options);
         Clock::time_point start = Clock::now();
         EXPECT_EQ(guard.checkSat({hardUnsat(tf)}), SatResult::Unknown);
         EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
@@ -186,7 +186,7 @@ TEST(LazyBackendTest, GuardedCancelDuringFirstQueryEndsCancelled)
         GuardedSolverOptions options;
         options.cancel = support::CancellationToken::create();
         options.retries = 3; // must not be spent retrying cancelled work
-        GuardedSolver guard(tf, *primary, {}, options);
+        GuardedSolver guard(tf, *primary, nullptr, options);
         std::thread canceller([&] {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             options.cancel.cancel();

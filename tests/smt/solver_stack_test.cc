@@ -1,7 +1,7 @@
 /** @file The one solver-stack builder: for the spec of each caller
  *  (in process, sandbox parent, sandbox worker) it pins which layers
  *  the stack has, in which order, which lane its backend solves on,
- *  and how many cold rungs the guard holds. */
+ *  and that the guard holds its pristine fallback rung. */
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,7 @@ layerKinds(const SolverStack &stack)
 
 using Kinds = std::vector<std::string>;
 
-TEST(SolverStack, DefaultSpecIsTheReferenceStack)
+TEST(SolverStack, DefaultSpecIsTheBareDefaultLane)
 {
     TermFactory f;
     EXPECT_EQ(StackSpec{}.lane, Lane::Default);
@@ -69,7 +69,7 @@ TEST(SolverStack, PinsTheLayerOrderOfEveryCaller)
     EXPECT_EQ(layerKinds(local),
               (Kinds{"cold", "front", "injector", "guard"}));
     auto &local_guard = dynamic_cast<GuardedSolver &>(local.top());
-    EXPECT_EQ(local_guard.fallbackCount(), 2u);
+    EXPECT_TRUE(local_guard.hasFallback());
 
     // Sandbox parent: the pool is the backend, under the front. The
     // guard runs in the worker; the sandbox's chaos is real signals.
@@ -84,8 +84,8 @@ TEST(SolverStack, PinsTheLayerOrderOfEveryCaller)
                   .lane(),
               Lane::Cold);
 
-    // Worker: the Reset's lane under the guard, with the same two cold
-    // rungs as in process and the parent's retry count; no front.
+    // Worker: the Reset's lane under the guard, with the same fallback
+    // rung as in process and the parent's retry count; no front.
     wire::ResetFrame reset;
     reset.timeoutMs = 500;
     reset.retries = 3;
@@ -93,7 +93,7 @@ TEST(SolverStack, PinsTheLayerOrderOfEveryCaller)
     SolverStack worker = buildSolverStack(f, workerStackSpec(reset));
     EXPECT_EQ(layerKinds(worker), (Kinds{"cold", "guard"}));
     auto &worker_guard = dynamic_cast<GuardedSolver &>(worker.top());
-    EXPECT_EQ(worker_guard.fallbackCount(), 2u);
+    EXPECT_TRUE(worker_guard.hasFallback());
     EXPECT_EQ(worker_guard.options().retries, 3u);
     EXPECT_EQ(worker_guard.options().deadlineMs, 1500u);
 }

@@ -43,6 +43,25 @@ TEST(StringsTest, Affixes)
     EXPECT_FALSE(endsWith("cc", "file.cc"));
 }
 
+TEST(StringsTest, ParseU64AcceptsOnlyInRangeDigits)
+{
+    uint64_t value = 7;
+    EXPECT_TRUE(parseU64("0", value));
+    EXPECT_EQ(value, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", value));
+    EXPECT_EQ(value, UINT64_MAX);
+    EXPECT_TRUE(parseU64("0042", value));
+    EXPECT_EQ(value, 42u);
+
+    value = 7;
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                            "18446744073709551616",
+                            "99999999999999999999999"}) {
+        EXPECT_FALSE(parseU64(bad, value)) << "'" << bad << "'";
+        EXPECT_EQ(value, 7u) << "a rejected parse leaves the output";
+    }
+}
+
 TEST(StringsTest, Join)
 {
     EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");

@@ -4,9 +4,9 @@
  *
  * Loads the checked-in corpus (the .ll files under tests/corpus),
  * runs every file
- * through the full validation stack in a configuration matrix
- * (in-process vs sandboxed solving, solver cache on/off, SMT
- * optimization stack on/off, 1 vs 4 jobs), and asserts that
+ * through the full validation stack in an 8-cell configuration matrix
+ * (in-process vs sandboxed solving, the optimized vs the reference
+ * solver stack, 1 vs 4 jobs), and asserts that
  *
  *   1. every cell reaches the identical canonical verdict, and
  *   2. the verdict agrees with the file's `; EXPECT:` annotation.
@@ -18,8 +18,6 @@
  * Usage:
  *   keq-conformance [options]
  *     --corpus=DIR        corpus directory (default tests/corpus)
- *     --quick             4-cell diagonal instead of the full 16-cell
- *                         matrix
  *     --worker-path=PATH  explicit keq-solver-worker binary for the
  *                         sandbox cells
  *     --no-sandbox        drop the sandbox cells (stripped installs)
@@ -49,7 +47,6 @@ struct CliOptions
     std::string corpus_dir = "tests/corpus";
     std::string worker_path;
     std::string json_path;
-    bool quick = false;
     bool no_sandbox = false;
     bool require_coverage = false;
     bool list = false;
@@ -60,8 +57,7 @@ struct CliOptions
 usage(const char *argv0)
 {
     std::cerr << "usage: " << argv0 << " [options]\n"
-              << "  --corpus=DIR --quick --worker-path=PATH "
-                 "--no-sandbox\n"
+              << "  --corpus=DIR --worker-path=PATH --no-sandbox\n"
               << "  --require-coverage --list --coverage --json=PATH\n";
     std::exit(2);
 }
@@ -89,8 +85,6 @@ parseArgs(int argc, char **argv)
             options.worker_path = value;
         else if (eatPrefix(arg, "--json=", value))
             options.json_path = value;
-        else if (arg == "--quick")
-            options.quick = true;
         else if (arg == "--no-sandbox")
             options.no_sandbox = true;
         else if (arg == "--require-coverage")
@@ -189,9 +183,6 @@ main(int argc, char **argv)
 
     keq::conformance::RunnerOptions runner_options;
     runner_options.workerPath = cli.worker_path;
-    runner_options.matrix = cli.quick
-                                ? keq::conformance::quickMatrix()
-                                : keq::conformance::fullMatrix();
     if (cli.no_sandbox) {
         std::vector<keq::conformance::MatrixCell> kept;
         for (const keq::conformance::MatrixCell &cell :

@@ -13,7 +13,7 @@
  * A Reset begins a *session*: a fresh TermFactory plus the bottom of
  * the in-process stack, built by the same builder
  * (smt::workerStackSpec): the Reset's lane backend under the guard and
- * its two cold rungs, with the parent's retry count. The rewrite,
+ * its pristine fallback rung, with the parent's retry count. The rewrite,
  * slice and cache front stays in the parent, which sees every query
  * first; a Sat Result carries the backend's model back when the Reset
  * asks for it, so the parent's model reuse keeps its hits. While a
@@ -317,8 +317,8 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                 // be unusable; report via the exit code, not the wire.
                 std::_Exit(smt::kWorkerOomExitCode);
             } catch (const std::exception &crash) {
-                // The guard absorbs backend crashes while rungs
-                // remain; one escaping means the whole ladder failed.
+                // The guard absorbs backend crashes while a rung
+                // remains; one escaping means every rung failed.
                 result.result = smt::SatResult::Unknown;
                 result.failureKind = FailureKind::SolverCrash;
                 result.unknownReason = crash.what();

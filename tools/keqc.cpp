@@ -22,13 +22,14 @@
  *     --spec-budget=N     sync-spec size budget in chars (0 = none)
  *     --function=NAME     validate only @NAME
  *     --jobs=N            validate N functions in parallel (0 = #cores)
- *     --no-solver-cache   disable solver-query memoization
  *     --solver-cache-mb=N cap the query cache at N MB (LRU; 0 = none)
- *     --no-smt-opt        disable the query optimization stack
- *                         (rewrite, slicing) and solve on the cold
- *                         lane, in process or in --sandbox workers
+ *     --no-smt-opt        solve on the reference stack: no rewrite,
+ *                         slicing, cache or model reuse, every query
+ *                         on the cold lane, in process or in --sandbox
+ *                         workers
  *     --deadline-ms=N     hard per-query watchdog deadline (0 = none)
- *     --retries=N         same-rung solver retries before escalating
+ *     --retries=N         same-rung solver retries before falling
+ *                         back to the pristine rung
  *     --solver-memory-mb=N per-query Z3 memory budget (0 = none)
  *     --checkpoint=PATH   journal verdicts to PATH as they are decided
  *     --checkpoint-fsync=record|batch|off
@@ -124,8 +125,8 @@ usage(const char *argv0)
                  "--no-positive-form --crude-liveness\n"
               << "  --wall-budget=SEC --spec-budget=N "
                  "--function=NAME\n"
-              << "  --smt-timeout-ms=N --jobs=N --no-solver-cache\n"
-              << "  --solver-cache-mb=N --no-smt-opt --stats\n"
+              << "  --smt-timeout-ms=N --jobs=N --solver-cache-mb=N\n"
+              << "  --no-smt-opt --stats\n"
               << "  --deadline-ms=N --retries=N --solver-memory-mb=N\n"
               << "  --checkpoint=PATH --checkpoint-fsync=record|batch|off "
                  "--resume\n"
@@ -205,8 +206,6 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--jobs=", 0) == 0) {
             options.exec.jobs =
                 static_cast<unsigned>(number_of("--jobs="));
-        } else if (arg == "--no-solver-cache") {
-            options.exec.solverCache = false;
         } else if (arg.rfind("--solver-cache-mb=", 0) == 0) {
             options.exec.cacheMemoryMb =
                 static_cast<size_t>(number_of("--solver-cache-mb="));
@@ -619,7 +618,7 @@ main(int argc, char **argv)
         std::cout << "interrupted: undecided functions were not "
                      "journaled; rerun with --resume to finish\n";
     }
-    if (options.exec.solverCache && options.only_function.empty()) {
+    if (options.exec.optimizeQueries && options.only_function.empty()) {
         const smt::CacheStats &cache = report.cacheStats;
         std::printf("solver cache: %llu key hits + %llu model hits / "
                     "%llu lookups (%.1f%% avoided the solver), "

@@ -1,13 +1,40 @@
-# Exercised by ctest (see tools/CMakeLists.txt): the racing and
-# batched-discharge flags are gone, so keqc must reject them like any
-# unknown option — exit 2 with the usage message — and never solve.
+# Exercised by ctest (see tools/CMakeLists.txt): the racing,
+# batched-discharge and solver-cache flags are gone from keqc, and the
+# quick diagonal from keq-conformance, so both must reject them like
+# any unknown option — exit 2 with the usage message — and never solve.
 #
-#   cmake -DKEQC=<binary> -DWORK_DIR=<dir> -P removed_flags_test.cmake
-if(NOT DEFINED KEQC OR NOT DEFINED WORK_DIR)
+#   cmake -DKEQC=<binary> -DKEQ_CONFORMANCE=<binary> -DWORK_DIR=<dir>
+#         -P removed_flags_test.cmake
+if(NOT DEFINED KEQC OR NOT DEFINED KEQ_CONFORMANCE OR
+   NOT DEFINED WORK_DIR)
     message(FATAL_ERROR
-        "usage: cmake -DKEQC=... -DWORK_DIR=... "
+        "usage: cmake -DKEQC=... -DKEQ_CONFORMANCE=... -DWORK_DIR=... "
         "-P removed_flags_test.cmake")
 endif()
+
+function(expect_usage_exit label)
+    execute_process(
+        COMMAND ${ARGN}
+        RESULT_VARIABLE code
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err)
+    if(NOT code EQUAL 2)
+        message(FATAL_ERROR
+            "${label}: expected exit code 2, got '${code}'\n"
+            "stdout: ${out}\nstderr: ${err}")
+    endif()
+    string(FIND "${err}" "usage:" usage_at)
+    if(usage_at EQUAL -1)
+        message(FATAL_ERROR
+            "${label}: expected the usage message\nstderr: ${err}")
+    endif()
+    foreach(solved "validated" "conformance:")
+        string(FIND "${out}" "${solved}" solved_at)
+        if(NOT solved_at EQUAL -1)
+            message(FATAL_ERROR "${label}: ran anyway\n${out}")
+        endif()
+    endforeach()
+endfunction()
 
 set(module "${WORK_DIR}/keqc-removed-flags.ll")
 file(WRITE "${module}"
@@ -17,24 +44,9 @@ file(WRITE "${module}"
     "  ret i32 %r\n"
     "}\n")
 
-foreach(flag --portfolio=2 --portfolio-lanes=default --batch-discharge)
-    execute_process(
-        COMMAND "${KEQC}" "${flag}" "${module}"
-        RESULT_VARIABLE code
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT code EQUAL 2)
-        message(FATAL_ERROR
-            "${flag}: expected exit code 2, got '${code}'\n"
-            "stdout: ${out}\nstderr: ${err}")
-    endif()
-    string(FIND "${err}" "usage:" usage_at)
-    if(usage_at EQUAL -1)
-        message(FATAL_ERROR
-            "${flag}: expected the usage message\nstderr: ${err}")
-    endif()
-    string(FIND "${out}" "validated" solved_at)
-    if(NOT solved_at EQUAL -1)
-        message(FATAL_ERROR "${flag}: keqc solved anyway\n${out}")
-    endif()
+foreach(flag --portfolio=2 --portfolio-lanes=default --batch-discharge
+             --no-solver-cache)
+    expect_usage_exit("keqc ${flag}" "${KEQC}" "${flag}" "${module}")
 endforeach()
+
+expect_usage_exit("keq-conformance --quick" "${KEQ_CONFORMANCE}" --quick)
