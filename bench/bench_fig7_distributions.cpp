@@ -42,9 +42,12 @@ main()
         support::Histogram::logSpaced(0.0001, 4.0, 12);
     support::Histogram size_hist =
         support::Histogram::logSpaced(1.0, 2.0, 12);
+    const driver::FunctionReport *slowest = nullptr;
     for (const driver::FunctionReport &fn : report.functions) {
         if (fn.outcome == driver::Outcome::Unsupported)
             continue;
+        if (slowest == nullptr || fn.seconds > slowest->seconds)
+            slowest = &fn;
         time_hist.add(fn.seconds);
         size_hist.add(static_cast<double>(fn.llvmInstructions));
     }
@@ -54,6 +57,8 @@ main()
     std::printf("mean %.3f s, median %.3f s, p95 %.3f s, max %.3f s\n",
                 time_hist.mean(), time_hist.median(),
                 time_hist.percentile(95), time_hist.max());
+    if (slowest != nullptr)
+        std::printf("max set by %s\n", slowest->function.c_str());
     std::printf("(paper at their scale: mean 150 s, median 0.8 s — the "
                 "reproduction target is median << mean with a long "
                 "right tail: ratio here %.0fx)\n\n",

@@ -12,6 +12,22 @@ using smt::Kind;
 using smt::Term;
 using support::ApInt;
 
+Term
+addSubOverflow(smt::TermFactory &tf, bool is_add, bool is_signed, Term a,
+               Term b, Term result)
+{
+    if (!is_signed) // the x86 CF: a+b <u a, a <u b
+        return is_add ? tf.bvUlt(result, a) : tf.bvUlt(a, b);
+    // The x86 OF, so the term hash-conses with the vx86 side: add iff
+    // sign(a) = sign(b) != sign(r), sub iff sign(a) != sign(b) and
+    // sign(r) != sign(a).
+    unsigned w = a.sort().width();
+    Term sign_src = is_add ? tf.bvAnd(tf.bvXor(a, result),
+                                      tf.bvXor(b, result))
+                           : tf.bvAnd(tf.bvXor(a, b), tf.bvXor(a, result));
+    return tf.mkEq(tf.extract(sign_src, w - 1, w - 1), tf.bvConst(1, 1));
+}
+
 SymbolicSemantics::SymbolicSemantics(const Module &module,
                                      smt::TermFactory &factory,
                                      const mem::MemoryLayout &layout)
@@ -226,22 +242,24 @@ SymbolicSemantics::step(const sem::SymbolicState &state_in)
         Term ok = tf.trueTerm();
         if (inst.nsw || inst.nuw) {
             unsigned w = a.sort().width();
+            auto overflows = [&](bool is_signed) {
+                if (inst.op != Opcode::Mul) {
+                    return addSubOverflow(tf, inst.op == Opcode::Add,
+                                          is_signed, a, b, result);
+                }
+                // mul keeps the 2w-bit form: the wide product differs
+                // from the extended result.
+                auto ext = [&](Term t) {
+                    return is_signed ? tf.sext(t, 2 * w) : tf.zext(t, 2 * w);
+                };
+                return tf.mkNot(
+                    tf.mkEq(tf.bvMul(ext(a), ext(b)), ext(result)));
+            };
             Term overflow = tf.falseTerm();
-            if (inst.nsw) {
-                // Signed overflow: sign-extend to 2w and compare.
-                Term wide = tf.bvBinOp(kind, tf.sext(a, 2 * w),
-                                       tf.sext(b, 2 * w));
-                overflow = tf.mkOr(
-                    overflow,
-                    tf.mkNot(tf.mkEq(wide, tf.sext(result, 2 * w))));
-            }
-            if (inst.nuw) {
-                Term wide = tf.bvBinOp(kind, tf.zext(a, 2 * w),
-                                       tf.zext(b, 2 * w));
-                overflow = tf.mkOr(
-                    overflow,
-                    tf.mkNot(tf.mkEq(wide, tf.zext(result, 2 * w))));
-            }
+            if (inst.nsw)
+                overflow = tf.mkOr(overflow, overflows(true));
+            if (inst.nuw)
+                overflow = tf.mkOr(overflow, overflows(false));
             ok = tf.mkNot(overflow);
             if (!overflow.isFalse()) {
                 successors.push_back(

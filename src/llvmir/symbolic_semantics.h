@@ -18,6 +18,15 @@
 
 namespace keq::llvmir {
 
+/**
+ * When the w-bit `a + b` (@p is_add) or `a - b`, equal to @p result,
+ * overflows: signed overflow (nsw) when @p is_signed, else unsigned
+ * (nuw). Built at width w, as the x86 OF and CF flags are, not with the
+ * 2w-bit extend-and-compare form Z3 struggles with.
+ */
+smt::Term addSubOverflow(smt::TermFactory &tf, bool is_add, bool is_signed,
+                         smt::Term a, smt::Term b, smt::Term result);
+
 /** Symbolic semantics of one LLVM module. */
 class SymbolicSemantics : public sem::Semantics
 {

@@ -711,9 +711,8 @@ TermFactory::concat(Term high, Term low)
         return extract(high.operand(0), high.extractHi(), low.extractLo());
     }
     // Sign replication: concat(sext(low[msb]), low) == sext(low). This
-    // is the CDQ/CQO pattern — the high half is the sign of the low half
-    // replicated — and folding it lets the x86 division collapse to the
-    // same narrow terms as the input language's.
+    // is the CDQ/CQO pattern: the high half is the sign of the low half
+    // replicated.
     if (high.kind() == Kind::SExt) {
         Term sign = high.operand(0);
         unsigned low_width = low.sort().width();

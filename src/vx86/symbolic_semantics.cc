@@ -8,7 +8,6 @@ namespace keq::vx86 {
 using sem::ErrorKind;
 using sem::Status;
 using sem::SymbolicState;
-using smt::Kind;
 using smt::Term;
 using support::ApInt;
 
@@ -32,31 +31,6 @@ bool
 isFlagName(const std::string &name)
 {
     return name == "zf" || name == "sf" || name == "cf" || name == "of";
-}
-
-/**
- * The w-bit x when the 2w-bit rdx:rax @p dividend is zext(x) (sext(x)
- * when @p is_signed), else null. A constant rax makes concat fold the
- * extension into one 2w-bit literal, so a literal whose high half
- * extends its low half matches too.
- */
-Term
-narrowDividend(smt::TermFactory &tf, Term dividend, unsigned w,
-               bool is_signed)
-{
-    Kind extension = is_signed ? Kind::SExt : Kind::ZExt;
-    if (dividend.kind() == extension &&
-        dividend.operand(0).sort().width() == w)
-        return dividend.operand(0);
-    if (dividend.isBvConst()) {
-        ApInt low(w, dividend.bvValue().zext());
-        uint64_t extended = is_signed
-                                ? static_cast<uint64_t>(low.sext())
-                                : low.zext();
-        if (ApInt(2 * w, extended).eq(dividend.bvValue()))
-            return tf.bvConst(low);
-    }
-    return Term();
 }
 
 } // namespace
@@ -683,31 +657,37 @@ SymbolicSemantics::step(const sem::SymbolicState &state_in)
         Term divisor = readOperand(state, inst.ops[0]);
         Term lo = readOperand(state, MOperand::physReg("rax", w));
         Term hi = readOperand(state, MOperand::physReg("rdx", w));
-        Term dividend = tf.concat(hi, lo); // 2w bits
         bool is_signed = inst.op == MOpcode::IDIV;
         Term div_zero = tf.mkEq(divisor, tf.bvConst(w, 0));
+        // rdx:rax is the extension of rax when rdx holds what CDQ/CQO
+        // (IDIV) or zeroing (DIV) writes. Rebuilding that high half
+        // from lo and comparing ids is exact under every fold, since
+        // the factory hash-conses: literals, extended values and
+        // loaded-byte concats alike. Keeping those divisions at width
+        // w spares the SMT solver the 2w-bit division the paper notes
+        // Z3 struggles with.
+        Term extended_hi = is_signed
+                               ? tf.sext(tf.extract(lo, w - 1, w - 1), w)
+                               : tf.bvConst(w, 0);
         Term narrow, rem_narrow, fault;
-        Term x = narrowDividend(tf, dividend, w, is_signed);
-        if (x && is_signed) {
-            // CDQ/CQO preceded the IDIV, so the dividend is sext(x).
-            // Then quotient == sdiv(x, divisor) at width w exactly, and
-            // #DE fires iff divisor == 0 or x == INT_MIN && divisor ==
-            // -1 (the only non-fitting quotient). Keeping the terms at
-            // width w spares the SMT solver the 2w-bit division the
-            // paper notes Z3 struggles with.
-            narrow = tf.bvSDiv(x, divisor);
-            rem_narrow = tf.bvSRem(x, divisor);
+        if (hi == extended_hi && is_signed) {
+            // quotient == sdiv(lo, divisor) at width w exactly, and #DE
+            // fires iff divisor == 0 or lo == INT_MIN && divisor == -1
+            // (the only non-fitting quotient).
+            narrow = tf.bvSDiv(lo, divisor);
+            rem_narrow = tf.bvSRem(lo, divisor);
             Term overflow = tf.mkAnd(
-                tf.mkEq(x, tf.bvConst(ApInt::signedMin(w))),
+                tf.mkEq(lo, tf.bvConst(ApInt::signedMin(w))),
                 tf.mkEq(divisor, tf.bvConst(ApInt::allOnes(w))));
             fault = tf.mkOr(div_zero, overflow);
-        } else if (x) {
-            // rdx was zeroed: quotient always fits.
-            narrow = tf.bvUDiv(x, divisor);
-            rem_narrow = tf.bvURem(x, divisor);
+        } else if (hi == extended_hi) {
+            // rdx is zero: the quotient always fits.
+            narrow = tf.bvUDiv(lo, divisor);
+            rem_narrow = tf.bvURem(lo, divisor);
             fault = div_zero;
         } else {
             // General rdx:rax dividend.
+            Term dividend = tf.concat(hi, lo); // 2w bits
             Term wide_divisor = is_signed ? tf.sext(divisor, 2 * w)
                                           : tf.zext(divisor, 2 * w);
             Term quotient = is_signed

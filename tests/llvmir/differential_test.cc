@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -246,6 +247,35 @@ entry:
     ASSERT_NE(fn, nullptr);
     checkAgreement(fx, *fn, {ApInt(32, 41)});
     checkAgreement(fx, *fn, {ApInt(32, 0x7fffffffull)}); // INT_MAX + 1
+}
+
+TEST(LlvmDifferentialTest, AddSubOverflowEdgesAgreeWithInterpreter)
+{
+    // The w-bit nsw/nuw checks at the wrap edges: every pair drawn from
+    // {INT_MIN, INT_MAX, 0, -1, 1} must trap (or not) and answer exactly
+    // as the interpreter does, at each width the back end lowers.
+    const char *insts[] = {"add nsw", "add nuw", "add nuw nsw",
+                           "sub nsw", "sub nuw", "sub nuw nsw"};
+    for (unsigned w : {8u, 16u, 32u}) {
+        std::string ty = "i" + std::to_string(w);
+        std::string source;
+        for (size_t i = 0; i < std::size(insts); ++i) {
+            source += "define " + ty + " @f" + std::to_string(i) + "(" +
+                      ty + " %a, " + ty + " %b) {\nentry:\n  %r = " +
+                      insts[i] + " " + ty + " %a, %b\n  ret " + ty +
+                      " %r\n}\n";
+        }
+        DifferentialFixture fx(source);
+        const ApInt edges[] = {ApInt::signedMin(w), ApInt::signedMax(w),
+                               ApInt(w, 0), ApInt::allOnes(w),
+                               ApInt(w, 1)};
+        for (const Function &fn : fx.module_.functions) {
+            for (const ApInt &a : edges) {
+                for (const ApInt &b : edges)
+                    checkAgreement(fx, fn, {a, b});
+            }
+        }
+    }
 }
 
 TEST(LlvmDifferentialTest, GlobalMemoryRoundTrips)

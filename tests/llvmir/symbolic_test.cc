@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/llvmir/interpreter.h"
 #include "src/llvmir/layout_builder.h"
 #include "src/llvmir/parser.h"
@@ -162,6 +165,98 @@ entry:
     ASSERT_EQ(finals.size(), 1u);
     EXPECT_EQ(finals[0].status, Status::Exited);
     EXPECT_EQ(finals[0].result, fx.tf_.bvConst(32, 1));
+}
+
+/** Widest bitvector sort anywhere in @p term. */
+unsigned
+widestBitVec(Term term)
+{
+    unsigned widest = term.sort().isBitVec() ? term.sort().width() : 0;
+    for (size_t i = 0; i < term.numOperands(); ++i)
+        widest = std::max(widest, widestBitVec(term.operand(i)));
+    return widest;
+}
+
+TEST(LlvmSymbolicTest, AddSubOverflowMatchesTheWideFormExhaustively)
+{
+    // addSubOverflow builds the add/sub nsw/nuw conditions at operand
+    // width w. For every operand pair at widths 1-8, each must equal the
+    // 2w-bit extend-and-compare form it replaced: ext(a) op ext(b) !=
+    // ext(a op b), with sext for nsw and zext for nuw.
+    for (unsigned w = 1; w <= 8; ++w) {
+        smt::TermFactory tf; // variables keep one sort per factory
+        Term a = tf.var("a", smt::Sort::bitVec(w));
+        Term b = tf.var("b", smt::Sort::bitVec(w));
+        for (bool is_add : {true, false}) {
+            smt::Kind kind = is_add ? smt::Kind::BvAdd : smt::Kind::BvSub;
+            Term result = tf.bvBinOp(kind, a, b);
+            for (bool is_signed : {true, false}) {
+                std::string label = std::string(is_add ? "add" : "sub") +
+                                    (is_signed ? " nsw i" : " nuw i") +
+                                    std::to_string(w);
+                Term narrow =
+                    addSubOverflow(tf, is_add, is_signed, a, b, result);
+                EXPECT_EQ(widestBitVec(narrow), w) << label;
+                auto ext = [&](Term t) {
+                    return is_signed ? tf.sext(t, 2 * w)
+                                     : tf.zext(t, 2 * w);
+                };
+                Term wide = tf.mkNot(tf.mkEq(
+                    tf.bvBinOp(kind, ext(a), ext(b)), ext(result)));
+                for (uint64_t x = 0; x < (uint64_t{1} << w); ++x) {
+                    for (uint64_t y = 0; y < (uint64_t{1} << w); ++y) {
+                        smt::Assignment env;
+                        env.setBv("a", ApInt(w, x));
+                        env.setBv("b", ApInt(w, y));
+                        smt::Evaluator ev(env);
+                        ASSERT_EQ(ev.evalBool(narrow), ev.evalBool(wide))
+                            << label << " a=" << x << " b=" << y;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(LlvmSymbolicTest, AddSubOverflowChecksStayAtOperandWidth)
+{
+    // The semantics' error branch is exactly addSubOverflow's condition
+    // (or of both for nuw nsw), with no term wider than the operands.
+    for (const char *ty : {"i1", "i8", "i16", "i32"}) {
+        for (const char *op : {"add", "sub"}) {
+            for (const char *flags : {"nsw", "nuw", "nuw nsw"}) {
+                std::string inst = std::string(op) + " " + flags + " " + ty;
+                std::string source = std::string("define ") + ty +
+                                     " @f(" + ty + " %a, " + ty +
+                                     " %b) {\nentry:\n  %r = " + inst +
+                                     " %a, %b\n  ret " + ty + " %r\n}\n";
+                SymbolicFixture fx(source.c_str());
+                std::vector<SymbolicState> succs =
+                    fx.sem_->step(fx.entryState("@f"));
+                ASSERT_EQ(succs.size(), 2u) << inst;
+                ASSERT_EQ(succs[0].status, Status::Error) << inst;
+                EXPECT_EQ(succs[0].errorKind,
+                          sem::ErrorKind::SignedOverflow);
+
+                smt::TermFactory &tf = fx.tf_;
+                unsigned w = fx.sem_->registerWidth("@f", "%a");
+                Term a = tf.var("a", smt::Sort::bitVec(w));
+                Term b = tf.var("b", smt::Sort::bitVec(w));
+                bool is_add = std::string(op) == "add";
+                Term result = is_add ? tf.bvAdd(a, b) : tf.bvSub(a, b);
+                Term expected = tf.falseTerm();
+                if (std::string(flags) != "nuw")
+                    expected = addSubOverflow(tf, is_add, true, a, b, result);
+                if (std::string(flags) != "nsw") {
+                    expected = tf.mkOr(expected,
+                                       addSubOverflow(tf, is_add, false, a,
+                                                      b, result));
+                }
+                EXPECT_EQ(succs[0].pathCond, expected) << inst;
+                EXPECT_EQ(widestBitVec(succs[0].pathCond), w) << inst;
+            }
+        }
+    }
 }
 
 TEST(LlvmSymbolicTest, CallStopsWithArguments)

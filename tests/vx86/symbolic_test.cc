@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/vx86/parser.h"
 #include "src/sem/sync_point.h"
 #include "src/smt/evaluator.h"
@@ -350,6 +352,53 @@ TEST(Vx86SymbolicTest, ConstantDividendSignedDivisionStaysNarrow)
               tf.mkOr(tf.mkEq(y, tf.bvConst(32, 0)),
                       tf.mkEq(y, tf.bvConst(support::ApInt::allOnes(32)))))
         << fault.pathCond.toString();
+}
+
+TEST(Vx86SymbolicTest, LoadedDividendAfterCdqStaysNarrow)
+{
+    // A loaded i32 is a concat of bytes, so CDQ's sign bit folds to
+    // bit 7 of the top byte and rdx:rax is no sext node. Rebuilding the
+    // high half from eax still recognizes the extension: srem and sdiv
+    // stay 32-bit, with the narrow fault condition.
+    auto division = [](const std::string &name, const char *result) {
+        return "function @" + name + " ret i32 {\n.LBB0:\n"
+               "  %vr0_32 = COPY edi\n"
+               "  %vr1_32 = MOV32rm [@g + 4]\n"
+               "  eax = COPY %vr1_32\n"
+               "  CDQ\n"
+               "  IDIV32 %vr0_32\n"
+               "  %vr2_32 = COPY " + result + "\n"
+               "  eax = COPY %vr2_32\n"
+               "  RET\n}\n";
+    };
+    std::string source = std::string(R"(function @load ret i32 {
+.LBB0:
+  %vr0_32 = MOV32rm [@g + 4]
+  eax = COPY %vr0_32
+  RET
+}
+)") + division("rem", "edx") + division("quo", "eax");
+    Vx86SymbolicFixture fx(source.c_str(), [](mem::MemoryLayout &layout) {
+        layout.addGlobal("@g", 8);
+    });
+    smt::TermFactory &tf = fx.tf_;
+    std::vector<SymbolicState> loaded = fx.runToEnd(fx.entryState("@load"));
+    ASSERT_EQ(loaded.size(), 1u);
+    Term x = loaded[0].result;
+    ASSERT_EQ(x.kind(), smt::Kind::Concat) << x.toString();
+
+    Term y = tf.var("y", smt::Sort::bitVec(32));
+    Term fault_cond = tf.mkOr(
+        tf.mkEq(y, tf.bvConst(32, 0)),
+        tf.mkAnd(tf.mkEq(x, tf.bvConst(support::ApInt::signedMin(32))),
+                 tf.mkEq(y, tf.bvConst(support::ApInt::allOnes(32)))));
+    SymbolicState exited, fault;
+    ASSERT_NO_FATAL_FAILURE(runDivision(fx, "@rem", y, &exited, &fault));
+    EXPECT_EQ(exited.result, tf.bvSRem(x, y)) << exited.result.toString();
+    EXPECT_EQ(fault.pathCond, fault_cond) << fault.pathCond.toString();
+    ASSERT_NO_FATAL_FAILURE(runDivision(fx, "@quo", y, &exited, &fault));
+    EXPECT_EQ(exited.result, tf.bvSDiv(x, y)) << exited.result.toString();
+    EXPECT_EQ(fault.pathCond, fault_cond) << fault.pathCond.toString();
 }
 
 TEST(Vx86SymbolicTest, NonExtendingConstantDividendKeepsWidePath)

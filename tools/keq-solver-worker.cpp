@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -46,6 +47,7 @@
 #include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
 #include "src/smt/wire.h"
+#include "src/support/strings.h"
 
 namespace {
 
@@ -352,18 +354,28 @@ main(int argc, char **argv)
     unsigned memoryMb = 0, cpuSeconds = 0, heartbeatMs = 250;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        bool malformed = false;
         auto number = [&](const char *prefix, unsigned &out) {
             size_t n = std::strlen(prefix);
             if (std::strncmp(arg, prefix, n) != 0)
                 return false;
-            out = static_cast<unsigned>(std::strtoul(arg + n, nullptr,
-                                                     10));
+            // A value that silently became 0 would lift the cap.
+            uint64_t value = 0;
+            malformed = !support::parseU64(arg + n, value) ||
+                        value > std::numeric_limits<unsigned>::max();
+            out = static_cast<unsigned>(value);
             return true;
         };
         if (number("--memory-mb=", memoryMb) ||
             number("--cpu-seconds=", cpuSeconds) ||
-            number("--heartbeat-ms=", heartbeatMs))
-            continue;
+            number("--heartbeat-ms=", heartbeatMs)) {
+            if (!malformed)
+                continue;
+            std::fprintf(stderr,
+                         "keq-solver-worker: malformed value in '%s'\n",
+                         arg);
+            return 2;
+        }
         std::fprintf(stderr,
                      "keq-solver-worker: unknown option '%s'\n", arg);
         return 2;

@@ -52,7 +52,9 @@
  *                         idempotent job resubmission; when every
  *                         endpoint is down, keqc falls back to local
  *                         solving (with a warning), keeping verdicts
- *                         already decided
+ *                         already decided. Ignored (with a warning)
+ *                         under --proof, --checkpoint, --resume and
+ *                         --no-smt-opt, which need local solving
  *     --stats             print per-stage solver counters after the run
  *     --stats-json=PATH   dump the full stats/failure taxonomy as JSON
  *     --gen-corpus=N      print an N-function Figure 6 corpus and exit
@@ -466,6 +468,12 @@ main(int argc, char **argv)
         (!options.exec.checkpointPath.empty() || options.exec.resume)) {
         std::cerr << "keqc: --checkpoint/--resume journal locally; "
                      "ignoring --daemon\n";
+        options.daemon_socket.clear();
+    }
+    // The daemon always solves on the optimized stack.
+    if (!options.daemon_socket.empty() && !options.exec.optimizeQueries) {
+        std::cerr << "keqc: --no-smt-opt runs the reference stack "
+                     "locally; ignoring --daemon\n";
         options.daemon_socket.clear();
     }
     bool daemonHandled = false;
