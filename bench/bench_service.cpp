@@ -10,10 +10,7 @@
  *   2. cold daemon pass — one client against an empty cache/store:
  *      pays the same solves plus the wire round trips;
  *   3. warm saturation curve — {1, 2, 4, 8} concurrent clients, each
- *      validating the full module against the now-warm daemon;
- *   4. TCP loopback lane — the same warm single-client run over
- *      tcp:127.0.0.1 (ephemeral port), isolating what the network
- *      transport adds over AF_UNIX for multi-host deployments.
+ *      validating the full module against the now-warm daemon.
  *
  * Hard assertions (exit 1 on violation, so CI can gate on this):
  *   - every client run's canonical summary is byte-identical to the
@@ -64,7 +61,7 @@ runClient(const keq::service::Endpoint &endpoint,
     using namespace keq;
     ClientRun run;
     service::DaemonClientOptions options;
-    options.endpoints = {endpoint};
+    options.endpoints = endpoint;
     service::DaemonClient client(options);
     if (!client.connect(run.error))
         return run;
@@ -135,24 +132,12 @@ main()
     std::remove(journal.c_str());
 
     service::ServerOptions soptions;
-    soptions.socketPath = socket;
-    // The TCP loopback lane shares the same queue/store/cache: the
-    // transport is an accept-side detail, never a scheduling domain.
-    soptions.listen = {service::tcpEndpoint("127.0.0.1", 0)};
+    soptions.listen = service::unixEndpoint(socket);
     soptions.verdictJournalPath = journal;
     service::Server server(soptions);
     std::string error;
     if (!server.start(error)) {
         std::fprintf(stderr, "FAIL: daemon start: %s\n", error.c_str());
-        return 1;
-    }
-    service::Endpoint unixEp = service::unixEndpoint(socket);
-    service::Endpoint tcpEp;
-    for (const service::Endpoint &ep : server.boundEndpoints())
-        if (ep.kind == service::TransportKind::Tcp)
-            tcpEp = ep;
-    if (tcpEp.port == 0) {
-        std::fprintf(stderr, "FAIL: no bound TCP endpoint\n");
         return 1;
     }
 
@@ -173,7 +158,7 @@ main()
 
     // Cold pass: first client ever — empty cache, empty store.
     watch.reset();
-    ClientRun cold = runClient(unixEp, source, functions);
+    ClientRun cold = runClient(soptions.listen, source, functions);
     double cold_seconds = watch.seconds();
     check(cold, "cold client");
     std::printf("daemon, cold (1 client): %7.2f s (%llu cache "
@@ -197,7 +182,7 @@ main()
         std::vector<std::thread> threads;
         for (size_t i = 0; i < clients; ++i)
             threads.emplace_back([&, i] {
-                runs[i] = runClient(unixEp, source, functions);
+                runs[i] = runClient(soptions.listen, source, functions);
             });
         for (std::thread &thread : threads)
             thread.join();
@@ -227,24 +212,6 @@ main()
         json.field(prefix + "hit_rate", rate);
         json.field(prefix + "busy_retries", busy);
     }
-
-    // TCP loopback lane: the warm single-client run again, over the
-    // network transport. Same verdicts, same warm store — the delta
-    // against warm_1_clients_seconds is pure transport overhead.
-    watch.reset();
-    ClientRun tcp = runClient(tcpEp, source, functions);
-    double tcp_seconds = watch.seconds();
-    check(tcp, "tcp loopback client");
-    uint64_t tcpLookups = tcp.cacheHits + tcp.cacheMisses;
-    double tcp_hit_rate =
-        tcpLookups > 0
-            ? static_cast<double>(tcp.cacheHits) / tcpLookups
-            : 1.0;
-    std::printf("daemon, warm, tcp loopback: %5.2f s, hit rate "
-                "%5.1f%%\n",
-                tcp_seconds, 100.0 * tcp_hit_rate);
-    json.field("tcp_warm_seconds", tcp_seconds);
-    json.field("tcp_warm_hit_rate", tcp_hit_rate);
 
     server.stop();
     std::remove(journal.c_str());

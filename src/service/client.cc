@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <limits>
-#include <optional>
 #include <time.h>
 #include <unistd.h>
 
 #include "src/driver/checkpoint.h"
 #include "src/service/job_options.h"
-#include "src/support/journal.h"
 
 namespace keq::service {
 
@@ -45,19 +42,6 @@ splitmix64(uint64_t &state)
     return z ^ (z >> 31);
 }
 
-/** Liveness-poll tick: bounds how late a heartbeat can fire. */
-constexpr unsigned kHeartbeatTickMs = 200;
-
-unsigned
-elapsedMs(std::chrono::steady_clock::time_point since,
-          std::chrono::steady_clock::time_point now)
-{
-    auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                  now - since)
-                  .count();
-    return ms < 0 ? 0u : static_cast<unsigned>(ms);
-}
-
 } // namespace
 
 DaemonClient::DaemonClient(DaemonClientOptions options)
@@ -87,37 +71,9 @@ DaemonClient::classify(IoStatus status) const
 bool
 DaemonClient::connect(std::string &error)
 {
-    endpoints_ = options_.endpoints;
-    if (endpoints_.empty() && !options_.socketPath.empty())
-        endpoints_.push_back(unixEndpoint(options_.socketPath));
-    if (endpoints_.empty()) {
-        error = "no daemon endpoints configured";
-        failure_ = FailureKind::WorkerKilled;
-        return false;
-    }
-    std::string aggregate;
-    for (size_t i = 0; i < endpoints_.size(); ++i) {
-        std::string attemptError;
-        if (connectTo(endpoints_[i], attemptError)) {
-            activeIndex_ = i;
-            failure_ = FailureKind::None;
-            return true;
-        }
-        if (!aggregate.empty())
-            aggregate += "; ";
-        aggregate += endpointToString(endpoints_[i]) + ": " +
-                     attemptError;
-    }
-    error = aggregate;
-    return false;
-}
-
-bool
-DaemonClient::connectTo(const Endpoint &endpoint, std::string &error)
-{
     int fd = -1;
-    if (!connectEndpoint(endpoint, options_.connectTimeoutMs, fd,
-                         error)) {
+    if (!connectUnix(options_.endpoints.path, options_.connectTimeoutMs,
+                     fd, error)) {
         failure_ = FailureKind::WorkerKilled;
         return false;
     }
@@ -179,88 +135,6 @@ DaemonClient::connectTo(const Endpoint &endpoint, std::string &error)
 }
 
 bool
-DaemonClient::reconnect(std::string &error)
-{
-    close();
-    if (endpoints_.empty()) {
-        error = "no daemon endpoints configured";
-        return false;
-    }
-    unsigned backoffMs =
-        std::max(1u, options_.reconnectBackoffInitialMs);
-    unsigned rounds = std::max(1u, options_.reconnectRounds);
-    std::string lastError = "no endpoints tried";
-    for (unsigned round = 0; round < rounds; ++round) {
-        if (round > 0) {
-            // Jittered doubling sleep between passes: surviving
-            // daemons see a spread-out reconnect herd, not a spike.
-            unsigned jittered =
-                backoffMs / 2 +
-                static_cast<unsigned>(splitmix64(jitterState_) %
-                                      (backoffMs / 2 + 1));
-            sleepMs(jittered);
-            backoffMs = std::min(
-                std::max(1u, options_.reconnectBackoffMaxMs),
-                backoffMs * 2);
-        }
-        // Advance first: the endpoint that just died is each pass's
-        // last resort, the configured secondary its first.
-        for (size_t step = 0; step < endpoints_.size(); ++step) {
-            activeIndex_ = (activeIndex_ + 1) % endpoints_.size();
-            if (connectTo(endpoints_[activeIndex_], lastError))
-                return true;
-        }
-    }
-    error = "reconnect exhausted after " + std::to_string(rounds) +
-            " round(s) over " + std::to_string(endpoints_.size()) +
-            " endpoint(s); last: " + lastError;
-    return false;
-}
-
-IoStatus
-DaemonClient::recvSupervised(std::string &payload, unsigned deadlineMs)
-{
-    auto start = std::chrono::steady_clock::now();
-    bool pingOutstanding = false;
-    auto pingSentAt = start;
-    bool canPing = options_.heartbeatIntervalMs > 0;
-    for (;;) {
-        IoStatus status = channel_.waitReadable(kHeartbeatTickMs);
-        if (status == IoStatus::Ok) {
-            // Bytes are pending; the frame read itself only needs to
-            // beat a peer that dies mid-frame, not a slow solve.
-            unsigned frameBudget = options_.heartbeatTimeoutMs > 0
-                                       ? options_.heartbeatTimeoutMs
-                                       : deadlineMs;
-            return channel_.recvFrame(payload, frameBudget);
-        }
-        if (status != IoStatus::Timeout)
-            return status; // Eof or socket error: peer is gone
-        auto now = std::chrono::steady_clock::now();
-        unsigned idleMs = elapsedMs(start, now);
-        if (idleMs >= deadlineMs)
-            return IoStatus::Timeout;
-        if (!canPing)
-            continue;
-        if (pingOutstanding) {
-            if (elapsedMs(pingSentAt, now) >=
-                options_.heartbeatTimeoutMs) {
-                // Silent peer: no Pong, no FIN, no RST. Typed death
-                // beats stalling out the whole verdict deadline.
-                return IoStatus::Timeout;
-            }
-        } else if (idleMs >= options_.heartbeatIntervalMs) {
-            wire::PingFrame ping;
-            ping.nonce = splitmix64(jitterState_);
-            if (!channel_.sendFrame(wire::encodePing(ping)))
-                return IoStatus::Error;
-            pingOutstanding = true;
-            pingSentAt = now;
-        }
-    }
-}
-
-bool
 DaemonClient::validateFunctions(
     const std::string &moduleText,
     const std::vector<std::string> &functions,
@@ -284,17 +158,6 @@ DaemonClient::validateFunctions(
     bool deferSubmits = false; // Busy seen; hold resubmits until progress
     breakerTripped_ = false;
 
-    // A deterministic fingerprint per job is the idempotency key a
-    // failover resubmit rides on. Only a job that has *already been
-    // sent once* claims its fingerprint on the wire — a first
-    // submission carries 0, so identical jobs from distinct clients
-    // still each exercise the daemon's real (cache-warm) solving path
-    // rather than replaying each other's ledger entries. Fingerprints
-    // are therefore computed only for resubmits, and the module text is
-    // hashed at most once per call.
-    std::optional<uint64_t> moduleHash;
-    std::vector<char> everSubmitted(n, 0);
-
     std::vector<std::chrono::steady_clock::time_point> submitted(n);
     std::deque<size_t> toSubmit;
     for (size_t i = 0; i < n; ++i)
@@ -308,14 +171,6 @@ DaemonClient::validateFunctions(
         job.function = functions[idx];
         job.moduleText = moduleText;
         job.options = jobOptions;
-        if (everSubmitted[idx]) {
-            if (!moduleHash)
-                moduleHash = support::fnv1a64(moduleText);
-            job.fingerprint = jobFingerprint(
-                *moduleHash, moduleText.size(), functions[idx],
-                jobOptions);
-        }
-        everSubmitted[idx] = 1;
         submitted[idx] = std::chrono::steady_clock::now();
         if (!channel_.sendFrame(wire::encodeSubmitJob(job))) {
             error = "daemon connection lost while submitting " +
@@ -324,57 +179,6 @@ DaemonClient::validateFunctions(
             return false;
         }
         ++outstanding;
-        return true;
-    };
-
-    // Transport death mid-run: reconnect (cycling endpoints), put every
-    // undecided function back on the submit queue, and resume. Jobs the
-    // dead daemon already finished are served from its ledger by
-    // fingerprint — the resubmit is idempotent, so this never
-    // double-charges a quota or duplicates a journal append. Decided
-    // verdicts are never touched. False = failover exhausted; the
-    // caller degrades to local solving with failure_ already set.
-    //
-    // The no-progress budget below is what makes this terminate
-    // against the nastiest peer: one that accepts connections and
-    // completes handshakes but never answers a job (a wedged daemon, a
-    // half-dead NAT mapping). Reconnection *succeeding* is not
-    // progress — verdicts are. Failovers that decide nothing in
-    // between are counted, and once every endpoint has had its chance
-    // the run degrades instead of cycling forever.
-    size_t doneAtLastFailover = std::numeric_limits<size_t>::max();
-    unsigned fruitlessFailovers = 0;
-    auto failover = [&](const std::string &why) -> bool {
-        if (done == doneAtLastFailover) {
-            ++fruitlessFailovers;
-            if (fruitlessFailovers > endpoints_.size()) {
-                error = why + "; giving up after " +
-                        std::to_string(fruitlessFailovers) +
-                        " failovers with no verdicts decided in "
-                        "between";
-                return false;
-            }
-        } else {
-            fruitlessFailovers = 0;
-        }
-        doneAtLastFailover = done;
-        std::string reconnectError;
-        if (!reconnect(reconnectError)) {
-            error = why + "; " + reconnectError;
-            return false;
-        }
-        ++failovers_;
-        resubmits_ += outstanding;
-        toSubmit.clear();
-        for (size_t i = 0; i < n; ++i)
-            if (!decided[i])
-                toSubmit.push_back(i);
-        outstanding = 0;
-        deferSubmits = false;
-        busyRounds = 0;
-        backoffMs = std::max(1u, options_.busyBackoffInitialMs);
-        failure_ = FailureKind::None;
-        error.clear();
         return true;
     };
 
@@ -407,19 +211,11 @@ DaemonClient::validateFunctions(
             deferSubmits = false;
         }
         if (!deferSubmits) {
-            bool sendFailed = false;
             while (outstanding < window && !toSubmit.empty()) {
                 size_t idx = toSubmit.front();
                 toSubmit.pop_front();
-                if (!submitOne(idx)) {
-                    sendFailed = true;
-                    break;
-                }
-            }
-            if (sendFailed) {
-                if (!failover(error))
+                if (!submitOne(idx))
                     return false;
-                continue;
             }
         }
         if (outstanding == 0) {
@@ -432,17 +228,14 @@ DaemonClient::validateFunctions(
 
         std::string payload;
         IoStatus status =
-            recvSupervised(payload, options_.verdictTimeoutMs);
+            channel_.recvFrame(payload, options_.verdictTimeoutMs);
         if (status != IoStatus::Ok) {
             failure_ = classify(status);
-            std::string why =
-                status == IoStatus::Timeout
-                    ? "daemon silent past the heartbeat deadline"
-                    : "daemon connection lost while waiting for "
-                      "a verdict";
-            if (!failover(why))
-                return false;
-            continue;
+            error = status == IoStatus::Timeout
+                        ? "no verdict within the verdict deadline"
+                        : "daemon connection lost while waiting for "
+                          "a verdict";
+            return false;
         }
         wire::FrameType type{};
         std::string body;
@@ -503,10 +296,6 @@ DaemonClient::validateFunctions(
             // until a verdict shows progress, or — once nothing is in
             // flight — the backed-off probe at the top of the loop.
             deferSubmits = true;
-        } else if (type == wire::FrameType::Pong) {
-            // Heartbeat answer: liveness already noted by the receive
-            // itself (recvSupervised's idle clock restarted).
-            continue;
         } else if (type == wire::FrameType::Error) {
             std::string message;
             error = wire::decodeError(body, message)

@@ -2,119 +2,17 @@
 
 namespace keq::service {
 
-const char *
-transportName(TransportKind kind)
-{
-    switch (kind) {
-    case TransportKind::Unix:
-        return "unix";
-    case TransportKind::Tcp:
-        return "tcp";
-    }
-    return "?";
-}
-
 Endpoint
 unixEndpoint(std::string path)
 {
-    Endpoint endpoint;
-    endpoint.kind = TransportKind::Unix;
-    endpoint.path = std::move(path);
-    return endpoint;
-}
-
-Endpoint
-tcpEndpoint(std::string host, uint16_t port)
-{
-    Endpoint endpoint;
-    endpoint.kind = TransportKind::Tcp;
-    endpoint.host = std::move(host);
-    endpoint.port = port;
-    return endpoint;
+    return Endpoint{std::move(path)};
 }
 
 std::string
 endpointToString(const Endpoint &endpoint)
 {
-    if (endpoint.kind == TransportKind::Unix)
-        return "unix:" + endpoint.path;
-    // Re-bracket IPv6 literals so the string parses back.
-    bool v6 = endpoint.host.find(':') != std::string::npos;
-    return "tcp:" + (v6 ? "[" + endpoint.host + "]" : endpoint.host) +
-           ":" + std::to_string(endpoint.port);
+    return "unix:" + endpoint.path;
 }
-
-namespace {
-
-bool
-parsePort(const std::string &spec, const std::string &text,
-          uint16_t &out, std::string &error)
-{
-    if (text.empty()) {
-        error = "endpoint '" + spec + "': missing port";
-        return false;
-    }
-    unsigned long value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9') {
-            error = "endpoint '" + spec + "': port '" + text +
-                    "' is not a number";
-            return false;
-        }
-        value = value * 10 + static_cast<unsigned long>(c - '0');
-        if (value > 65535) {
-            error = "endpoint '" + spec + "': port '" + text +
-                    "' exceeds 65535";
-            return false;
-        }
-    }
-    out = static_cast<uint16_t>(value);
-    return true;
-}
-
-bool
-parseTcp(const std::string &spec, const std::string &rest,
-         Endpoint &out, std::string &error)
-{
-    out.kind = TransportKind::Tcp;
-    std::string portText;
-    if (!rest.empty() && rest[0] == '[') {
-        // Bracketed IPv6 literal: tcp:[::1]:7461.
-        size_t close = rest.find(']');
-        if (close == std::string::npos) {
-            error = "endpoint '" + spec + "': unterminated '['";
-            return false;
-        }
-        out.host = rest.substr(1, close - 1);
-        if (close + 1 >= rest.size() || rest[close + 1] != ':') {
-            error = "endpoint '" + spec +
-                    "': expected ':PORT' after ']'";
-            return false;
-        }
-        portText = rest.substr(close + 2);
-    } else {
-        size_t colon = rest.rfind(':');
-        if (colon == std::string::npos) {
-            error = "endpoint '" + spec +
-                    "': tcp endpoints are tcp:HOST:PORT";
-            return false;
-        }
-        out.host = rest.substr(0, colon);
-        if (out.host.find(':') != std::string::npos) {
-            error = "endpoint '" + spec +
-                    "': IPv6 hosts must be bracketed ([::1])";
-            return false;
-        }
-        portText = rest.substr(colon + 1);
-    }
-    if (out.host.empty()) {
-        error = "endpoint '" + spec + "': missing host";
-        return false;
-    }
-    return parsePort(spec, portText, out.port, error);
-}
-
-} // namespace
 
 bool
 parseEndpoint(const std::string &spec, Endpoint &out,
@@ -125,8 +23,12 @@ parseEndpoint(const std::string &spec, Endpoint &out,
         error = "empty endpoint";
         return false;
     }
+    if (spec.find(',') != std::string::npos) {
+        error = "endpoint '" + spec +
+                "': one daemon socket, not a comma-separated list";
+        return false;
+    }
     if (spec.rfind("unix:", 0) == 0) {
-        out.kind = TransportKind::Unix;
         out.path = spec.substr(5);
         if (out.path.empty()) {
             error = "endpoint '" + spec + "': missing socket path";
@@ -134,56 +36,16 @@ parseEndpoint(const std::string &spec, Endpoint &out,
         }
         return true;
     }
-    if (spec.rfind("tcp:", 0) == 0)
-        return parseTcp(spec, spec.substr(4), out, error);
-    // Any other scheme-looking prefix is a typo, not a legacy path: a
-    // bare unix path on these platforms never contains "scheme:" before
-    // its first '/'.
+    // Any other scheme-looking prefix is a typo or a transport keq does
+    // not have, not a bare path: a bare unix path never contains
+    // "scheme:" before its first '/'.
     size_t colon = spec.find(':');
-    if (colon != std::string::npos &&
-        spec.find('/') > colon) {
+    if (colon != std::string::npos && spec.find('/') > colon) {
         error = "endpoint '" + spec + "': unknown scheme '" +
-                spec.substr(0, colon) + ":' (use unix: or tcp:)";
+                spec.substr(0, colon) + ":' (use unix:PATH)";
         return false;
     }
-    out.kind = TransportKind::Unix;
-    out.path = spec; // legacy bare path
-    return true;
-}
-
-bool
-parseEndpointList(const std::string &spec, std::vector<Endpoint> &out,
-                  std::string &error)
-{
-    out.clear();
-    if (spec.empty()) {
-        error = "empty endpoint list";
-        return false;
-    }
-    size_t start = 0;
-    while (start <= spec.size()) {
-        size_t comma = spec.find(',', start);
-        std::string item =
-            spec.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (item.empty()) {
-            error = "endpoint list '" + spec +
-                    "': empty element";
-            return false;
-        }
-        Endpoint endpoint;
-        if (!parseEndpoint(item, endpoint, error))
-            return false;
-        out.push_back(std::move(endpoint));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (out.empty()) {
-        error = "empty endpoint list";
-        return false;
-    }
+    out.path = spec;
     return true;
 }
 

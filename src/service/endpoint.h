@@ -3,74 +3,44 @@
 
 /**
  * @file
- * Service endpoint addressing: `unix:PATH` and `tcp:HOST:PORT`.
+ * Service endpoint addressing: the daemon's Unix socket.
  *
- * Every place the daemon or a client names a transport — keqd
- * `--listen=`, keqc `--daemon=`, ServerOptions, DaemonClientOptions —
- * speaks this one grammar:
+ * keqd `--socket=`, keqc `--daemon=`, ServerOptions::listen and
+ * DaemonClientOptions::endpoints all name one AF_UNIX stream socket,
+ * spelled either way:
  *
- *   unix:/run/keqd.sock        AF_UNIX stream socket
- *   tcp:127.0.0.1:7461         AF_INET
- *   tcp:[::1]:7461             AF_INET6 (bracketed, RFC 3986 style)
- *   /run/keqd.sock             legacy bare path == unix:
- *
- * A TCP listen endpoint may carry port 0 (bind an ephemeral port; the
- * bound port is reported back through Listener::endpoint()); a connect
- * endpoint with port 0 simply fails to connect.
+ *   unix:/run/keqd.sock        explicit scheme
+ *   /run/keqd.sock             bare path == unix:
  *
  * Parsing is strict and the errors are pointed: the CLIs turn a false
  * return into exit 64 (EX_USAGE) quoting @p error verbatim, so a typo
- * in an endpoint list names the offending element, not "usage:".
+ * (or a `tcp:` spec, or a comma list) names the offending spec, not
+ * "usage:".
  */
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace keq::service {
 
-enum class TransportKind : uint8_t { Unix, Tcp };
-
-const char *transportName(TransportKind kind);
-
 struct Endpoint
 {
-    TransportKind kind = TransportKind::Unix;
-    std::string path;   ///< unix: filesystem path
-    std::string host;   ///< tcp: numeric or resolvable host
-    uint16_t port = 0;  ///< tcp: 0 = ephemeral (listen only)
+    std::string path; ///< filesystem path of the AF_UNIX socket
 
-    bool operator==(const Endpoint &rhs) const
-    {
-        return kind == rhs.kind && path == rhs.path &&
-               host == rhs.host && port == rhs.port;
-    }
+    bool operator==(const Endpoint &rhs) const { return path == rhs.path; }
 };
 
-/** Convenience constructors. */
 Endpoint unixEndpoint(std::string path);
-Endpoint tcpEndpoint(std::string host, uint16_t port);
 
-/** Canonical spelling (round-trips through parseEndpoint). */
+/** Canonical spelling, `unix:PATH` (round-trips through parseEndpoint). */
 std::string endpointToString(const Endpoint &endpoint);
 
 /**
  * Parses one endpoint spec. False with a pointed @p error (always
- * quoting the offending spec) on anything malformed: empty spec,
- * `unix:` with no path, `tcp:` without a `HOST:PORT`, an empty host,
- * a non-numeric or out-of-range port, an unterminated `[` bracket.
+ * quoting the offending spec) on an empty spec, `unix:` with no path,
+ * any other scheme (`tcp:` included), or a comma-separated list.
  */
 bool parseEndpoint(const std::string &spec, Endpoint &out,
                    std::string &error);
-
-/**
- * Parses a comma-separated endpoint list (the keqc --daemon failover
- * form). Order is preserved — it is the client's preference order.
- * False on an empty list, an empty element, or any element failing
- * parseEndpoint.
- */
-bool parseEndpointList(const std::string &spec,
-                       std::vector<Endpoint> &out, std::string &error);
 
 } // namespace keq::service
 

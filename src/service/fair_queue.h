@@ -44,8 +44,6 @@ struct JobWork
     std::string function;
     std::string moduleText;
     smt::wire::JobOptionsFrame options;
-    /** Wire v5 job identity (0 = none); completed-ledger key. */
-    uint64_t fingerprint = 0;
     /** Admission time; the per-job wall deadline counts from here, so
      *  queueing delay eats the same budget solving does. */
     std::chrono::steady_clock::time_point admittedAt{};

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <string>
 
-#include "src/support/journal.h"
-
 namespace keq::service {
 
 using smt::wire::JobOptionsFrame;
@@ -71,44 +69,6 @@ jobOptionsKey(const JobOptionsFrame &frame)
                   static_cast<unsigned long long>(
                       frame.specSizeBudget));
     return buf;
-}
-
-namespace {
-
-void
-fnv1aUpdate(uint64_t &hash, const std::string &bytes)
-{
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 1099511628211ULL;
-    }
-    // Field separator: keeps ("ab","c") distinct from ("a","bc").
-    hash ^= 0xff;
-    hash *= 1099511628211ULL;
-}
-
-} // namespace
-
-uint64_t
-jobFingerprint(uint64_t moduleHash, uint64_t moduleLen,
-               const std::string &function,
-               const smt::wire::JobOptionsFrame &options)
-{
-    uint64_t hash = 14695981039346656037ULL; // FNV-1a offset basis
-    fnv1aUpdate(hash, jobOptionsKey(options));
-    fnv1aUpdate(hash, function);
-    fnv1aUpdate(hash, std::to_string(moduleHash) + ':' +
-                          std::to_string(moduleLen));
-    return hash == 0 ? 1 : hash;
-}
-
-uint64_t
-jobFingerprint(const std::string &moduleText,
-               const std::string &function,
-               const smt::wire::JobOptionsFrame &options)
-{
-    return jobFingerprint(support::fnv1a64(moduleText), moduleText.size(),
-                          function, options);
 }
 
 } // namespace keq::service

@@ -38,26 +38,6 @@ decodeJobOptions(const smt::wire::JobOptionsFrame &frame);
 /** Stable identity of a frame; the daemon's Pipeline-pool key. */
 std::string jobOptionsKey(const smt::wire::JobOptionsFrame &frame);
 
-/**
- * Deterministic identity of one validation job: a stable 64-bit hash
- * over (jobOptionsKey, function, module hash, module length), where
- * the module hash is support::fnv1a64 of the module text. This is the
- * wire v5 SubmitJob fingerprint — a client resubmitting a job to a
- * failover daemon after a mid-flight disconnect computes the identical
- * value, which is what makes resubmission idempotent (the daemon's
- * completed ledger dedups on it). Hashing the module's hash instead of
- * its text lets a daemon hash each distinct module once, not once per
- * job. Never 0: 0 is the wire sentinel for "no fingerprint".
- */
-uint64_t jobFingerprint(uint64_t moduleHash, uint64_t moduleLen,
-                        const std::string &function,
-                        const smt::wire::JobOptionsFrame &options);
-
-/** The same fingerprint, hashing @p moduleText first. */
-uint64_t jobFingerprint(const std::string &moduleText,
-                        const std::string &function,
-                        const smt::wire::JobOptionsFrame &options);
-
 } // namespace keq::service
 
 #endif // KEQ_SERVICE_JOB_OPTIONS_H

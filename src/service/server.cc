@@ -60,49 +60,19 @@ Server::start(std::string &error)
         smt::QueryCache::kDefaultMaxEntriesPerShard,
         options_.cacheMemoryMb << 20);
     store_.attach(*cache_);
-    // The legacy socketPath is just a one-element unix listen list;
-    // both forms may be combined (keqd --socket plus --listen=tcp:..).
-    std::vector<Endpoint> endpoints;
-    if (!options_.socketPath.empty())
-        endpoints.push_back(unixEndpoint(options_.socketPath));
-    endpoints.insert(endpoints.end(), options_.listen.begin(),
-                     options_.listen.end());
-    if (endpoints.empty()) {
-        error = "no listen endpoints configured";
+    if (!listener_.listenOn(options_.listen.path, error))
         return false;
-    }
-    for (const Endpoint &endpoint : endpoints) {
-        auto listener = makeListener(endpoint);
-        if (!listener->listenOn(endpoint, error)) {
-            for (auto &open : listeners_)
-                open->close();
-            listeners_.clear();
-            return false;
-        }
-        listeners_.push_back(std::move(listener));
-    }
     pool_ = std::make_unique<support::ThreadPool>(options_.jobs);
-    for (auto &listener : listeners_)
-        acceptThreads_.emplace_back(
-            [this, l = listener.get()] { acceptLoop(*l); });
+    acceptThread_ = std::thread([this] { acceptLoop(); });
     started_ = true;
     return true;
 }
 
-std::vector<Endpoint>
-Server::boundEndpoints() const
-{
-    std::vector<Endpoint> endpoints;
-    for (const auto &listener : listeners_)
-        endpoints.push_back(listener->endpoint());
-    return endpoints;
-}
-
 void
-Server::acceptLoop(Listener &listener)
+Server::acceptLoop()
 {
     while (!stopping_.load()) {
-        int fd = listener.acceptClient(kAcceptTickMs);
+        int fd = listener_.acceptClient(kAcceptTickMs);
         if (fd < 0)
             continue;
         if (draining_.load()) {
@@ -113,10 +83,6 @@ Server::acceptLoop(Listener &listener)
             continue;
         }
         ++accepted_;
-        if (listener.transport() == TransportKind::Tcp)
-            ++acceptedTcp_;
-        else
-            ++acceptedUnix_;
         auto session = std::make_shared<Session>(*this, nextClientId_++,
                                                  WireChannel(fd));
         {
@@ -218,16 +184,13 @@ Server::executeJob(const JobWork &work)
                       static_cast<unsigned>(waited);
     }
 
-    uint64_t moduleHash = 0;
-    driver::FunctionReport report =
-        validateJob(work, deadlineCap, moduleHash);
+    driver::FunctionReport report = validateJob(work, deadlineCap);
     if (stopping_.load() ||
         report.verdict.failure == FailureKind::Cancelled) {
         // Shutdown interrupted this solve. A Cancelled verdict is not
-        // definitive — sending it would make a failover client keep it
-        // as decided instead of resubmitting to a live endpoint. Drop
-        // it; the disconnect the client is about to observe routes the
-        // job to the next endpoint (or the local fallback).
+        // definitive — sending it would make keqc keep it as decided.
+        // Drop it; the disconnect the client is about to observe sends
+        // the function to keqc's local fallback, which validates it.
         ++droppedJobs_;
         session->noteJobDropped();
         return;
@@ -237,10 +200,6 @@ Server::executeJob(const JobWork &work)
     frame.jobId = work.jobId;
     frame.report = driver::serializeFunctionReport(report);
     frame.stats = report.verdict.stats.solverStats;
-    // Record before sending: if the client died mid-flight, its
-    // failover resubmit of this very job must hit the ledger instead
-    // of re-solving (and re-charging) it.
-    ledgerRecord(work, moduleHash, report, frame);
     if (!session->sendVerdict(frame)) {
         // The socket died under us: the client's remaining backlog is
         // unsendable too. Drop it now instead of solving toward a dead
@@ -250,8 +209,7 @@ Server::executeJob(const JobWork &work)
 }
 
 driver::FunctionReport
-Server::validateJob(const JobWork &work, unsigned deadlineMsCap,
-                    uint64_t &moduleHash)
+Server::validateJob(const JobWork &work, unsigned deadlineMsCap)
 {
     driver::FunctionReport report;
     report.function = work.function;
@@ -260,7 +218,7 @@ Server::validateJob(const JobWork &work, unsigned deadlineMsCap,
 
     std::string error;
     std::shared_ptr<const llvmir::Module> module =
-        moduleFor(work.moduleText, error, moduleHash);
+        moduleFor(work.moduleText, error);
     if (module == nullptr) {
         // Clients parse before submitting, so this is version skew or
         // a foreign client — classified, not fatal.
@@ -346,27 +304,22 @@ Server::pipelineFor(const wire::JobOptionsFrame &frameOptions)
 }
 
 std::shared_ptr<const llvmir::Module>
-Server::moduleFor(const std::string &text, std::string &error,
-                  uint64_t &textHash)
+Server::moduleFor(const std::string &text, std::string &error)
 {
     {
         std::lock_guard<std::mutex> lock(modulesMutex_);
         auto it = modules_.find(text);
-        if (it != modules_.end()) {
-            textHash = it->second.textHash;
-            return it->second.module;
-        }
+        if (it != modules_.end())
+            return it->second;
     }
-    // Parse and hash outside the lock (a big module takes a while); a
-    // racing duplicate parse is wasted work, not a correctness problem.
-    textHash = support::fnv1a64(text);
-    CachedModule cached;
-    cached.textHash = textHash;
+    // Parse outside the lock (a big module takes a while); a racing
+    // duplicate parse is wasted work, not a correctness problem.
+    std::shared_ptr<const llvmir::Module> parsed;
     try {
         auto module = std::make_shared<llvmir::Module>(
             llvmir::parseModule(text));
         llvmir::verifyModuleOrThrow(*module);
-        cached.module = std::move(module);
+        parsed = std::move(module);
     } catch (const support::Error &err) {
         error = err.what();
         return nullptr;
@@ -374,98 +327,8 @@ Server::moduleFor(const std::string &text, std::string &error,
     std::lock_guard<std::mutex> lock(modulesMutex_);
     if (modules_.size() >= kMaxCachedModules)
         modules_.clear();
-    auto [it, inserted] = modules_.emplace(text, std::move(cached));
-    return it->second.module;
-}
-
-uint64_t
-Server::moduleTextHash(const std::string &text)
-{
-    {
-        std::lock_guard<std::mutex> lock(modulesMutex_);
-        auto it = modules_.find(text);
-        if (it != modules_.end())
-            return it->second.textHash;
-    }
-    return support::fnv1a64(text);
-}
-
-bool
-Server::ledgerLookup(const wire::SubmitJobFrame &job,
-                     wire::JobVerdictFrame &out)
-{
-    if (job.fingerprint == 0 || options_.jobLedgerEntries == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(ledgerMutex_);
-    auto it = ledger_.find(job.fingerprint);
-    if (it == ledger_.end())
-        return false;
-    LedgerEntry &entry = it->second;
-    // Full-identity confirmation: the fingerprint is necessary, never
-    // sufficient. The module travels as an independent hash + length
-    // because retaining whole module texts per entry would multiply
-    // the ledger's footprint by the module size.
-    if (entry.function != job.function ||
-        entry.optionsKey != jobOptionsKey(job.options) ||
-        entry.moduleLen != job.moduleText.size() ||
-        entry.moduleHash != moduleTextHash(job.moduleText))
-        return false;
-    ledgerLru_.splice(ledgerLru_.begin(), ledgerLru_, entry.lru);
-    out.report = entry.report;
-    out.stats = entry.stats;
-    ++dedupHits_;
-    return true;
-}
-
-void
-Server::ledgerRecord(const JobWork &work, uint64_t moduleHash,
-                     const driver::FunctionReport &report,
-                     const wire::JobVerdictFrame &frame)
-{
-    if (options_.jobLedgerEntries == 0)
-        return;
-    // Only deterministic verdicts are replayable identities. A Timeout
-    // or an internal error might resolve differently on a retry, and a
-    // dedup hit must be byte-identical to what a fresh solve of the
-    // same job would produce.
-    if (report.outcome == driver::Outcome::Timeout ||
-        report.outcome == driver::Outcome::OutOfMemory ||
-        report.outcome == driver::Outcome::Other)
-        return;
-    // First-time submits carry no wire fingerprint (only an actual
-    // resubmission claims one), so the recording side computes the
-    // same deterministic key itself — a later failover resubmit of
-    // this job must find it here.
-    uint64_t fingerprint =
-        work.fingerprint != 0
-            ? work.fingerprint
-            : jobFingerprint(moduleHash, work.moduleText.size(),
-                             work.function, work.options);
-    std::lock_guard<std::mutex> lock(ledgerMutex_);
-    auto it = ledger_.find(fingerprint);
-    if (it != ledger_.end()) {
-        // Either the same job completed twice (both verdicts are
-        // canonical, keep the first) or a fingerprint collision (the
-        // incumbent wins; the collider simply never dedups).
-        ledgerLru_.splice(ledgerLru_.begin(), ledgerLru_,
-                          it->second.lru);
-        return;
-    }
-    while (ledger_.size() >= options_.jobLedgerEntries &&
-           !ledgerLru_.empty()) {
-        ledger_.erase(ledgerLru_.back());
-        ledgerLru_.pop_back();
-    }
-    LedgerEntry entry;
-    entry.function = work.function;
-    entry.optionsKey = jobOptionsKey(work.options);
-    entry.moduleHash = moduleHash;
-    entry.moduleLen = work.moduleText.size();
-    entry.report = frame.report;
-    entry.stats = frame.stats;
-    ledgerLru_.push_front(fingerprint);
-    entry.lru = ledgerLru_.begin();
-    ledger_.emplace(fingerprint, std::move(entry));
+    auto [it, inserted] = modules_.emplace(text, std::move(parsed));
+    return it->second;
 }
 
 std::shared_ptr<Session>
@@ -549,12 +412,9 @@ Server::stop()
     // bounded time (its verdict is dropped, never journaled —
     // Cancelled verdicts are not definitive).
     cancel_.cancel();
-    for (std::thread &thread : acceptThreads_)
-        if (thread.joinable())
-            thread.join();
-    acceptThreads_.clear();
-    for (auto &listener : listeners_)
-        listener->close();
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    listener_.close();
 
     std::vector<std::shared_ptr<Session>> sessions;
     {
@@ -584,11 +444,6 @@ Server::stop()
     }
     pipelines_.clear();
     modules_.clear();
-    {
-        std::lock_guard<std::mutex> lock(ledgerMutex_);
-        ledger_.clear();
-        ledgerLru_.clear();
-    }
     // Every verdict journaled during this run is on disk before the
     // daemon exits, whatever the configured fsync cadence was.
     store_.sync();
@@ -610,9 +465,6 @@ Server::statusFrame() const
     frame.auditMismatches = auditMismatches_.load();
     frame.quotaRejects = quotaRejects_.load();
     frame.draining = draining_.load() ? 1 : 0;
-    frame.dedupHits = dedupHits_.load();
-    frame.acceptedUnix = acceptedUnix_.load();
-    frame.acceptedTcp = acceptedTcp_.load();
     uint64_t active = 0;
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
@@ -636,9 +488,6 @@ Server::stats() const
     stats.quotaRejects = quotaRejects_.load();
     stats.expiredJobs = expiredJobs_.load();
     stats.auditMismatches = auditMismatches_.load();
-    stats.dedupHits = dedupHits_.load();
-    stats.acceptedUnix = acceptedUnix_.load();
-    stats.acceptedTcp = acceptedTcp_.load();
     return stats;
 }
 

@@ -19,13 +19,13 @@
  *  - a bounded parsed-module cache, since a client submits one job per
  *    function of the same module text.
  *
- * Threading model: one accept thread per listener (a daemon may serve
- * AF_UNIX and TCP endpoints at once), one reader thread per session,
- * N pool workers. Sessions push admitted jobs into the FairQueue and
- * submit one "run one job" task per push; workers pop *fairly* (the
- * popped job need not be the pushed one). Verdicts go back through the
- * owning session's write mutex. Shutdown cancels in-flight checks via
- * the shared cancellation token, so stop() is prompt even mid-solve.
+ * Threading model: one accept thread on the Unix socket, one reader
+ * thread per session, N pool workers. Sessions push admitted jobs into
+ * the FairQueue and submit one "run one job" task per push; workers
+ * pop *fairly* (the popped job need not be the pushed one). Verdicts
+ * go back through the owning session's write mutex. Shutdown cancels
+ * in-flight checks via the shared cancellation token, so stop() is
+ * prompt even mid-solve.
  */
 
 #include <atomic>
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/driver/pipeline.h"
+#include "src/service/endpoint.h"
 #include "src/service/fair_queue.h"
 #include "src/service/session.h"
 #include "src/service/socket.h"
@@ -51,15 +52,8 @@ namespace keq::service {
 
 struct ServerOptions
 {
-    /** Legacy single unix socket; folded into listen at start(). */
-    std::string socketPath;
-    /**
-     * Transport endpoints to serve (keqd --listen, repeatable): any
-     * mix of unix: and tcp: listeners. All listeners feed the same
-     * FairQueue, verdict store and pipeline pool — the transport is
-     * an accept-side detail, never a scheduling domain.
-     */
-    std::vector<Endpoint> listen;
+    /** The Unix socket to serve (keqd --socket). */
+    Endpoint listen;
     /** Pool worker threads; 0 = one per hardware thread. */
     unsigned jobs = 0;
     /** Admission cap: queued+running jobs per client before Busy. */
@@ -102,13 +96,6 @@ struct ServerOptions
     size_t cacheMemoryMb = 512;
     /** Handshake deadline; a silent connector is dropped after this. */
     unsigned handshakeTimeoutMs = 5000;
-    /**
-     * Completed-job ledger entries kept for idempotent resubmission
-     * (wire v5 fingerprints). A job resubmitted after a client
-     * failover is answered from here: no re-solve, no quota charge,
-     * no journal append. LRU-bounded; 0 disables dedup entirely.
-     */
-    size_t jobLedgerEntries = 4096;
     /** Sandboxed solving (shared warm worker pool across clients). */
     bool sandbox = false;
     unsigned sandboxWorkers = 0;
@@ -127,9 +114,13 @@ struct ServerStats
     uint64_t quotaRejects = 0;  ///< Busy replies from quota/queue caps
     uint64_t expiredJobs = 0;   ///< deadlines that expired in queue
     uint64_t auditMismatches = 0; ///< quarantined + re-solved verdicts
-    uint64_t dedupHits = 0;     ///< jobs served from the completed ledger
-    uint64_t acceptedUnix = 0;  ///< per-transport accept counters
-    uint64_t acceptedTcp = 0;
+    /**
+     * Always 0: the daemon has no completed-job ledger to serve
+     * resubmits from. The field stays only because perfbench's
+     * keqd-warm workload reads it for `service.dedup_hits`; the next
+     * benchmark change (ROADMAP item 5) should drop both.
+     */
+    uint64_t dedupHits = 0;
 };
 
 class Server
@@ -193,75 +184,33 @@ class Server
     VerdictStore &store() { return store_; }
     const ServerOptions &options() const { return options_; }
 
-    /**
-     * Endpoints actually bound (TCP port-0 listens carry the resolved
-     * ephemeral port). Valid after start().
-     */
-    std::vector<Endpoint> boundEndpoints() const;
-
-    /**
-     * Completed-job ledger probe (wire v5 idempotency). True when
-     * @p fingerprint names a completed job whose full identity
-     * (function, options key, module hash+length) matches the submit
-     * — the recorded verdict lands in @p out (jobId left untouched).
-     * The fingerprint alone is never trusted: a 64-bit collision must
-     * not substitute one job's verdict for another's.
-     */
-    bool ledgerLookup(const smt::wire::SubmitJobFrame &job,
-                      smt::wire::JobVerdictFrame &out);
-
   private:
     friend class Session;
 
-    void acceptLoop(Listener &listener);
-    /** Records a completed job for future idempotent resubmits;
-     *  @p moduleHash is fnv1a64 of the job's module text. */
-    void ledgerRecord(const JobWork &work, uint64_t moduleHash,
-                      const driver::FunctionReport &report,
-                      const smt::wire::JobVerdictFrame &frame);
+    void acceptLoop();
     /** Pool task: pop one job fairly and execute it. */
     void runOneJob();
     void executeJob(const JobWork &work);
     driver::FunctionReport validateJob(const JobWork &work,
-                                       unsigned deadlineMsCap,
-                                       uint64_t &moduleHash);
+                                       unsigned deadlineMsCap);
     driver::Pipeline &pipelineFor(const smt::wire::JobOptionsFrame &o);
-    /** The parsed module for @p text (null + @p error when rejected)
-     *  and, either way, fnv1a64 of the text in @p textHash. */
+    /** The parsed module for @p text (null + @p error when rejected). */
     std::shared_ptr<const llvmir::Module>
-    moduleFor(const std::string &text, std::string &error,
-              uint64_t &textHash);
-    /** fnv1a64 of @p text, reused from the module cache if present. */
-    uint64_t moduleTextHash(const std::string &text);
+    moduleFor(const std::string &text, std::string &error);
     std::shared_ptr<Session> sessionFor(uint64_t clientId);
 
     // Session-facing hooks (called from reader threads).
     void admitJob(JobWork work);
     size_t dropClientJobs(uint64_t clientId);
 
-    /** One completed job, keyed by fingerprint with full-identity
-     *  confirmation (two independent hashes + lengths + exact function
-     *  and options-key compare; the module text itself is too large to
-     *  retain per entry). */
-    struct LedgerEntry
-    {
-        std::string function;
-        std::string optionsKey;
-        uint64_t moduleHash = 0;
-        uint64_t moduleLen = 0;
-        std::string report;
-        smt::SolverStats stats;
-        std::list<uint64_t>::iterator lru;
-    };
-
     ServerOptions options_;
     VerdictStore store_;
     std::shared_ptr<smt::QueryCache> cache_;
     support::CancellationToken cancel_;
-    std::vector<std::unique_ptr<Listener>> listeners_;
+    UnixListener listener_;
     std::unique_ptr<support::ThreadPool> pool_;
     FairQueue queue_;
-    std::vector<std::thread> acceptThreads_;
+    std::thread acceptThread_;
     std::atomic<bool> stopping_{false};
     std::atomic<bool> draining_{false};
     bool started_ = false;
@@ -275,21 +224,9 @@ class Server
     std::unordered_map<std::string, std::unique_ptr<driver::Pipeline>>
         pipelines_;
 
-    /** A parsed module plus fnv1a64 of its text: every job on the
-     *  same text reuses both, so the text is hashed once per distinct
-     *  module rather than on every ledger record and probe. */
-    struct CachedModule
-    {
-        std::shared_ptr<const llvmir::Module> module;
-        uint64_t textHash = 0;
-    };
-
     std::mutex modulesMutex_;
-    std::unordered_map<std::string, CachedModule> modules_;
-
-    mutable std::mutex ledgerMutex_;
-    std::unordered_map<uint64_t, LedgerEntry> ledger_;
-    std::list<uint64_t> ledgerLru_; ///< front = most recently used
+    std::unordered_map<std::string, std::shared_ptr<const llvmir::Module>>
+        modules_;
 
     mutable std::mutex shutdownMutex_;
     std::condition_variable shutdownCv_;
@@ -305,9 +242,6 @@ class Server
     std::atomic<uint64_t> quotaRejects_{0};
     std::atomic<uint64_t> expiredJobs_{0};
     std::atomic<uint64_t> auditMismatches_{0};
-    std::atomic<uint64_t> dedupHits_{0};
-    std::atomic<uint64_t> acceptedUnix_{0};
-    std::atomic<uint64_t> acceptedTcp_{0};
 };
 
 } // namespace keq::service

@@ -147,23 +147,6 @@ Session::handleSubmit(const std::string &body)
         sendLocked(wire::encodeError("bad SubmitJob: " + error));
         return;
     }
-    // Idempotent resubmission (wire v5): a fingerprinted job the
-    // daemon already completed — typically resubmitted by a failover
-    // client whose previous connection died before the verdict arrived
-    // — is answered straight from the completed ledger. This runs
-    // BEFORE every admission layer on purpose: a resubmit consumes no
-    // in-flight slot, no queue slot and no rate token (never
-    // double-charged), runs no solver, and appends nothing to the
-    // journal. It is also served during drain — replaying a decided
-    // verdict does not grow the admitted-job set.
-    if (job.fingerprint != 0) {
-        wire::JobVerdictFrame hit;
-        if (server_.ledgerLookup(job, hit)) {
-            hit.jobId = job.jobId;
-            sendLocked(wire::encodeJobVerdict(hit));
-            return;
-        }
-    }
     // Admission control, layered: every reject is a typed Busy, which
     // the client answers by backing off or degrading to local solving
     // — never a dropped frame or an unbounded queue.
@@ -200,7 +183,6 @@ Session::handleSubmit(const std::string &body)
     work.function = std::move(job.function);
     work.moduleText = std::move(job.moduleText);
     work.options = job.options;
-    work.fingerprint = job.fingerprint;
     work.admittedAt = std::chrono::steady_clock::now();
     server_.admitJob(std::move(work));
 }
@@ -216,7 +198,10 @@ Session::run()
 {
     if (!handshake()) {
         ++server_.helloRejects_;
-        channel_.close();
+        // Shut down, do not close: Server::stop() may call
+        // shutdownChannel() on this session at any moment, and the fd
+        // must stay ours until the session is destroyed.
+        channel_.shutdownBoth();
         done_.store(true);
         return;
     }
@@ -238,19 +223,6 @@ Session::run()
             handleSubmit(body);
         } else if (type == wire::FrameType::JobStatus) {
             handleStatus();
-        } else if (type == wire::FrameType::Ping) {
-            // Heartbeat: answered inline by the reader thread so a
-            // client behind a long solve can still tell a live daemon
-            // from a dead TCP peer.
-            wire::PingFrame ping;
-            std::string pingError;
-            if (!wire::decodePing(body, ping, pingError)) {
-                sendLocked(wire::encodeError("bad ping: " + pingError));
-                break;
-            }
-            wire::PongFrame pong;
-            pong.nonce = ping.nonce;
-            sendLocked(wire::encodePong(pong));
         } else if (type == wire::FrameType::Shutdown) {
             server_.requestShutdown();
             break;

@@ -15,15 +15,11 @@
  *     version) and the connection is closed.
  *     Negotiation failures are *answers*, never undefined decode
  *     behavior.
- *  2. frame loop — SubmitJob frames first consult the server's
- *     completed-job ledger (a fingerprint resubmitted after a
- *     client failover is answered immediately: no admission, no quota
- *     charge, no solve), then pass admission control (the per-client
- *     in-flight cap; over-cap jobs get a typed Busy reply, the daemon
- *     never queues unboundedly per client) and land in the server's
- *     fair queue; JobStatus is answered inline; Ping gets a Pong from
- *     the reader thread (the client's liveness probe must not queue
- *     behind solves); Shutdown asks the server to stop.
+ *  2. frame loop — SubmitJob frames pass admission control (the
+ *     per-client in-flight cap; over-cap jobs get a typed Busy reply,
+ *     the daemon never queues unboundedly per client) and land in the
+ *     server's fair queue; JobStatus is answered inline; Shutdown asks
+ *     the server to stop.
  *  3. teardown — on EOF/error the session drops its queued jobs
  *     (running ones finish; their verdicts are discarded here).
  *

@@ -6,10 +6,6 @@
 #include <cstring>
 #include <ctime>
 
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -60,29 +56,6 @@ fillSockaddr(const std::string &path, sockaddr_un &addr,
     return true;
 }
 
-/** Latency beats throughput for small request/verdict frames. */
-void
-tuneTcpFd(int fd)
-{
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-/** Shared poll+accept4 loop for both listeners. */
-int
-acceptOn(int listenFd, unsigned timeout_ms)
-{
-    if (listenFd < 0)
-        return -1;
-    pollfd pfd{listenFd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1,
-                       timeout_ms == 0 ? -1
-                                       : static_cast<int>(timeout_ms));
-    if (ready <= 0)
-        return -1;
-    return ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC);
-}
-
 } // namespace
 
 // --- WireChannel ---------------------------------------------------------
@@ -130,8 +103,8 @@ WireChannel::sendFrame(const std::string &frame)
 {
     if (fd_ < 0)
         return false;
-    // Short writes resume from the offset; EINTR retries. A TCP socket
-    // under pressure routinely accepts only part of a frame per send.
+    // Short writes resume from the offset; EINTR retries. A socket
+    // under pressure may accept only part of a frame per send.
     size_t off = 0;
     while (off < frame.size()) {
         ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off,
@@ -204,29 +177,6 @@ WireChannel::recvFrame(std::string &payload, unsigned deadline_ms)
     return status;
 }
 
-IoStatus
-WireChannel::waitReadable(unsigned timeout_ms)
-{
-    if (fd_ < 0)
-        return IoStatus::Error;
-    int64_t start = nowMs();
-    for (;;) {
-        pollfd pfd{fd_, POLLIN, 0};
-        int wait = remainingMs(start, timeout_ms);
-        if (timeout_ms != 0 && wait == 0)
-            return IoStatus::Timeout;
-        int ready = ::poll(&pfd, 1, wait);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoStatus::Error;
-        }
-        if (ready == 0)
-            return IoStatus::Timeout;
-        return IoStatus::Ok; // readable (possibly EOF; recv decides)
-    }
-}
-
 // --- UnixListener --------------------------------------------------------
 
 UnixListener::~UnixListener() { close(); }
@@ -234,17 +184,6 @@ UnixListener::~UnixListener() { close(); }
 bool
 UnixListener::listenOn(const std::string &path, std::string &error)
 {
-    return listenOn(unixEndpoint(path), error);
-}
-
-bool
-UnixListener::listenOn(const Endpoint &endpoint, std::string &error)
-{
-    if (endpoint.kind != TransportKind::Unix) {
-        error = "UnixListener given a non-unix endpoint";
-        return false;
-    }
-    const std::string &path = endpoint.path;
     sockaddr_un addr{};
     if (!fillSockaddr(path, addr, error))
         return false;
@@ -295,14 +234,22 @@ UnixListener::listenOn(const Endpoint &endpoint, std::string &error)
         return false;
     }
     fd_ = fd;
-    endpoint_ = endpoint;
+    path_ = path;
     return true;
 }
 
 int
 UnixListener::acceptClient(unsigned timeout_ms)
 {
-    return acceptOn(fd_, timeout_ms);
+    if (fd_ < 0)
+        return -1;
+    pollfd pfd{fd_, POLLIN, 0};
+    int ready = ::poll(&pfd, 1,
+                       timeout_ms == 0 ? -1
+                                       : static_cast<int>(timeout_ms));
+    if (ready <= 0)
+        return -1;
+    return ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
 }
 
 void
@@ -311,113 +258,17 @@ UnixListener::close()
     if (fd_ >= 0) {
         ::close(fd_);
         fd_ = -1;
-        if (!endpoint_.path.empty())
-            ::unlink(endpoint_.path.c_str());
-        endpoint_ = Endpoint{};
+        if (!path_.empty())
+            ::unlink(path_.c_str());
+        path_.clear();
     }
 }
 
-// --- TcpListener ---------------------------------------------------------
-
-TcpListener::~TcpListener() { close(); }
+// --- connectUnix ---------------------------------------------------------
 
 bool
-TcpListener::listenOn(const Endpoint &endpoint, std::string &error)
-{
-    if (endpoint.kind != TransportKind::Tcp) {
-        error = "TcpListener given a non-tcp endpoint";
-        return false;
-    }
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
-    addrinfo *results = nullptr;
-    std::string service = std::to_string(endpoint.port);
-    int rc = ::getaddrinfo(endpoint.host.c_str(), service.c_str(),
-                           &hints, &results);
-    if (rc != 0) {
-        error = "resolve " + endpointToString(endpoint) + ": " +
-                ::gai_strerror(rc);
-        return false;
-    }
-    std::string lastError = "no addresses";
-    for (addrinfo *ai = results; ai != nullptr; ai = ai->ai_next) {
-        int fd = ::socket(ai->ai_family,
-                          ai->ai_socktype | SOCK_CLOEXEC,
-                          ai->ai_protocol);
-        if (fd < 0) {
-            lastError = std::string("socket: ") + std::strerror(errno);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-        if (::bind(fd, ai->ai_addr, ai->ai_addrlen) != 0 ||
-            ::listen(fd, 64) != 0) {
-            lastError = std::string(errno == EADDRINUSE
-                                        ? "address in use: "
-                                        : "bind/listen: ") +
-                        std::strerror(errno);
-            ::close(fd);
-            continue;
-        }
-        fd_ = fd;
-        endpoint_ = endpoint;
-        // Report the kernel-assigned port for an ephemeral (:0) bind.
-        sockaddr_storage bound{};
-        socklen_t len = sizeof bound;
-        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                          &len) == 0) {
-            if (bound.ss_family == AF_INET)
-                endpoint_.port = ntohs(
-                    reinterpret_cast<sockaddr_in *>(&bound)->sin_port);
-            else if (bound.ss_family == AF_INET6)
-                endpoint_.port = ntohs(
-                    reinterpret_cast<sockaddr_in6 *>(&bound)
-                        ->sin6_port);
-        }
-        ::freeaddrinfo(results);
-        return true;
-    }
-    ::freeaddrinfo(results);
-    error = "listen " + endpointToString(endpoint) + ": " + lastError;
-    return false;
-}
-
-int
-TcpListener::acceptClient(unsigned timeout_ms)
-{
-    int client = acceptOn(fd_, timeout_ms);
-    if (client >= 0)
-        tuneTcpFd(client);
-    return client;
-}
-
-void
-TcpListener::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-        endpoint_ = Endpoint{};
-    }
-}
-
-std::unique_ptr<Listener>
-makeListener(const Endpoint &endpoint)
-{
-    if (endpoint.kind == TransportKind::Tcp)
-        return std::make_unique<TcpListener>();
-    return std::make_unique<UnixListener>();
-}
-
-// --- connectEndpoint -----------------------------------------------------
-
-namespace {
-
-bool
-connectUnixImpl(const std::string &path, unsigned timeout_ms, int &fd,
-                std::string &error)
+connectUnix(const std::string &path, unsigned timeout_ms, int &fd,
+            std::string &error)
 {
     sockaddr_un addr{};
     if (!fillSockaddr(path, addr, error))
@@ -454,126 +305,6 @@ connectUnixImpl(const std::string &path, unsigned timeout_ms, int &fd,
     error = std::string("connect ") + path + ": " + std::strerror(errno);
     ::close(sock);
     return false;
-}
-
-/**
- * One non-blocking TCP connect attempt with a poll deadline. Returns
- * the connected blocking fd, or -1 with errno describing the failure.
- */
-int
-connectTcpOnce(const addrinfo *ai, int deadlineLeftMs)
-{
-    int sock = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                        ai->ai_protocol);
-    if (sock < 0)
-        return -1;
-    int flags = ::fcntl(sock, F_GETFL, 0);
-    ::fcntl(sock, F_SETFL, flags | O_NONBLOCK);
-    int rc = ::connect(sock, ai->ai_addr, ai->ai_addrlen);
-    if (rc != 0 && errno != EINPROGRESS && errno != EINTR) {
-        int saved = errno;
-        ::close(sock);
-        errno = saved;
-        return -1;
-    }
-    if (rc != 0) {
-        pollfd pfd{sock, POLLOUT, 0};
-        int64_t start = nowMs();
-        for (;;) {
-            int wait = deadlineLeftMs < 0
-                           ? -1
-                           : std::max<int>(
-                                 0, deadlineLeftMs -
-                                        static_cast<int>(nowMs() -
-                                                         start));
-            int ready = ::poll(&pfd, 1, wait);
-            if (ready < 0 && errno == EINTR)
-                continue;
-            if (ready <= 0) {
-                ::close(sock);
-                errno = ETIMEDOUT;
-                return -1;
-            }
-            break;
-        }
-        int soError = 0;
-        socklen_t len = sizeof soError;
-        if (::getsockopt(sock, SOL_SOCKET, SO_ERROR, &soError,
-                         &len) != 0 ||
-            soError != 0) {
-            ::close(sock);
-            errno = soError != 0 ? soError : ECONNREFUSED;
-            return -1;
-        }
-    }
-    ::fcntl(sock, F_SETFL, flags);
-    tuneTcpFd(sock);
-    return sock;
-}
-
-bool
-connectTcp(const Endpoint &endpoint, unsigned timeout_ms, int &fd,
-           std::string &error)
-{
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_NUMERICSERV;
-    addrinfo *results = nullptr;
-    std::string service = std::to_string(endpoint.port);
-    int rc = ::getaddrinfo(endpoint.host.c_str(), service.c_str(),
-                           &hints, &results);
-    if (rc != 0) {
-        error = "resolve " + endpointToString(endpoint) + ": " +
-                ::gai_strerror(rc);
-        return false;
-    }
-    int64_t start = nowMs();
-    int lastErrno = ECONNREFUSED;
-    // A refused connect (daemon mid-start, backlog full) retries within
-    // the budget, mirroring the unix transport's behavior so warm-up
-    // races resolve identically on both.
-    for (;;) {
-        for (addrinfo *ai = results; ai != nullptr; ai = ai->ai_next) {
-            int left = remainingMs(start, timeout_ms);
-            if (timeout_ms != 0 && left == 0)
-                break;
-            int sock = connectTcpOnce(ai, left);
-            if (sock >= 0) {
-                ::freeaddrinfo(results);
-                fd = sock;
-                return true;
-            }
-            lastErrno = errno;
-        }
-        if (lastErrno != ECONNREFUSED || timeout_ms == 0 ||
-            nowMs() - start >= static_cast<int64_t>(timeout_ms))
-            break;
-        struct timespec ts{0, 10 * 1000 * 1000}; // 10 ms
-        ::nanosleep(&ts, nullptr);
-    }
-    ::freeaddrinfo(results);
-    error = "connect " + endpointToString(endpoint) + ": " +
-            std::strerror(lastErrno);
-    return false;
-}
-
-} // namespace
-
-bool
-connectEndpoint(const Endpoint &endpoint, unsigned timeout_ms, int &fd,
-                std::string &error)
-{
-    if (endpoint.kind == TransportKind::Tcp)
-        return connectTcp(endpoint, timeout_ms, fd, error);
-    return connectUnixImpl(endpoint.path, timeout_ms, fd, error);
-}
-
-bool
-connectUnix(const std::string &path, unsigned timeout_ms, int &fd,
-            std::string &error)
-{
-    return connectUnixImpl(path, timeout_ms, fd, error);
 }
 
 } // namespace keq::service

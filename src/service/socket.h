@@ -3,15 +3,13 @@
 
 /**
  * @file
- * Stream-socket transports for the validation service.
+ * The validation service's Unix-socket transport.
  *
  * The daemon and its clients exchange exactly the same length-prefixed
  * frames as the solver sandbox (smt/wire: u32 LE payload length +
- * payload), but over stream sockets instead of pipes. Two transports
- * implement one Listener seam: AF_UNIX (single host, filesystem
- * permissions) and AF_INET/AF_INET6 TCP (multi-host). The frame layer
- * — WireChannel — is transport-agnostic: it owns a connected fd and
- * never cares how it was made.
+ * payload), but over an AF_UNIX stream socket instead of pipes. The
+ * frame layer — WireChannel — owns a connected fd and never cares how
+ * it was made (the tests drive it over socketpairs).
  *
  * Safety properties mirrored from support::Subprocess:
  *  - reads are deadline-aware (poll + read loop) so a dead peer turns
@@ -27,10 +25,8 @@
  */
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "src/service/endpoint.h"
 #include "src/support/subprocess.h" // support::IoStatus
 
 namespace keq::service {
@@ -71,17 +67,6 @@ class WireChannel
     support::IoStatus recvFrame(std::string &payload,
                                 unsigned deadline_ms);
 
-    /**
-     * Waits up to @p timeout_ms for the socket to become readable
-     * WITHOUT consuming bytes. Ok = a frame (or EOF) is waiting, so a
-     * following recvFrame will not idle; Timeout = the peer sent
-     * nothing. This is the heartbeat primitive: the failover client
-     * polls readability on a tick so it can inject Ping probes between
-     * frames without ever tearing a partially-arrived frame (which a
-     * short recvFrame deadline would).
-     */
-    support::IoStatus waitReadable(unsigned timeout_ms);
-
     /** shutdown(2) both directions: unblocks any reader immediately. */
     void shutdownBoth();
 
@@ -100,113 +85,43 @@ class WireChannel
 };
 
 /**
- * A daemon listening socket: the transport seam. One implementation
- * per TransportKind; the Server holds several and treats them
- * uniformly (one accept thread each, one shared FairQueue behind).
+ * The daemon's AF_UNIX listening socket. Binds, listens, and unlinks
+ * the filesystem path on close, so a cleanly stopped daemon leaves no
+ * stale socket behind. A stale file from a *crashed* daemon is
+ * detected at bind time: if nothing accepts connections on it, it is
+ * unlinked and the bind retried.
  */
-class Listener
+class UnixListener
 {
   public:
-    virtual ~Listener() = default;
+    UnixListener() = default;
+    ~UnixListener();
 
-    /** Binds + listens on @p endpoint; false with @p error. */
-    virtual bool listenOn(const Endpoint &endpoint,
-                          std::string &error) = 0;
+    UnixListener(const UnixListener &) = delete;
+    UnixListener &operator=(const UnixListener &) = delete;
+
+    /** Binds + listens on @p path; false with @p error. */
+    bool listenOn(const std::string &path, std::string &error);
 
     /**
      * Accepts one connection, waiting up to @p timeout_ms (0 =
      * forever). Returns a CLOEXEC fd >= 0, or -1 on timeout / closed
      * listener.
      */
-    virtual int acceptClient(unsigned timeout_ms) = 0;
+    int acceptClient(unsigned timeout_ms);
 
-    virtual void close() = 0;
-    virtual bool listening() const = 0;
-
-    /**
-     * The endpoint actually bound. For a TCP listen on port 0 this
-     * carries the kernel-assigned ephemeral port, so tests and the
-     * keqd startup banner can name a connectable address.
-     */
-    virtual const Endpoint &endpoint() const = 0;
-
-    TransportKind transport() const { return endpoint().kind; }
-};
-
-/**
- * AF_UNIX listener. Binds, listens, and unlinks the filesystem path on
- * close, so a cleanly stopped daemon leaves no stale socket behind. A
- * stale file from a *crashed* daemon is detected at bind time: if
- * nothing accepts connections on it, it is unlinked and the bind
- * retried.
- */
-class UnixListener : public Listener
-{
-  public:
-    UnixListener() = default;
-    ~UnixListener() override;
-
-    UnixListener(const UnixListener &) = delete;
-    UnixListener &operator=(const UnixListener &) = delete;
-
-    bool listenOn(const Endpoint &endpoint,
-                  std::string &error) override;
-    /** Legacy path form (equivalent to a unix: endpoint). */
-    bool listenOn(const std::string &path, std::string &error);
-
-    int acceptClient(unsigned timeout_ms) override;
-    void close() override;
-    bool listening() const override { return fd_ >= 0; }
-    const Endpoint &endpoint() const override { return endpoint_; }
-    const std::string &path() const { return endpoint_.path; }
+    void close();
 
   private:
     int fd_ = -1;
-    Endpoint endpoint_;
+    std::string path_;
 };
 
 /**
- * AF_INET/AF_INET6 TCP listener. Resolves the host with getaddrinfo
- * (numeric literals and names both work), binds with SO_REUSEADDR so a
- * restarted daemon reclaims its port without waiting out TIME_WAIT,
- * and applies TCP_NODELAY to every accepted connection — wire frames
- * are small and latency-bound, so Nagle buys nothing here.
+ * Connects to the daemon socket at @p path. A refused connect (full
+ * backlog, or a daemon mid-start) is retried for up to @p timeout_ms;
+ * any other failure returns false at once with @p error.
  */
-class TcpListener : public Listener
-{
-  public:
-    TcpListener() = default;
-    ~TcpListener() override;
-
-    TcpListener(const TcpListener &) = delete;
-    TcpListener &operator=(const TcpListener &) = delete;
-
-    bool listenOn(const Endpoint &endpoint,
-                  std::string &error) override;
-    int acceptClient(unsigned timeout_ms) override;
-    void close() override;
-    bool listening() const override { return fd_ >= 0; }
-    const Endpoint &endpoint() const override { return endpoint_; }
-
-  private:
-    int fd_ = -1;
-    Endpoint endpoint_;
-};
-
-/** Unbound listener of the right transport for @p endpoint. */
-std::unique_ptr<Listener> makeListener(const Endpoint &endpoint);
-
-/**
- * Connects to a daemon endpoint, waiting up to @p timeout_ms for the
- * connect to complete. Unix connects retry a full backlog within the
- * budget; TCP connects are non-blocking + poll so an unreachable host
- * costs the budget, never a hung thread. On success the fd is blocking
- * and (for TCP) has TCP_NODELAY set.
- */
-bool connectEndpoint(const Endpoint &endpoint, unsigned timeout_ms,
-                     int &fd, std::string &error);
-
-/** Legacy form of connectEndpoint for a unix path. */
 bool connectUnix(const std::string &path, unsigned timeout_ms, int &fd,
                  std::string &error);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <thread>
 
 #include "src/smt/term_factory.h"
@@ -48,10 +47,6 @@ discoverWorkerBinary(const std::string &explicitPath)
     if (!explicitPath.empty()) {
         return support::isExecutableFile(explicitPath) ? explicitPath
                                                        : std::string();
-    }
-    if (const char *env = std::getenv("KEQ_SOLVER_WORKER")) {
-        if (support::isExecutableFile(env))
-            return env;
     }
     std::string dir = support::currentExecutableDir();
     if (dir.empty())
@@ -105,8 +100,8 @@ WorkerSupervisor::start(std::string &error)
     workerPath_ = discoverWorkerBinary(options_.workerPath);
     if (workerPath_.empty()) {
         error = options_.workerPath.empty()
-                    ? "no keq-solver-worker binary found (set "
-                      "KEQ_SOLVER_WORKER or --worker-path)"
+                    ? "no keq-solver-worker binary found next to "
+                      "this executable (pass --worker-path)"
                     : "worker binary not executable: " +
                           options_.workerPath;
         return false;

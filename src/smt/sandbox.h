@@ -99,9 +99,9 @@ struct SandboxOptions
 };
 
 /**
- * Locates the worker binary: an explicit path wins, then the
- * KEQ_SOLVER_WORKER environment variable, then `keq-solver-worker`
- * next to the running executable, then `../tools/keq-solver-worker`
+ * Locates the worker binary: an explicit path wins, then
+ * `keq-solver-worker` next to the running executable, then
+ * `../tools/keq-solver-worker`
  * relative to it (test binaries live in sibling directories). Returns
  * "" when nothing executable is found — callers degrade gracefully.
  */

@@ -14,8 +14,9 @@ namespace keq::smt::wire {
 namespace {
 
 constexpr uint8_t kMaxKind = static_cast<uint8_t>(Kind::Store);
+/** Highest frame type byte; 16 and 17 (Ping, Pong) are retired. */
 constexpr uint8_t kMaxFrameType =
-    static_cast<uint8_t>(FrameType::Pong);
+    static_cast<uint8_t>(FrameType::Busy);
 /** The retired Cancel frame's type byte; no frame uses it now. */
 constexpr uint8_t kRetiredFrameType = 8;
 
@@ -140,10 +141,6 @@ frameTypeName(FrameType type)
         return "job-verdict";
     case FrameType::Busy:
         return "busy";
-    case FrameType::Ping:
-        return "ping";
-    case FrameType::Pong:
-        return "pong";
     }
     return "?";
 }
@@ -840,7 +837,6 @@ encodeSubmitJob(const SubmitJobFrame &frame)
     enc.str(frame.function);
     enc.str(frame.moduleText);
     encodeJobOptionsBody(enc, frame.options);
-    enc.u64(frame.fingerprint);
     return frameBytes(FrameType::SubmitJob, enc.take());
 }
 
@@ -860,9 +856,6 @@ encodeJobStatus(const JobStatusFrame &frame)
     enc.u64(frame.auditMismatches);
     enc.u64(frame.quotaRejects);
     enc.u8(frame.draining);
-    enc.u64(frame.dedupHits);
-    enc.u64(frame.acceptedUnix);
-    enc.u64(frame.acceptedTcp);
     return frameBytes(FrameType::JobStatus, enc.take());
 }
 
@@ -883,22 +876,6 @@ encodeBusy(const BusyFrame &frame)
     enc.u64(frame.jobId);
     enc.u32(frame.inFlightLimit);
     return frameBytes(FrameType::Busy, enc.take());
-}
-
-std::string
-encodePing(const PingFrame &frame)
-{
-    Encoder enc;
-    enc.u64(frame.nonce);
-    return frameBytes(FrameType::Ping, enc.take());
-}
-
-std::string
-encodePong(const PongFrame &frame)
-{
-    Encoder enc;
-    enc.u64(frame.nonce);
-    return frameBytes(FrameType::Pong, enc.take());
 }
 
 namespace {
@@ -1032,7 +1009,7 @@ decodeSubmitJob(const std::string &body, SubmitJobFrame &out,
     Decoder dec(body);
     dec.u64(out.jobId) && dec.str(out.function) &&
         dec.str(out.moduleText) &&
-        decodeJobOptionsBody(dec, out.options) && dec.u64(out.fingerprint);
+        decodeJobOptionsBody(dec, out.options);
     if (dec.ok() && out.function.empty())
         dec.fail("job with empty function name");
     return finish(dec, error);
@@ -1048,9 +1025,7 @@ decodeJobStatus(const std::string &body, JobStatusFrame &out,
         dec.u64(out.activeClients) && dec.u64(out.busyRejects) &&
         dec.u64(out.storeBytes) && dec.u64(out.storeEvictions) &&
         dec.u64(out.storeQuarantined) && dec.u64(out.auditMismatches) &&
-        dec.u64(out.quotaRejects) && dec.u8(out.draining) &&
-        dec.u64(out.dedupHits) && dec.u64(out.acceptedUnix) &&
-        dec.u64(out.acceptedTcp);
+        dec.u64(out.quotaRejects) && dec.u8(out.draining);
     return finish(dec, error);
 }
 
@@ -1069,22 +1044,6 @@ decodeBusy(const std::string &body, BusyFrame &out, std::string &error)
 {
     Decoder dec(body);
     dec.u64(out.jobId) && dec.u32(out.inFlightLimit);
-    return finish(dec, error);
-}
-
-bool
-decodePing(const std::string &body, PingFrame &out, std::string &error)
-{
-    Decoder dec(body);
-    dec.u64(out.nonce);
-    return finish(dec, error);
-}
-
-bool
-decodePong(const std::string &body, PongFrame &out, std::string &error)
-{
-    Decoder dec(body);
-    dec.u64(out.nonce);
     return finish(dec, error);
 }
 

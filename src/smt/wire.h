@@ -68,10 +68,13 @@ namespace wire {
  * give clients a connection-level heartbeat.
  * v6: the stats block loses the seven portfolio and batched-discharge
  * counters (26 counters, then totalSeconds), and JobOptions loses its
- * batch-discharge byte. The daemon serves v6 clients only: the v4 and
- * v5 frame forms are gone, and an older client gets a HelloReject.
+ * batch-discharge byte.
+ * v7: the multi-host layer is gone. SubmitJob loses its fingerprint,
+ * JobStatus its dedup and per-transport accept counters, and Ping and
+ * Pong (type bytes 16 and 17) are retired. The daemon serves v7
+ * clients only; an older client gets a HelloReject.
  */
-constexpr uint32_t kProtocolVersion = 6;
+constexpr uint32_t kProtocolVersion = 7;
 
 /**
  * Worker frames, versioned apart from the service protocol: only a
@@ -121,10 +124,7 @@ enum class FrameType : uint8_t {
     HelloReject = 13, ///< typed handshake rejection (version skew)
     JobVerdict = 14,  ///< one finished job's report + solver stats
     Busy = 15,        ///< admission control: in-flight cap reached
-
-    // validation service: connection-level heartbeat
-    Ping = 16, ///< client -> daemon liveness probe (nonce)
-    Pong = 17, ///< daemon -> client echo of the Ping nonce
+    // 16 and 17 were Ping and Pong (service protocol 6 and older).
 };
 
 const char *frameTypeName(FrameType type);
@@ -310,19 +310,6 @@ struct SubmitJobFrame
     std::string function; ///< e.g. "@max" — must be defined in module
     std::string moduleText;
     JobOptionsFrame options;
-    /**
-     * Deterministic job identity — a stable hash over (module
-     * text, function, jobOptionsKey), computed with
-     * service::jobFingerprint. A nonzero value is a *resubmission
-     * claim*: the client already sent this job once and its connection
-     * died before the verdict arrived, so the daemon's completed-job
-     * ledger may serve it idempotently — no second solve, no second
-     * quota charge, no second journal append. First-time submissions
-     * carry 0: they always take the real solving path, so distinct
-     * clients submitting identical work still exercise the shared warm
-     * query cache, never replay each other's ledger entries.
-     */
-    uint64_t fingerprint = 0;
 };
 
 /** Daemon-wide counters echoed back on a JobStatus probe. */
@@ -341,27 +328,6 @@ struct JobStatusFrame
     uint64_t auditMismatches = 0; ///< trust-but-verify contradictions
     uint64_t quotaRejects = 0;    ///< Busy replies from quota/queue caps
     uint8_t draining = 0;         ///< 1 once SIGTERM drain began
-    // Multi-host transport counters.
-    uint64_t dedupHits = 0;     ///< jobs served from the completed ledger
-    uint64_t acceptedUnix = 0;  ///< connections accepted on AF_UNIX
-    uint64_t acceptedTcp = 0;   ///< connections accepted on TCP
-};
-
-/**
- * Connection-level heartbeat. A client waiting on a slow verdict over
- * TCP cannot tell a long solve from a silently-dead peer (no RST ever
- * arrives when a remote host vanishes); a Ping answered inline by the
- * daemon's reader thread bounds that uncertainty. The nonce is echoed
- * verbatim.
- */
-struct PingFrame
-{
-    uint64_t nonce = 0;
-};
-
-struct PongFrame
-{
-    uint64_t nonce = 0;
 };
 
 /**
@@ -405,8 +371,6 @@ std::string encodeSubmitJob(const SubmitJobFrame &frame);
 std::string encodeJobStatus(const JobStatusFrame &frame);
 std::string encodeJobVerdict(const JobVerdictFrame &frame);
 std::string encodeBusy(const BusyFrame &frame);
-std::string encodePing(const PingFrame &frame);
-std::string encodePong(const PongFrame &frame);
 
 /**
  * Splits a received payload into its FrameType and body decoder input.
@@ -440,10 +404,6 @@ bool decodeJobStatus(const std::string &body, JobStatusFrame &out,
 bool decodeJobVerdict(const std::string &body, JobVerdictFrame &out,
                       std::string &error);
 bool decodeBusy(const std::string &body, BusyFrame &out,
-                std::string &error);
-bool decodePing(const std::string &body, PingFrame &out,
-                std::string &error);
-bool decodePong(const std::string &body, PongFrame &out,
                 std::string &error);
 
 } // namespace wire

@@ -29,7 +29,7 @@ namespace wire = smt::wire;
 
 /** Unique socket path per test (sun_path is short; stay terse). */
 std::string
-socketPath(const std::string &stem)
+tempSocket(const std::string &stem)
 {
     return (std::filesystem::temp_directory_path() /
             ("keqd-" + stem + "-" + std::to_string(::getpid()) +
@@ -112,14 +112,14 @@ daemonRun(DaemonClient &client, const std::string &source,
 TEST(DaemonTest, StartStatusStop)
 {
     ServerOptions options;
-    options.socketPath = socketPath("lifecycle");
+    options.listen = unixEndpoint(tempSocket("lifecycle"));
     options.jobs = 2;
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
     EXPECT_EQ(client.serverHello().protocolVersion,
@@ -131,14 +131,14 @@ TEST(DaemonTest, StartStatusStop)
     EXPECT_EQ(status.activeClients, 1u);
 
     server.stop();
-    EXPECT_FALSE(std::filesystem::exists(options.socketPath))
+    EXPECT_FALSE(std::filesystem::exists(options.listen.path))
         << "socket not unlinked on clean stop";
 }
 
 TEST(DaemonTest, SecondDaemonOnSamePathRefusesToStart)
 {
     ServerOptions options;
-    options.socketPath = socketPath("exclusive");
+    options.listen = unixEndpoint(tempSocket("exclusive"));
     Server first(options);
     std::string error;
     ASSERT_TRUE(first.start(error)) << error;
@@ -153,13 +153,13 @@ TEST(DaemonTest, SecondDaemonOnSamePathRefusesToStart)
 TEST(DaemonTest, VersionMismatchGetsTypedReject)
 {
     ServerOptions options;
-    options.socketPath = socketPath("version");
+    options.listen = unixEndpoint(tempSocket("version"));
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     int fd = -1;
-    ASSERT_TRUE(connectUnix(options.socketPath, 2000, fd, error))
+    ASSERT_TRUE(connectUnix(options.listen.path, 2000, fd, error))
         << error;
     WireChannel channel(fd);
     wire::ClientHelloFrame hello;
@@ -181,16 +181,82 @@ TEST(DaemonTest, VersionMismatchGetsTypedReject)
     server.stop();
 }
 
+/** Helloes with @p version and returns the daemon's HelloReject. */
+bool
+rawRejectedHello(const std::string &socket, uint32_t version,
+                 wire::HelloRejectFrame &reject)
+{
+    int fd = -1;
+    std::string error;
+    if (!connectUnix(socket, 2000, fd, error))
+        return false;
+    WireChannel channel(fd);
+    wire::ClientHelloFrame hello;
+    hello.protocolVersion = version;
+    std::string payload;
+    wire::FrameType type{};
+    std::string body;
+    return channel.sendFrame(wire::encodeClientHello(hello)) &&
+           channel.recvFrame(payload, 5000) == support::IoStatus::Ok &&
+           wire::splitFrame(payload, type, body) &&
+           type == wire::FrameType::HelloReject &&
+           wire::decodeHelloReject(body, reject, error);
+}
+
+/** A v6 client, whose SubmitJob carries a fingerprint and whose
+ *  JobStatus expects dedup and per-transport counters v7 dropped, gets
+ *  a typed HelloReject naming its version and the daemon's instead of
+ *  frames it would misread. */
+TEST(DaemonTest, V6ClientGetsATypedHelloReject)
+{
+    ServerOptions options;
+    options.listen = unixEndpoint(tempSocket("v6"));
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    wire::HelloRejectFrame reject;
+    ASSERT_TRUE(rawRejectedHello(options.listen.path, 6, reject));
+    EXPECT_EQ(reject.supportedVersion, 7u);
+    EXPECT_NE(reject.message.find("unsupported protocol version 6 "
+                                  "(daemon speaks 7)"),
+              std::string::npos)
+        << reject.message;
+    server.stop();
+}
+
+/** Every version but the daemon's own, older or newer, gets a typed
+ *  HelloReject naming the supported version. */
+TEST(DaemonTest, OutOfWindowVersionsAreRejected)
+{
+    ServerOptions options;
+    options.listen = unixEndpoint(tempSocket("vwin"));
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    for (uint32_t version : {3u, 4u, 5u, 6u, 8u, 99u}) {
+        wire::HelloRejectFrame reject;
+        ASSERT_TRUE(
+            rawRejectedHello(options.listen.path, version, reject))
+            << "version " << version << " negotiated";
+        EXPECT_EQ(reject.supportedVersion, wire::kProtocolVersion);
+        EXPECT_NE(reject.message.find("speaks 7"), std::string::npos)
+            << "reject does not name the version: " << reject.message;
+    }
+    server.stop();
+}
+
 TEST(DaemonTest, GarbageHelloIsRejectedNotCrashed)
 {
     ServerOptions options;
-    options.socketPath = socketPath("garbage");
+    options.listen = unixEndpoint(tempSocket("garbage"));
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     int fd = -1;
-    ASSERT_TRUE(connectUnix(options.socketPath, 2000, fd, error))
+    ASSERT_TRUE(connectUnix(options.listen.path, 2000, fd, error))
         << error;
     WireChannel channel(fd);
     // A SubmitJob before any hello is a protocol violation.
@@ -209,7 +275,7 @@ TEST(DaemonTest, GarbageHelloIsRejectedNotCrashed)
 
     // The daemon remains healthy for well-behaved clients.
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     DaemonClient client(copts);
     EXPECT_TRUE(client.connect(error)) << error;
     server.stop();
@@ -222,14 +288,14 @@ TEST(DaemonTest, VerdictsMatchLocalPipeline)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("parity");
+    options.listen = unixEndpoint(tempSocket("parity"));
     options.jobs = 4;
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
     std::vector<driver::FunctionReport> reports =
@@ -246,14 +312,14 @@ TEST(DaemonTest, SecondClientRunsFullyWarm)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("warm");
+    options.listen = unixEndpoint(tempSocket("warm"));
     options.jobs = 2;
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     std::string coldSummary;
     {
         DaemonClient cold(copts);
@@ -287,7 +353,7 @@ TEST(DaemonTest, BusyBackpressureStillDecidesEverything)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("busy");
+    options.listen = unixEndpoint(tempSocket("busy"));
     options.jobs = 1;
     options.maxInFlightPerClient = 1;
     Server server(options);
@@ -295,7 +361,7 @@ TEST(DaemonTest, BusyBackpressureStillDecidesEverything)
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     copts.submitWindow = 8; // deliberately larger than the cap
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
@@ -316,7 +382,7 @@ TEST(DaemonTest, ConcurrentClientsGetIdenticalVerdicts)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("concurrent");
+    options.listen = unixEndpoint(tempSocket("concurrent"));
     options.jobs = 4;
     Server server(options);
     std::string error;
@@ -329,7 +395,7 @@ TEST(DaemonTest, ConcurrentClientsGetIdenticalVerdicts)
     for (int i = 0; i < kClients; ++i) {
         threads.emplace_back([&, i] {
             DaemonClientOptions copts;
-            copts.socketPath = options.socketPath;
+            copts.endpoints = options.listen;
             copts.clientName = "client-" + std::to_string(i);
             DaemonClient client(copts);
             std::string connectError;
@@ -374,14 +440,14 @@ TEST(DaemonTest, FullConformanceCorpusMatchesLocal)
     ASSERT_FALSE(cases.empty());
 
     ServerOptions options;
-    options.socketPath = socketPath("corpus");
+    options.listen = unixEndpoint(tempSocket("corpus"));
     options.jobs = 4;
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
 
@@ -411,14 +477,14 @@ TEST(DaemonTest, DrainLosesZeroAcceptedJobs)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("drain");
+    options.listen = unixEndpoint(tempSocket("drain"));
     options.jobs = 1; // serialize, so most jobs still queue at drain time
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     copts.submitWindow = static_cast<unsigned>(functions.size());
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
@@ -463,13 +529,13 @@ TEST(DaemonTest, DrainLosesZeroAcceptedJobs)
 TEST(DaemonTest, DrainingDaemonBouncesSubmitsUntilBreakerTrips)
 {
     ServerOptions options;
-    options.socketPath = socketPath("drainbusy");
+    options.listen = unixEndpoint(tempSocket("drainbusy"));
     Server server(options);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     copts.busyBackoffInitialMs = 1;
     copts.busyBackoffMaxMs = 4;
     copts.busyBreakerRounds = 3;
@@ -507,7 +573,7 @@ TEST(DaemonTest, AdmissionQuotasThrottleButStillDecideEverything)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("quota");
+    options.listen = unixEndpoint(tempSocket("quota"));
     options.jobs = 2;
     options.maxQueuedPerClient = 1;
     options.clientRatePerSec = 50.0;
@@ -517,7 +583,7 @@ TEST(DaemonTest, AdmissionQuotasThrottleButStillDecideEverything)
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     copts.submitWindow = 8;
     copts.busyBackoffInitialMs = 1;
     copts.busyBreakerRounds = 0; // quota refill is progress; no breaker
@@ -547,7 +613,7 @@ TEST(DaemonTest, JobDeadlinesExpireQueuedJobsToTimeout)
     driver::PipelineOptions poptions;
 
     ServerOptions options;
-    options.socketPath = socketPath("deadline");
+    options.listen = unixEndpoint(tempSocket("deadline"));
     options.jobs = 1;
     options.jobDeadlineMs = 1;
     Server server(options);
@@ -555,7 +621,7 @@ TEST(DaemonTest, JobDeadlinesExpireQueuedJobsToTimeout)
     ASSERT_TRUE(server.start(error)) << error;
 
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     copts.submitWindow = static_cast<unsigned>(functions.size());
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
@@ -598,14 +664,14 @@ TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
     std::string coldSummary;
     {
         ServerOptions options;
-        options.socketPath = socketPath("audit-cold");
+        options.listen = unixEndpoint(tempSocket("audit-cold"));
         options.jobs = 2;
         options.verdictJournalPath = journal;
         Server server(options);
         std::string error;
         ASSERT_TRUE(server.start(error)) << error;
         DaemonClientOptions copts;
-        copts.socketPath = options.socketPath;
+        copts.endpoints = options.listen;
         DaemonClient client(copts);
         ASSERT_TRUE(client.connect(error)) << error;
         coldSummary = canonicalSummary(daemonRun(client, source, poptions));
@@ -641,7 +707,7 @@ TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
 
     {
         ServerOptions options;
-        options.socketPath = socketPath("audit-warm");
+        options.listen = unixEndpoint(tempSocket("audit-warm"));
         options.jobs = 2;
         options.verdictJournalPath = journal;
         options.auditRate = 1.0;
@@ -649,7 +715,7 @@ TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
         std::string error;
         ASSERT_TRUE(server.start(error)) << error;
         DaemonClientOptions copts;
-        copts.socketPath = options.socketPath;
+        copts.endpoints = options.listen;
         DaemonClient client(copts);
         ASSERT_TRUE(client.connect(error)) << error;
         std::string warmSummary =
@@ -675,7 +741,7 @@ TEST(DaemonTest, DisconnectedClientsQueuedJobsAreDropped)
     std::vector<std::string> functions = definedFunctions(source);
 
     ServerOptions options;
-    options.socketPath = socketPath("vanish");
+    options.listen = unixEndpoint(tempSocket("vanish"));
     options.jobs = 1;
     Server server(options);
     std::string error;
@@ -683,7 +749,7 @@ TEST(DaemonTest, DisconnectedClientsQueuedJobsAreDropped)
 
     // Raw wire client so we can hang up without a clean close.
     int fd = -1;
-    ASSERT_TRUE(connectUnix(options.socketPath, 2000, fd, error))
+    ASSERT_TRUE(connectUnix(options.listen.path, 2000, fd, error))
         << error;
     {
         WireChannel channel(fd);
@@ -720,7 +786,7 @@ TEST(DaemonTest, DisconnectedClientsQueuedJobsAreDropped)
 
     // The daemon is still healthy for the next client.
     DaemonClientOptions copts;
-    copts.socketPath = options.socketPath;
+    copts.endpoints = options.listen;
     DaemonClient client(copts);
     ASSERT_TRUE(client.connect(error)) << error;
     driver::PipelineOptions poptions;

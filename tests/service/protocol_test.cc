@@ -2,9 +2,9 @@
  *  encode/decode, the JobOptions <-> PipelineOptions mapping is an
  *  exact inverse on the carried subset, hostile hello bytes
  *  (truncations, bit flips) decode-fail or reject instead of
- *  negotiating a bogus session, and the frames of older protocol
- *  versions (without job fingerprints or per-transport status
- *  counters) fail to decode instead of being misread. */
+ *  negotiating a bogus session, and the v6 frame forms (with a job
+ *  fingerprint, with dedup and per-transport status counters) fail to
+ *  decode instead of being misread. */
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "src/service/job_options.h"
 #include "src/smt/wire.h"
-#include "src/support/journal.h"
 #include "src/support/rng.h"
 #include "src/vcgen/vcgen.h"
 
@@ -297,71 +296,12 @@ TEST(ServiceProtocolTest, BitFlippedHelloIsRejectedOrHarmless)
     }
 }
 
-// ---- fingerprints, status counters, heartbeat frames ----
+// ---- previous protocol forms ----
 
-TEST(ServiceProtocolTest, SubmitJobV5CarriesFingerprint)
-{
-    SubmitJobFrame job;
-    job.jobId = 3;
-    job.function = "@f0";
-    job.moduleText = "define i32 @f0() {\nret i32 0\n}\n";
-    job.fingerprint = 0xDEADBEEFCAFEF00DULL;
-
-    FrameType type{};
-    std::string body;
-    ASSERT_TRUE(splitFrame(encodeSubmitJob(job).substr(4), type, body));
-    SubmitJobFrame out;
-    std::string error;
-    ASSERT_TRUE(decodeSubmitJob(body, out, error)) << error;
-    EXPECT_EQ(out.fingerprint, job.fingerprint);
-}
-
-/** A torn trailing fingerprint (any strict prefix of the 8 bytes) must
- *  fail decode — never a partial read that silently fabricates a bogus
- *  idempotency key. */
-TEST(ServiceProtocolTest, SubmitJobTornFingerprintRejected)
-{
-    SubmitJobFrame job;
-    job.jobId = 5;
-    job.function = "@h";
-    job.moduleText = "x";
-    job.fingerprint = 0xFFFFFFFFFFFFFFFFULL;
-    FrameType type{};
-    std::string body;
-    ASSERT_TRUE(splitFrame(encodeSubmitJob(job).substr(4), type, body));
-    for (size_t cut = 1; cut < 8; ++cut) {
-        SubmitJobFrame out;
-        std::string error;
-        EXPECT_FALSE(decodeSubmitJob(body.substr(0, body.size() - cut),
-                                     out, error))
-            << "torn fingerprint (" << cut << " bytes missing) decoded";
-    }
-}
-
-TEST(ServiceProtocolTest, JobStatusV5CountersRoundTrip)
-{
-    JobStatusFrame status;
-    status.completedJobs = 40;
-    status.dedupHits = 12;
-    status.acceptedUnix = 7;
-    status.acceptedTcp = 9;
-    FrameType type{};
-    std::string body;
-    ASSERT_TRUE(
-        splitFrame(encodeJobStatus(status).substr(4), type, body));
-    JobStatusFrame out;
-    std::string error;
-    ASSERT_TRUE(decodeJobStatus(body, out, error)) << error;
-    EXPECT_EQ(out.completedJobs, 40u);
-    EXPECT_EQ(out.dedupHits, 12u);
-    EXPECT_EQ(out.acceptedUnix, 7u);
-    EXPECT_EQ(out.acceptedTcp, 9u);
-}
-
-/** The v4 SubmitJob layout (no trailing fingerprint) is a truncated
- *  v6 frame now: it fails to decode instead of reading as a job with
- *  no idempotency claim. */
-TEST(ServiceProtocolTest, SubmitJobV4FormIsRejected)
+/** The v6 SubmitJob layout (a trailing u64 fingerprint) is a v7
+ *  frame with trailing bytes: it fails to decode instead of reading as
+ *  a job whose last field was silently ignored. */
+TEST(ServiceProtocolTest, SubmitJobV6FormIsRejected)
 {
     SubmitJobFrame job;
     job.jobId = 4;
@@ -372,14 +312,16 @@ TEST(ServiceProtocolTest, SubmitJobV4FormIsRejected)
     ASSERT_TRUE(splitFrame(encodeSubmitJob(job).substr(4), type, body));
     SubmitJobFrame out;
     std::string error;
-    EXPECT_FALSE(
-        decodeSubmitJob(body.substr(0, body.size() - 8), out, error));
+    ASSERT_TRUE(decodeSubmitJob(body, out, error)) << error;
+    EXPECT_FALSE(decodeSubmitJob(body + std::string(8, '\x09'), out,
+                                 error));
+    EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
 }
 
-/** The v4 JobStatus layout (no dedup or per-transport counters) is a
- *  truncated v6 frame now: it fails to decode instead of reading as a
- *  status with zero counters. */
-TEST(ServiceProtocolTest, JobStatusV4FormIsRejected)
+/** The v6 JobStatus layout (dedup and per-transport accept counters
+ *  after the draining flag) is a v7 frame with 24 trailing bytes: it
+ *  fails to decode. */
+TEST(ServiceProtocolTest, JobStatusV6FormIsRejected)
 {
     JobStatusFrame status;
     status.completedJobs = 17;
@@ -389,82 +331,10 @@ TEST(ServiceProtocolTest, JobStatusV4FormIsRejected)
         splitFrame(encodeJobStatus(status).substr(4), type, body));
     JobStatusFrame out;
     std::string error;
-    EXPECT_FALSE(decodeJobStatus(body.substr(0, body.size() - 24),
-                                 out, error));
-}
-
-TEST(ServiceProtocolTest, PingPongRoundTrip)
-{
-    PingFrame ping;
-    ping.nonce = 0xA5A5A5A5DEADULL;
-    FrameType type{};
-    std::string body;
-    ASSERT_TRUE(splitFrame(encodePing(ping).substr(4), type, body));
-    EXPECT_EQ(type, FrameType::Ping);
-    PingFrame pingOut;
-    std::string error;
-    ASSERT_TRUE(decodePing(body, pingOut, error)) << error;
-    EXPECT_EQ(pingOut.nonce, ping.nonce);
-
-    PongFrame pong;
-    pong.nonce = pingOut.nonce;
-    ASSERT_TRUE(splitFrame(encodePong(pong).substr(4), type, body));
-    EXPECT_EQ(type, FrameType::Pong);
-    PongFrame pongOut;
-    ASSERT_TRUE(decodePong(body, pongOut, error)) << error;
-    EXPECT_EQ(pongOut.nonce, ping.nonce);
-}
-
-/** The idempotency key: deterministic, never 0, and sensitive to every
- *  component of the job identity (module, function, options). */
-TEST(ServiceProtocolTest, JobFingerprintSeparatesJobIdentities)
-{
-    namespace service = keq::service;
-    std::string moduleA = "define i32 @f() {\nret i32 0\n}\n";
-    std::string moduleB = moduleA + "\n";
-    JobOptionsFrame options =
-        service::encodeJobOptions(driver::PipelineOptions{});
-    JobOptionsFrame optionsTimeout = options;
-    optionsTimeout.smtTimeoutMs = 123;
-
-    uint64_t base = service::jobFingerprint(moduleA, "@f", options);
-    EXPECT_NE(base, 0u);
-    EXPECT_EQ(base, service::jobFingerprint(moduleA, "@f", options))
-        << "fingerprint must be deterministic";
-    EXPECT_NE(base, service::jobFingerprint(moduleB, "@f", options));
-    EXPECT_NE(base, service::jobFingerprint(moduleA, "@g", options));
-    EXPECT_NE(base,
-              service::jobFingerprint(moduleA, "@f", optionsTimeout));
-}
-
-/** The hash form a daemon uses (module text hashed once, then reused
- *  across jobs) agrees with the text form a client uses, so both sides
- *  of a failover resubmit derive the same key; and both halves of the
- *  module identity, hash and length, separate jobs on their own. */
-TEST(ServiceProtocolTest, JobFingerprintFromModuleHashMatchesTextForm)
-{
-    namespace service = keq::service;
-    JobOptionsFrame options =
-        service::encodeJobOptions(driver::PipelineOptions{});
-    JobOptionsFrame optionsTimeout = options;
-    optionsTimeout.smtTimeoutMs = 123;
-    for (const std::string &module :
-         {std::string(), std::string("define i32 @f() {\nret i32 0\n}\n"),
-          std::string(4096, 'x')}) {
-        uint64_t hash = support::fnv1a64(module);
-        for (const JobOptionsFrame &opts : {options, optionsTimeout}) {
-            for (const char *fn : {"@f", "@g", ""}) {
-                EXPECT_EQ(service::jobFingerprint(hash, module.size(), fn,
-                                                  opts),
-                          service::jobFingerprint(module, fn, opts))
-                    << module.size() << " " << fn;
-            }
-        }
-    }
-    uint64_t base = service::jobFingerprint(7, 100, "@f", options);
-    EXPECT_NE(base, 0u);
-    EXPECT_NE(base, service::jobFingerprint(8, 100, "@f", options));
-    EXPECT_NE(base, service::jobFingerprint(7, 101, "@f", options));
+    ASSERT_TRUE(decodeJobStatus(body, out, error)) << error;
+    EXPECT_FALSE(
+        decodeJobStatus(body + std::string(24, '\0'), out, error));
+    EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
 }
 
 /** Version skew must be expressible: a v2 hello decodes fine (the

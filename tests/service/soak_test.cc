@@ -26,7 +26,7 @@ namespace keq::service {
 namespace {
 
 std::string
-socketPath(const std::string &stem)
+tempSocket(const std::string &stem)
 {
     return (std::filesystem::temp_directory_path() /
             ("keqd-" + stem + "-" + std::to_string(::getpid()) +
@@ -94,7 +94,7 @@ TEST(DaemonSoakTest, MultiClientSoakWithFullAuditingStaysHonest)
     std::filesystem::remove(journal);
 
     ServerOptions options;
-    options.socketPath = socketPath("soak");
+    options.listen = unixEndpoint(tempSocket("soak"));
     options.jobs = 4;
     options.verdictJournalPath = journal;
     options.auditRate = 1.0; // audit every journal-preloaded hit
@@ -130,7 +130,7 @@ TEST(DaemonSoakTest, MultiClientSoakWithFullAuditingStaysHonest)
                 // Fresh connection per iteration: soak the accept and
                 // teardown paths too, not just warm-cache serving.
                 DaemonClientOptions copts;
-                copts.socketPath = options.socketPath;
+                copts.endpoints = options.listen;
                 copts.busyBackoffInitialMs = 1;
                 DaemonClient client(copts);
                 std::string err;

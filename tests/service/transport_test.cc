@@ -1,14 +1,18 @@
-/** @file Transport seam: endpoint-URI parsing (valid + malformed
- *  table), TCP/Unix listener round-trips, and the fragmenting
- *  fault-injection property — wire frames reassemble byte-identically
- *  no matter how the kernel (or a hostile writer) splits them, torn
- *  frames are typed Eof, and a silent peer is a typed Timeout. */
+/** @file Unix-socket transport: endpoint parsing (valid + malformed
+ *  table), the listener round trip, a bounded connect to a dead
+ *  socket, and the fragmenting fault-injection property — wire frames
+ *  reassemble byte-identically no matter how the kernel (or a hostile
+ *  writer) splits them, torn frames are typed Eof, and a silent peer
+ *  is a typed Timeout. */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -25,7 +29,7 @@ namespace wire = smt::wire;
 using support::IoStatus;
 
 std::string
-socketPath(const std::string &stem)
+tempSocket(const std::string &stem)
 {
     return (std::filesystem::temp_directory_path() /
             ("keqt-" + stem + "-" + std::to_string(::getpid()) +
@@ -41,48 +45,21 @@ TEST(EndpointTest, ParsesUnixForms)
     std::string error;
     ASSERT_TRUE(parseEndpoint("unix:/tmp/keqd.sock", endpoint, error))
         << error;
-    EXPECT_EQ(endpoint.kind, TransportKind::Unix);
     EXPECT_EQ(endpoint.path, "/tmp/keqd.sock");
 
     // Legacy bare path (what --daemon=PATH always meant).
     ASSERT_TRUE(parseEndpoint("/tmp/keqd.sock", endpoint, error))
         << error;
-    EXPECT_EQ(endpoint.kind, TransportKind::Unix);
     EXPECT_EQ(endpoint.path, "/tmp/keqd.sock");
 
     // A relative bare path is also a unix path.
     ASSERT_TRUE(parseEndpoint("keqd.sock", endpoint, error)) << error;
-    EXPECT_EQ(endpoint.kind, TransportKind::Unix);
     EXPECT_EQ(endpoint.path, "keqd.sock");
-}
-
-TEST(EndpointTest, ParsesTcpForms)
-{
-    Endpoint endpoint;
-    std::string error;
-    ASSERT_TRUE(
-        parseEndpoint("tcp:127.0.0.1:7461", endpoint, error))
-        << error;
-    EXPECT_EQ(endpoint.kind, TransportKind::Tcp);
-    EXPECT_EQ(endpoint.host, "127.0.0.1");
-    EXPECT_EQ(endpoint.port, 7461);
-
-    ASSERT_TRUE(parseEndpoint("tcp:localhost:0", endpoint, error))
-        << error;
-    EXPECT_EQ(endpoint.host, "localhost");
-    EXPECT_EQ(endpoint.port, 0) << "port 0 (ephemeral) is legal";
-
-    ASSERT_TRUE(parseEndpoint("tcp:[::1]:7461", endpoint, error))
-        << error;
-    EXPECT_EQ(endpoint.host, "::1");
-    EXPECT_EQ(endpoint.port, 7461);
 }
 
 TEST(EndpointTest, ToStringRoundTrips)
 {
-    for (const char *spec :
-         {"unix:/tmp/a.sock", "tcp:127.0.0.1:7461", "tcp:[::1]:80",
-          "tcp:host.example:65535"}) {
+    for (const char *spec : {"unix:/tmp/a.sock", "unix:relative.sock"}) {
         Endpoint endpoint;
         std::string error;
         ASSERT_TRUE(parseEndpoint(spec, endpoint, error)) << error;
@@ -95,9 +72,11 @@ TEST(EndpointTest, ToStringRoundTrips)
     }
 }
 
-/** Malformed-URI table: every row must fail with a diagnostic that
+/** Malformed-spec table: every row must fail with a diagnostic that
  *  names the offending spec — the CLI forwards these verbatim with
- *  exit 64, so they must be pointed enough to act on. */
+ *  exit 64, so they must be pointed enough to act on. A `tcp:` spec
+ *  and a comma list are among them: the daemon serves one Unix
+ *  socket. */
 TEST(EndpointTest, MalformedSpecsFailWithPointedDiagnostics)
 {
     struct Row
@@ -108,20 +87,11 @@ TEST(EndpointTest, MalformedSpecsFailWithPointedDiagnostics)
     const Row rows[] = {
         {"", "empty endpoint"},
         {"unix:", "missing socket path"},
-        {"tcp:", "tcp:HOST:PORT"},
-        {"tcp:localhost", "tcp:HOST:PORT"},
-        {"tcp::7461", "missing host"},
-        {"tcp:host:", "missing port"},
-        {"tcp:host:http", "not a number"},
-        {"tcp:host:-1", "not a number"},
-        {"tcp:host:65536", "exceeds 65535"},
-        {"tcp:host:99999999", "exceeds 65535"},
-        {"tcp:[::1", "unterminated '['"},
-        {"tcp:[::1]7461", "expected ':PORT' after ']'"},
-        {"tcp:[::1]", "expected ':PORT' after ']'"},
-        {"tcp:::1:7461", "bracketed"},
-        {"tcp:[]:7461", "missing host"},
+        {"tcp:127.0.0.1:7461", "unknown scheme 'tcp:'"},
+        {"tcp:[::1]:7461", "unknown scheme 'tcp:'"},
         {"udp:host:7461", "unknown scheme 'udp:'"},
+        {"unix:/a.sock,unix:/b.sock", "comma-separated list"},
+        {"/a.sock,/b.sock", "comma-separated list"},
         {"http://host:7461", "unknown scheme 'http:'"},
     };
     for (const Row &row : rows) {
@@ -138,36 +108,17 @@ TEST(EndpointTest, MalformedSpecsFailWithPointedDiagnostics)
     }
 }
 
-TEST(EndpointTest, ParsesEndpointLists)
+// ---- listener ----
+
+/** One frame each way over a connection accepted by a UnixListener,
+ *  which unlinks its socket file on close. */
+TEST(TransportTest, UnixListenerRoundTrip)
 {
-    std::vector<Endpoint> endpoints;
+    std::string path = tempSocket("rt");
+    UnixListener listener;
     std::string error;
-    ASSERT_TRUE(parseEndpointList(
-        "unix:/tmp/a.sock,tcp:127.0.0.1:7461,/tmp/b.sock", endpoints,
-        error))
-        << error;
-    ASSERT_EQ(endpoints.size(), 3u);
-    EXPECT_EQ(endpoints[0].kind, TransportKind::Unix);
-    EXPECT_EQ(endpoints[1].kind, TransportKind::Tcp);
-    EXPECT_EQ(endpoints[2].path, "/tmp/b.sock");
+    ASSERT_TRUE(listener.listenOn(path, error)) << error;
 
-    EXPECT_FALSE(parseEndpointList("", endpoints, error));
-    EXPECT_NE(error.find("empty endpoint list"), std::string::npos);
-    EXPECT_FALSE(
-        parseEndpointList("unix:/a.sock,,unix:/b.sock", endpoints,
-                          error));
-    EXPECT_NE(error.find("empty element"), std::string::npos);
-    EXPECT_FALSE(
-        parseEndpointList("unix:/a.sock,tcp:oops", endpoints, error));
-    EXPECT_NE(error.find("tcp:oops"), std::string::npos);
-}
-
-// ---- listeners ----
-
-/** One frame each way over an accepted connection of @p listener. */
-void
-roundTripOver(Listener &listener)
-{
     std::thread server([&] {
         int fd = listener.acceptClient(5000);
         ASSERT_GE(fd, 0) << "accept timed out";
@@ -180,80 +131,55 @@ roundTripOver(Listener &listener)
     });
 
     int fd = -1;
-    std::string error;
-    ASSERT_TRUE(connectEndpoint(listener.endpoint(), 2000, fd, error))
-        << error;
+    ASSERT_TRUE(connectUnix(path, 2000, fd, error)) << error;
     WireChannel channel(fd);
     ASSERT_TRUE(channel.sendFrame(
-        wire::frameBytes(wire::FrameType::Error, "ping-payload")));
+        wire::frameBytes(wire::FrameType::Error, "hello-payload")));
     std::string payload;
     ASSERT_EQ(channel.recvFrame(payload, 5000), IoStatus::Ok);
-    EXPECT_NE(payload.find("echo:"), std::string::npos);
-    EXPECT_NE(payload.find("ping-payload"), std::string::npos);
+    EXPECT_NE(payload.find("echo:hello-payload"), std::string::npos);
     server.join();
-}
 
-TEST(TransportTest, TcpLoopbackRoundTripOnEphemeralPort)
-{
-    TcpListener listener;
-    std::string error;
-    ASSERT_TRUE(
-        listener.listenOn(tcpEndpoint("127.0.0.1", 0), error))
-        << error;
-    // The bound endpoint must carry the kernel-resolved port.
-    EXPECT_NE(listener.endpoint().port, 0);
-    roundTripOver(listener);
-}
-
-TEST(TransportTest, TcpIpv6LoopbackRoundTrip)
-{
-    TcpListener listener;
-    std::string error;
-    if (!listener.listenOn(tcpEndpoint("::1", 0), error))
-        GTEST_SKIP() << "no IPv6 loopback here: " << error;
-    EXPECT_NE(listener.endpoint().port, 0);
-    roundTripOver(listener);
-}
-
-TEST(TransportTest, MakeListenerDispatchesOnTransport)
-{
-    std::string path = socketPath("mk");
-    std::unique_ptr<Listener> unixListener =
-        makeListener(unixEndpoint(path));
-    std::string error;
-    ASSERT_TRUE(unixListener->listenOn(unixEndpoint(path), error))
-        << error;
-    EXPECT_EQ(unixListener->transport(), TransportKind::Unix);
-    roundTripOver(*unixListener);
-    unixListener->close();
-
-    std::unique_ptr<Listener> tcpListener =
-        makeListener(tcpEndpoint("127.0.0.1", 0));
-    ASSERT_TRUE(
-        tcpListener->listenOn(tcpEndpoint("127.0.0.1", 0), error))
-        << error;
-    EXPECT_EQ(tcpListener->transport(), TransportKind::Tcp);
-}
-
-TEST(TransportTest, ConnectToDeadTcpPortFailsWithinBudget)
-{
-    // Grab an ephemeral port, then close it: nothing listens there.
-    TcpListener listener;
-    std::string error;
-    ASSERT_TRUE(
-        listener.listenOn(tcpEndpoint("127.0.0.1", 0), error))
-        << error;
-    Endpoint dead = listener.endpoint();
     listener.close();
+    EXPECT_FALSE(std::filesystem::exists(path))
+        << "socket file not unlinked on close";
+}
+
+/** A socket file nobody accepts on (a crashed daemon's leftover)
+ *  refuses the connect; the client retries only within its budget. */
+TEST(TransportTest, ConnectToDeadSocketFailsWithinBudget)
+{
+    std::string path = tempSocket("dead");
+    int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(stale, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                  path.c_str());
+    ASSERT_EQ(::bind(stale, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    ::close(stale); // bound, never listened: connects are refused
 
     int fd = -1;
+    std::string error;
     auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(connectEndpoint(dead, 300, fd, error));
+    EXPECT_FALSE(connectUnix(path, 300, fd, error));
     auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+    EXPECT_GE(elapsed, 250) << "refused connect was not retried";
     EXPECT_LT(elapsed, 5000) << "refused connect must not hang";
-    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    ::unlink(path.c_str());
+
+    // A path that does not exist at all fails at once.
+    start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(connectUnix(path, 2000, fd, error));
+    elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    EXPECT_LT(elapsed, 1000);
 }
 
 // ---- fragmentation / short-I/O fault injection ----
@@ -277,7 +203,7 @@ struct ChannelPair
  * The fragmenting fault-injection transport: writes @p bytes to raw
  * @p fd split at seeded-random boundaries (1..maxChunk bytes each,
  * with a tiny sleep between some chunks so the reader really observes
- * partial frames). This is what a congested TCP path does to frames;
+ * partial frames). This is what a congested socket does to frames;
  * recvFrame's short-read loop must be indifferent to it.
  */
 void
@@ -348,7 +274,6 @@ TEST(TransportTest, SubmitJobSurvivesFragmentation)
     job.function = "@frag";
     job.moduleText = std::string(20000, 'm') + "\nend";
     job.options.smtTimeoutMs = 777;
-    job.fingerprint = 0xF00DF00DF00DF00DULL;
     std::string framed = wire::encodeSubmitJob(job);
 
     support::Rng rng(0x5e41ce03ull);
@@ -369,7 +294,6 @@ TEST(TransportTest, SubmitJobSurvivesFragmentation)
     EXPECT_EQ(out.jobId, job.jobId);
     EXPECT_EQ(out.moduleText, job.moduleText);
     EXPECT_EQ(out.options.smtTimeoutMs, 777u);
-    EXPECT_EQ(out.fingerprint, job.fingerprint);
 }
 
 TEST(TransportTest, TruncatedFrameIsTypedEof)
@@ -400,27 +324,6 @@ TEST(TransportTest, SilentPeerIsTypedTimeout)
                        .count();
     EXPECT_GE(elapsed, 150);
     EXPECT_LT(elapsed, 5000);
-}
-
-/** waitReadable never consumes bytes: after it reports Ok the full
- *  frame is still there for recvFrame — the heartbeat poll cannot tear
- *  frames by construction. */
-TEST(TransportTest, WaitReadableDoesNotConsume)
-{
-    ChannelPair pair;
-    ASSERT_TRUE(pair.a.valid());
-
-    EXPECT_EQ(pair.b.waitReadable(100), IoStatus::Timeout);
-
-    std::string framed =
-        wire::frameBytes(wire::FrameType::Error, "intact");
-    ASSERT_TRUE(pair.a.sendFrame(framed));
-    ASSERT_EQ(pair.b.waitReadable(2000), IoStatus::Ok);
-    // Poll again: still readable, still unconsumed.
-    ASSERT_EQ(pair.b.waitReadable(2000), IoStatus::Ok);
-    std::string payload;
-    ASSERT_EQ(pair.b.recvFrame(payload, 2000), IoStatus::Ok);
-    EXPECT_NE(payload.find("intact"), std::string::npos);
 }
 
 } // namespace

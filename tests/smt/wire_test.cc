@@ -297,11 +297,11 @@ TEST(WireStatsCodec, V6LayoutGoldenBytes)
     EXPECT_EQ(stats.totalSeconds, 27.0);
 }
 
-TEST(WireFrames, SubmitJobV6LayoutGoldenBytes)
+TEST(WireFrames, SubmitJobV7LayoutGoldenBytes)
 {
-    // The v6 SubmitJob body: job id, function, module text, the six
-    // JobOptions flag bytes (no batch-discharge byte), the query
-    // timeout, the wall budget, the spec budget, then the fingerprint.
+    // The v7 SubmitJob body: job id, function, module text, the six
+    // JobOptions flag bytes, the query timeout, the wall budget and
+    // the spec budget, and nothing after it.
     SubmitJobFrame job;
     job.jobId = 1;
     job.function = "@f";
@@ -311,7 +311,6 @@ TEST(WireFrames, SubmitJobV6LayoutGoldenBytes)
     job.options.refinementOnly = 1;
     job.options.wallBudgetSeconds = 0.5;
     job.options.specSizeBudget = 7;
-    job.fingerprint = 9;
     FrameType type;
     std::string body;
     ASSERT_TRUE(splitFrame(encodeSubmitJob(job).substr(4), type, body));
@@ -321,8 +320,43 @@ TEST(WireFrames, SubmitJobV6LayoutGoldenBytes)
                            "010002010100"      // flags
                            "30750000"          // smtTimeoutMs = 30000
                            "000000000000e03f"  // wallBudgetSeconds
-                           "0700000000000000"  // specSizeBudget
-                           "0900000000000000"); // fingerprint
+                           "0700000000000000"); // specSizeBudget
+}
+
+TEST(WireFrames, JobStatusV7LayoutGoldenBytes)
+{
+    // The v7 JobStatus body: eleven u64 counters, then the draining
+    // byte, and nothing after it.
+    JobStatusFrame status;
+    status.queuedJobs = 1;
+    status.runningJobs = 2;
+    status.completedJobs = 3;
+    status.storeEntries = 4;
+    status.activeClients = 5;
+    status.busyRejects = 6;
+    status.storeBytes = 7;
+    status.storeEvictions = 8;
+    status.storeQuarantined = 9;
+    status.auditMismatches = 10;
+    status.quotaRejects = 11;
+    status.draining = 1;
+    FrameType type;
+    std::string body;
+    ASSERT_TRUE(
+        splitFrame(encodeJobStatus(status).substr(4), type, body));
+    EXPECT_EQ(type, FrameType::JobStatus);
+    EXPECT_EQ(hexOf(body), "0100000000000000"  // queuedJobs
+                           "0200000000000000"  // runningJobs
+                           "0300000000000000"  // completedJobs
+                           "0400000000000000"  // storeEntries
+                           "0500000000000000"  // activeClients
+                           "0600000000000000"  // busyRejects
+                           "0700000000000000"  // storeBytes
+                           "0800000000000000"  // storeEvictions
+                           "0900000000000000"  // storeQuarantined
+                           "0a00000000000000"  // auditMismatches
+                           "0b00000000000000"  // quotaRejects
+                           "01");              // draining
 }
 
 TEST(WireFrames, TypedFramesRoundTrip)
@@ -462,7 +496,7 @@ TEST(WireFrames, LastFailureKindSurvivesTheResultFrame)
 TEST(WireFrames, WorkerV7ResetAndResultModelRoundTrip)
 {
     EXPECT_EQ(kWorkerProtocolVersion, 7u);
-    EXPECT_EQ(kProtocolVersion, 6u);
+    EXPECT_EQ(kProtocolVersion, 7u);
     EXPECT_EQ(kMinServiceProtocolVersion, kProtocolVersion);
 
     // Reset: timeout, memory budget, retries, capture flag, lane.
@@ -589,8 +623,13 @@ TEST(WireFrames, SplitFrameRejectsGarbage)
     EXPECT_FALSE(splitFrame("", type, body));
     EXPECT_FALSE(splitFrame(std::string(1, '\x00'), type, body));
     EXPECT_FALSE(splitFrame(std::string(1, '\x63'), type, body));
-    // The retired Cancel frame's type byte is no frame now.
+    // The retired Cancel, Ping and Pong type bytes are no frames now.
     EXPECT_FALSE(splitFrame(std::string(1, '\x08'), type, body));
+    EXPECT_FALSE(splitFrame(std::string(1, '\x10'), type, body));
+    EXPECT_FALSE(splitFrame(std::string(1, '\x11'), type, body));
+    // The last live service frame still splits.
+    EXPECT_TRUE(splitFrame(std::string(1, '\x0f'), type, body));
+    EXPECT_EQ(type, FrameType::Busy);
 }
 
 } // namespace

@@ -2,18 +2,15 @@
  * @file
  * keqd — the persistent validation daemon.
  *
- * Runs a service::Server on any mix of Unix-domain and TCP listeners:
- * warm solver stacks, a shared query cache backed by the persistent
- * verdict store, and per-client fair queueing — one FairQueue and one
- * store regardless of how many transports feed it. Clients are
- * keqc --daemon=ENDPOINTS (and the service tests/bench).
+ * Runs a service::Server on one Unix-domain socket: warm solver
+ * stacks, a shared query cache backed by the persistent verdict store,
+ * and per-client fair queueing. Clients are keqc --daemon=SOCKET (and
+ * the service tests/bench).
  *
  * Usage:
- *   keq-daemon --socket=PATH | --listen=SPEC [options]
- *     --listen=SPEC          endpoint to serve; repeatable. SPEC is
- *                            unix:PATH, tcp:HOST:PORT, or
- *                            tcp:[V6ADDR]:PORT (port 0 = ephemeral;
- *                            the bound port is printed at startup)
+ *   keq-daemon --socket=SOCKET [options]
+ *     --socket=SOCKET        the socket to serve: unix:PATH or a bare
+ *                            PATH
  *     --jobs=N               pool worker threads (0 = #cores)
  *     --max-inflight=N       per-client in-flight job cap before
  *                            Busy replies (0 = uncapped)
@@ -33,9 +30,6 @@
  *                            preloaded verdict hits re-checked before
  *                            being served (0 = off, 1 = every hit)
  *     --audit-seed=N         deterministic audit sampling seed
- *     --job-ledger=N         completed jobs remembered for idempotent
- *                            failover resubmission (default 4096,
- *                            0 disables dedup)
  *     --drain-timeout-ms=N   max graceful-drain wait on SIGTERM
  *                            before hard stop (default 30000)
  *     --solver-cache-mb=N    shared query-cache budget (default 512)
@@ -59,8 +53,8 @@
  *
  * Exit code: 0 on clean shutdown / successful --status / --stop,
  * 1 when the daemon cannot start or the probe target is unreachable,
- * 2 for usage errors, 64 (EX_USAGE) for a malformed --listen endpoint
- * (the diagnostic names the offending SPEC and what was wrong).
+ * 2 for usage errors, 64 (EX_USAGE) for a malformed --socket spec
+ * (the diagnostic names the offending spec and what was wrong).
  */
 
 #include <csignal>
@@ -114,14 +108,13 @@ struct CliOptions
 usage(const char *argv0)
 {
     std::cerr << "usage: " << argv0
-              << " --socket=PATH | --listen=SPEC [options]\n"
-              << "  --listen=unix:PATH|tcp:HOST:PORT (repeatable)\n"
+              << " --socket=unix:PATH|PATH [options]\n"
               << "  --jobs=N --max-inflight=N --max-queued=N\n"
               << "  --client-rate=X --client-burst=N "
                  "--job-deadline-ms=N\n"
               << "  --verdict-journal=PATH --verdict-store-mb=N "
                  "--journal-fsync=record|batch|off\n"
-              << "  --audit-rate=X --audit-seed=N --job-ledger=N\n"
+              << "  --audit-rate=X --audit-seed=N\n"
               << "  --drain-timeout-ms=N --solver-cache-mb=N\n"
               << "  --sandbox --sandbox-workers=N --worker-memory-mb=N "
                  "--worker-path=PATH\n"
@@ -151,17 +144,14 @@ parseArgs(int argc, char **argv)
             }
         };
         if (arg.rfind("--socket=", 0) == 0) {
-            options.server.socketPath = value_of("--socket=");
-        } else if (arg.rfind("--listen=", 0) == 0) {
-            keq::service::Endpoint endpoint;
             std::string endpointError;
-            if (!keq::service::parseEndpoint(value_of("--listen="),
-                                             endpoint, endpointError)) {
-                std::cerr << "keqd: --listen: " << endpointError
+            if (!keq::service::parseEndpoint(value_of("--socket="),
+                                             options.server.listen,
+                                             endpointError)) {
+                std::cerr << "keqd: --socket: " << endpointError
                           << "\n";
                 std::exit(kExUsage);
             }
-            options.server.listen.push_back(std::move(endpoint));
         } else if (arg.rfind("--jobs=", 0) == 0) {
             options.server.jobs =
                 static_cast<unsigned>(number_of("--jobs="));
@@ -201,9 +191,6 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--audit-seed=", 0) == 0) {
             options.server.auditSeed =
                 static_cast<uint64_t>(number_of("--audit-seed="));
-        } else if (arg.rfind("--job-ledger=", 0) == 0) {
-            options.server.jobLedgerEntries =
-                static_cast<size_t>(number_of("--job-ledger="));
         } else if (arg.rfind("--drain-timeout-ms=", 0) == 0) {
             options.drainTimeoutMs =
                 static_cast<unsigned>(number_of("--drain-timeout-ms="));
@@ -228,8 +215,7 @@ parseArgs(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (options.server.socketPath.empty() &&
-        options.server.listen.empty())
+    if (options.server.listen.path.empty())
         usage(argv[0]);
     if (options.status && options.stop)
         usage(argv[0]);
@@ -241,14 +227,7 @@ runProbe(const CliOptions &options)
 {
     using namespace keq;
     service::DaemonClientOptions copts;
-    // Probe whichever endpoints the daemon was told to serve: the
-    // legacy --socket first (if any), then every --listen.
-    if (!options.server.socketPath.empty())
-        copts.endpoints.push_back(
-            service::unixEndpoint(options.server.socketPath));
-    copts.endpoints.insert(copts.endpoints.end(),
-                           options.server.listen.begin(),
-                           options.server.listen.end());
+    copts.endpoints = options.server.listen;
     copts.clientName = "keqd-cli";
     service::DaemonClient client(copts);
     std::string error;
@@ -273,14 +252,10 @@ runProbe(const CliOptions &options)
     std::printf("daemon pid %llu on %s%s\n",
                 static_cast<unsigned long long>(
                     client.serverHello().pid),
-                service::endpointToString(client.activeEndpoint())
-                    .c_str(),
+                service::endpointToString(options.server.listen).c_str(),
                 status.draining != 0 ? " (draining)" : "");
-    std::printf("  clients:   %llu active (%llu unix + %llu tcp "
-                "accepts)\n",
-                static_cast<unsigned long long>(status.activeClients),
-                static_cast<unsigned long long>(status.acceptedUnix),
-                static_cast<unsigned long long>(status.acceptedTcp));
+    std::printf("  clients:   %llu active\n",
+                static_cast<unsigned long long>(status.activeClients));
     std::printf("  jobs:      %llu queued, %llu running, %llu "
                 "completed, %llu busy-rejected, %llu quota-rejected\n",
                 static_cast<unsigned long long>(status.queuedJobs),
@@ -288,9 +263,6 @@ runProbe(const CliOptions &options)
                 static_cast<unsigned long long>(status.completedJobs),
                 static_cast<unsigned long long>(status.busyRejects),
                 static_cast<unsigned long long>(status.quotaRejects));
-    std::printf("  failover:  %llu resubmits served from the "
-                "completed-job ledger\n",
-                static_cast<unsigned long long>(status.dedupHits));
     std::printf("  store:     %llu verdicts, %llu bytes, %llu "
                 "evicted, %llu quarantined\n",
                 static_cast<unsigned long long>(status.storeEntries),
@@ -332,15 +304,8 @@ main(int argc, char **argv)
     std::signal(SIGINT, handleStopSignal);
     std::signal(SIGTERM, handleDrainSignal);
     std::signal(SIGHUP, handleHupSignal);
-    // The banner prints *bound* endpoints: a tcp:...:0 listen shows
-    // its resolved ephemeral port here (tests and scripts scrape it).
-    std::string bound;
-    for (const auto &endpoint : server.boundEndpoints()) {
-        if (!bound.empty())
-            bound += ", ";
-        bound += service::endpointToString(endpoint);
-    }
-    std::cerr << "keqd: listening on " << bound << " ("
+    std::cerr << "keqd: listening on "
+              << service::endpointToString(options.server.listen) << " ("
               << server.store().size() << " verdicts preloaded)\n";
 
     // Signal handlers cannot take the shutdown mutex, so the main
@@ -386,9 +351,6 @@ main(int argc, char **argv)
               << stats.quotaRejects << " quota rejects, "
               << stats.expiredJobs << " deadline-expired, "
               << stats.auditMismatches << " audit mismatches, "
-              << stats.dedupHits << " ledger dedup hits, "
-              << stats.droppedJobs << " jobs dropped ("
-              << stats.acceptedUnix << " unix + " << stats.acceptedTcp
-              << " tcp accepts)\n";
+              << stats.droppedJobs << " jobs dropped\n";
     return 0;
 }

@@ -43,14 +43,10 @@
  *     --sandbox-workers=N worker pool size (0 = match --jobs)
  *     --worker-memory-mb=N hard RLIMIT_AS per worker (0 = uncapped)
  *     --worker-path=PATH  explicit keq-solver-worker binary
- *     --daemon=ENDPOINTS  submit jobs to a running keq-daemon instead
- *                         of solving locally. ENDPOINTS is a comma-
- *                         separated failover list (unix:PATH,
- *                         tcp:HOST:PORT, tcp:[V6ADDR]:PORT; a bare
- *                         path means unix:). A daemon dying mid-run
- *                         fails over to the next endpoint with
- *                         idempotent job resubmission; when every
- *                         endpoint is down, keqc falls back to local
+ *     --daemon=SOCKET     submit jobs to a running keq-daemon instead
+ *                         of solving locally. SOCKET is unix:PATH or
+ *                         a bare PATH. When the daemon is unreachable
+ *                         or dies mid-run, keqc falls back to local
  *                         solving (with a warning), keeping verdicts
  *                         already decided. Ignored (with a warning)
  *                         under --proof, --checkpoint, --resume and
@@ -67,7 +63,7 @@
  * Exit code: number of functions that failed validation (0 = all
  * good); 65 when the input module does not parse or verify; 2 for
  * usage and I/O errors; 64 (EX_USAGE) for a malformed --daemon
- * endpoint list (the diagnostic names the offending spec).
+ * socket spec (the diagnostic names the offending spec).
  */
 
 #include <csignal>
@@ -106,8 +102,7 @@ struct CliOptions
     std::string path;
     std::string only_function;
     std::string stats_json;
-    std::string daemon_socket; ///< raw --daemon value (for messages)
-    std::vector<keq::service::Endpoint> daemon_endpoints;
+    keq::service::Endpoint daemon; ///< empty path: solve locally
     bool print_mir = false;
     bool print_sync = false;
     bool print_stats = false;
@@ -135,8 +130,7 @@ usage(const char *argv0)
               << "  --chaos=PCT --chaos-seed=N\n"
               << "  --sandbox --sandbox-workers=N --worker-memory-mb=N "
                  "--worker-path=PATH\n"
-              << "  --daemon=ENDPOINTS (comma-separated failover "
-                 "list: unix:PATH,tcp:HOST:PORT)\n"
+              << "  --daemon=unix:PATH|PATH\n"
               << "  --stats-json=PATH --gen-corpus=N --corpus-seed=N\n";
     std::exit(2);
 }
@@ -239,11 +233,10 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--worker-path=", 0) == 0) {
             options.exec.workerPath = value_of("--worker-path=");
         } else if (arg.rfind("--daemon=", 0) == 0) {
-            options.daemon_socket = value_of("--daemon=");
             std::string endpointError;
-            if (!keq::service::parseEndpointList(
-                    options.daemon_socket, options.daemon_endpoints,
-                    endpointError)) {
+            if (!keq::service::parseEndpoint(value_of("--daemon="),
+                                             options.daemon,
+                                             endpointError)) {
                 std::cerr << "keqc: --daemon: " << endpointError
                           << "\n";
                 std::exit(64); // BSD sysexits EX_USAGE
@@ -458,28 +451,28 @@ main(int argc, char **argv)
     // way, so degradation (unreachable daemon, daemon death mid-run) is
     // always safe: warn once, keep whatever the daemon decided, and
     // finish the rest with the local pipeline.
-    if (!options.daemon_socket.empty() &&
+    if (!options.daemon.path.empty() &&
         options.pipeline.checker.collectProof) {
         std::cerr << "keqc: --proof requires local solving; "
                      "ignoring --daemon\n";
-        options.daemon_socket.clear();
+        options.daemon.path.clear();
     }
-    if (!options.daemon_socket.empty() &&
+    if (!options.daemon.path.empty() &&
         (!options.exec.checkpointPath.empty() || options.exec.resume)) {
         std::cerr << "keqc: --checkpoint/--resume journal locally; "
                      "ignoring --daemon\n";
-        options.daemon_socket.clear();
+        options.daemon.path.clear();
     }
     // The daemon always solves on the optimized stack.
-    if (!options.daemon_socket.empty() && !options.exec.optimizeQueries) {
+    if (!options.daemon.path.empty() && !options.exec.optimizeQueries) {
         std::cerr << "keqc: --no-smt-opt runs the reference stack "
                      "locally; ignoring --daemon\n";
-        options.daemon_socket.clear();
+        options.daemon.path.clear();
     }
     bool daemonHandled = false;
     std::vector<driver::FunctionReport> daemonReports;
     std::vector<bool> daemonDecided;
-    if (!options.daemon_socket.empty()) {
+    if (!options.daemon.path.empty()) {
         std::vector<std::string> names;
         for (const llvmir::Function &fn : module.functions) {
             if (fn.isDeclaration())
@@ -490,20 +483,9 @@ main(int argc, char **argv)
             names.push_back(fn.name);
         }
         service::DaemonClientOptions copts;
-        copts.endpoints = options.daemon_endpoints;
+        copts.endpoints = options.daemon;
         service::DaemonClient client(copts);
         std::string error;
-        // Failover is meant to be invisible in the *output* (verdicts
-        // splice identically) but never silent in operation: say on
-        // stderr when the run survived a daemon death.
-        auto warnFailovers = [&client] {
-            if (client.failovers() > 0)
-                std::cerr << "keqc: daemon failed over "
-                          << client.failovers() << " time(s) ("
-                          << client.resubmittedJobs()
-                          << " in-flight jobs resubmitted; decided "
-                             "verdicts kept)\n";
-        };
         if (!client.connect(error)) {
             std::cerr << "keqc: daemon unreachable (" << error
                       << "); falling back to local validation\n";
@@ -511,17 +493,14 @@ main(int argc, char **argv)
         } else if (client.validateFunctions(
                        buffer.str(), names, options.pipeline,
                        daemonReports, daemonDecided, error)) {
-            warnFailovers();
             report.functions = std::move(daemonReports);
             daemonHandled = true;
         } else if (client.busyBreakerTripped()) {
-            warnFailovers();
             std::cerr << "keqc: daemon busy circuit breaker tripped ("
                       << client.busyRetries() << " Busy replies): "
                       << error
                       << "; validating remaining functions locally\n";
         } else {
-            warnFailovers();
             std::cerr << "keqc: daemon connection lost ["
                       << failureKindName(client.failure()) << "]: "
                       << error

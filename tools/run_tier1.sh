@@ -2,7 +2,7 @@
 # Configure, build, and run the tier-1 test suite in one shot.
 #
 # Usage:
-#   tools/run_tier1.sh [sanitizer] [chaos|conformance|net|service|soak] [build-dir]
+#   tools/run_tier1.sh [sanitizer] [chaos|conformance|service|soak] [build-dir]
 #
 #   tools/run_tier1.sh                # plain build in build/
 #   tools/run_tier1.sh tsan           # ThreadSanitizer build in build-tsan/
@@ -11,8 +11,6 @@
 #   tools/run_tier1.sh chaos          # fault-injection suite only (-L chaos)
 #   tools/run_tier1.sh tsan chaos     # chaos suite under ThreadSanitizer
 #   tools/run_tier1.sh conformance    # conformance suite (-L conformance)
-#   tools/run_tier1.sh net            # multi-host transport/failover suite
-#                                     #   (-L net)
 #   tools/run_tier1.sh service        # validation daemon suite (-L service)
 #   tools/run_tier1.sh soak           # daemon soak (-L soak; stretch with
 #                                     #   KEQ_SOAK_SECONDS=60)
@@ -35,7 +33,7 @@ esac
 
 suite=all
 case ${1:-} in
-    chaos|conformance|net|service|soak)
+    chaos|conformance|service|soak)
         suite=$1
         shift
         ;;
@@ -95,19 +93,12 @@ elif [ "$suite" = service ]; then
     # The validation-daemon gate: wire handshake properties, the
     # fair queue, the cross-run verdict store, in-process daemon
     # integration (full-corpus parity, warm-cache, backpressure), the
-    # SIGKILL chaos suite against real keq-daemon processes, and the
-    # keqc --daemon degradation script (tests labelled `service`).
+    # Unix-socket transport and its framing fault injection, the
+    # SIGKILL chaos suite against real keq-daemon and keqc processes,
+    # and the keqc --daemon degradation and endpoint scripts (tests
+    # labelled `service`).
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -L service
-elif [ "$suite" = net ]; then
-    # The multi-host gate: endpoint grammar + EX_USAGE diagnostics,
-    # TCP/unix listener round-trips, WireChannel framing under
-    # fragmentation/truncation/silence fault injection, in-process
-    # failover determinism (ledger idempotency, heartbeat, rejection
-    # of older clients, full corpus over TCP), and real-binary keqc
-    # failover chaos (tests labelled `net`).
-    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-        -L net
 elif [ "$suite" = soak ]; then
     # The month-scale daemon gate: multi-client soak with every warm
     # verdict-store hit audited (trust-but-verify) and concurrent
