@@ -27,24 +27,9 @@ constexpr size_t kMaxCachedModules = 32;
 
 } // namespace
 
-namespace {
-
-VerdictStore::Options
-storeOptions(const ServerOptions &options)
-{
-    VerdictStore::Options store;
-    store.path = options.verdictJournalPath;
-    store.fsync = options.journalFsync;
-    store.maxBytes = options.verdictStoreMaxBytes;
-    store.compactGarbageRatio = options.storeCompactGarbageRatio;
-    store.compactMinRecords = options.storeCompactMinRecords;
-    return store;
-}
-
-} // namespace
-
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), store_(storeOptions(options_)),
+    : options_(std::move(options)),
+      store_({options_.verdictJournalPath, options_.journalFsync}),
       cancel_(support::CancellationToken::create())
 {}
 
@@ -54,12 +39,11 @@ bool
 Server::start(std::string &error)
 {
     KEQ_ASSERT(!started_, "Server::start called twice");
-    if (!store_.open(error))
-        return false;
     cache_ = std::make_shared<smt::QueryCache>(
         smt::QueryCache::kDefaultMaxEntriesPerShard,
         options_.cacheMemoryMb << 20);
-    store_.attach(*cache_);
+    if (!store_.open(*cache_, error))
+        return false;
     if (!listener_.listenOn(options_.listen.path, error))
         return false;
     pool_ = std::make_unique<support::ThreadPool>(options_.jobs);
@@ -364,18 +348,15 @@ Server::drained() const
 }
 
 void
-Server::scrubAndCompactStore()
+Server::compactStore()
 {
-    size_t rejected = store_.scrub();
-    store_.compact();
-    VerdictStore::Stats stats = store_.stats();
+    size_t kept = store_.compact();
     std::fprintf(stderr,
-                 "keqd: scrub rejected %llu; store: %llu entries, "
-                 "%llu bytes, generation %llu\n",
-                 static_cast<unsigned long long>(rejected),
-                 static_cast<unsigned long long>(stats.entries),
-                 static_cast<unsigned long long>(stats.bytes),
-                 static_cast<unsigned long long>(stats.generation));
+                 "keqd: verdict journal compacted: %llu records, "
+                 "generation %llu\n",
+                 static_cast<unsigned long long>(kept),
+                 static_cast<unsigned long long>(
+                     store_.stats().generation));
 }
 
 void
@@ -450,26 +431,29 @@ Server::stop()
 }
 
 smt::wire::JobStatusFrame
-Server::statusFrame() const
+Server::statusFrame(uint64_t askingClientId) const
 {
     wire::JobStatusFrame frame;
     frame.queuedJobs = queue_.queued();
     frame.runningJobs = running_.load();
     frame.completedJobs = completed_.load();
-    frame.storeEntries = store_.size();
     frame.busyRejects = busyRejects_.load();
-    VerdictStore::Stats storeStats = store_.stats();
-    frame.storeBytes = storeStats.bytes;
-    frame.storeEvictions = storeStats.evictions;
-    frame.storeQuarantined = storeStats.quarantined;
+    smt::CacheStats cache = cache_->stats();
+    frame.storeEntries = cache.entries;
+    frame.storeBytes = cache.bytes;
+    frame.storeEvictions = cache.evictions;
+    frame.storeQuarantined = store_.stats().quarantined;
     frame.auditMismatches = auditMismatches_.load();
     frame.quotaRejects = quotaRejects_.load();
     frame.draining = draining_.load() ? 1 : 0;
     uint64_t active = 0;
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (const std::shared_ptr<Session> &session : sessions_)
-            active += session->done() ? 0 : 1;
+        for (const std::shared_ptr<Session> &session : sessions_) {
+            if (!session->done() &&
+                session->clientId() != askingClientId)
+                ++active;
+        }
     }
     frame.activeClients = active;
     return frame;

@@ -8,9 +8,9 @@
  * One Server owns every warm resource the batch pipeline pays for on
  * each invocation:
  *
- *  - a shared smt::QueryCache wired to the persistent VerdictStore
- *    (loaded at start, appended on every fresh verdict), so verdicts
- *    survive across clients *and* across daemon restarts;
+ *  - a shared smt::QueryCache journaled by the VerdictStore (loaded
+ *    at start, appended on every fresh verdict), so verdicts survive
+ *    across clients *and* across daemon restarts;
  *  - a pool of warm driver::Pipelines keyed by the job's deterministic
  *    options (jobOptionsKey) — Z3 contexts and sandbox worker pools
  *    persist across jobs instead of cold-starting;
@@ -61,12 +61,6 @@ struct ServerOptions
     /** Verdict-store journal; empty = no cross-restart persistence. */
     std::string verdictJournalPath;
     support::FsyncPolicy journalFsync = support::FsyncPolicy::Off;
-    /** Verdict-store byte cap (LRU eviction); 0 = unbounded. */
-    uint64_t verdictStoreMaxBytes = 0;
-    /** Store auto-compaction garbage-ratio threshold (<=0 disables). */
-    double storeCompactGarbageRatio = 0.5;
-    /** Minimum journal records before auto-compaction bothers. */
-    uint64_t storeCompactMinRecords = 1024;
     /**
      * Trust-but-verify sample of warm (journal-preloaded) verdict
      * hits: each sampled hit is independently re-checked before being
@@ -156,11 +150,10 @@ class Server
     bool drained() const;
 
     /**
-     * SIGHUP maintenance: integrity-scrub the verdict store and
-     * compact its journal. Safe while serving (store operations
-     * serialize internally).
+     * SIGHUP maintenance: compact the verdict journal. Safe while
+     * serving (appends wait behind the store mutex).
      */
-    void scrubAndCompactStore();
+    void compactStore();
 
     /** Blocks until requestShutdown is called. */
     void wait();
@@ -177,10 +170,15 @@ class Server
 
     bool stopping() const { return stopping_.load(); }
 
-    /** Daemon-wide counters for a JobStatus reply. */
-    smt::wire::JobStatusFrame statusFrame() const;
+    /**
+     * Daemon-wide counters for a JobStatus reply to client
+     * @p askingClientId, whose own session is not counted as active.
+     */
+    smt::wire::JobStatusFrame statusFrame(uint64_t askingClientId) const;
 
     ServerStats stats() const;
+    /** The shared query cache's counters (the verdicts keqd holds). */
+    smt::CacheStats cacheStats() const { return cache_->stats(); }
     VerdictStore &store() { return store_; }
     const ServerOptions &options() const { return options_; }
 

@@ -190,7 +190,7 @@ Session::handleSubmit(const std::string &body)
 void
 Session::handleStatus()
 {
-    sendLocked(wire::encodeJobStatus(server_.statusFrame()));
+    sendLocked(wire::encodeJobStatus(server_.statusFrame(clientId_)));
 }
 
 void

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/support/diagnostics.h"
+#include "src/support/strings.h"
 
 namespace keq::service {
 
@@ -20,9 +23,10 @@ namespace {
  *   'g' <gen> ':' 's'|'u' <key>    -- generation-stamped verdict
  *   'q' <key>                      -- quarantine tombstone
  *
- * Replay is strictly in file order: a tombstone kills the resident
- * entry recorded before it; a later verdict record resurrects the key
- * (the audit's fresh solve re-records it).
+ * Replay is strictly in file order: a later verdict record of a key
+ * supersedes an earlier one, and a tombstone kills the record before
+ * it; a verdict record after the tombstone resurrects the key (the
+ * audit's fresh solve re-records it).
  */
 std::string
 recordPayload(const std::string &key, SatResult verdict,
@@ -50,103 +54,54 @@ tombstonePayload(const std::string &key)
 
 struct ParsedRecord
 {
-    enum Kind { Verdict, Tombstone } kind = Verdict;
-    std::string key;
+    bool tombstone = false;
+    std::string_view key; ///< view into the record's payload
     SatResult verdict = SatResult::Unknown;
     uint64_t generation = 0;
 };
 
 bool
-parseRecord(const std::string &payload, ParsedRecord &out)
+parseRecord(std::string_view payload, ParsedRecord &out)
 {
     if (payload.empty())
         return false;
-    size_t cursor = 0;
-    out.generation = 0;
-    if (payload[0] == 'g') {
-        size_t colon = payload.find(':', 1);
-        if (colon == std::string::npos || colon == 1 ||
-            colon + 1 >= payload.size())
-            return false;
-        uint64_t generation = 0;
-        for (size_t i = 1; i < colon; ++i) {
-            char c = payload[i];
-            if (c < '0' || c > '9')
-                return false;
-            generation = generation * 10 + static_cast<uint64_t>(c - '0');
-        }
-        out.generation = generation;
-        cursor = colon + 1;
-    }
-    char tag = payload[cursor];
-    if (tag == 'q' && cursor == 0) {
-        out.kind = ParsedRecord::Tombstone;
-        out.key.assign(payload, 1, payload.size() - 1);
+    if (payload[0] == 'q') {
+        out.tombstone = true;
+        out.key = payload.substr(1);
         return true;
     }
-    if (tag == 's')
+    if (payload[0] == 'g') {
+        size_t colon = payload.find(':');
+        if (colon == std::string_view::npos ||
+            !support::parseU64(payload.substr(1, colon - 1),
+                               out.generation))
+            return false;
+        payload.remove_prefix(colon + 1);
+        if (payload.empty())
+            return false;
+    }
+    if (payload[0] == 's')
         out.verdict = SatResult::Sat;
-    else if (tag == 'u')
+    else if (payload[0] == 'u')
         out.verdict = SatResult::Unsat;
     else
         return false;
-    out.kind = ParsedRecord::Verdict;
-    out.key.assign(payload, cursor + 1, payload.size() - cursor - 1);
+    out.key = payload.substr(1);
     return true;
 }
 
 } // namespace
 
-VerdictStore::VerdictStore(Options options)
-    : options_(std::move(options)),
-      hash_(options_.hasher ? options_.hasher : [](const std::string &key) {
-          return support::fnv1a64(key);
-      })
+VerdictStore::VerdictStore(Options options) : options_(std::move(options))
 {}
-
-VerdictStore::VerdictStore(std::string path, support::FsyncPolicy fsync,
-                           Hasher hasher)
-    : VerdictStore([&] {
-          Options options;
-          options.path = std::move(path);
-          options.fsync = fsync;
-          options.hasher = std::move(hasher);
-          return options;
-      }())
-{}
-
-uint64_t
-VerdictStore::entryChecksum(const std::string &key, SatResult verdict)
-{
-    std::string bytes;
-    bytes.reserve(key.size() + 1);
-    bytes.push_back(verdict == SatResult::Sat ? 's' : 'u');
-    bytes.append(key);
-    return support::fnv1a64(bytes);
-}
-
-uint64_t
-VerdictStore::entryCost(const std::string &key)
-{
-    return key.size() + kEntryOverheadBytes;
-}
 
 bool
-VerdictStore::open(std::string &error)
+VerdictStore::open(smt::QueryCache &cache, std::string &error)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-    bytes_ = 0;
-    generation_ = 1;
-    stats_ = Stats();
-    writer_.reset();
     if (options_.path.empty())
-        return true; // memory-only store
+        return true; // memory-only: the cache is the whole story
 
-    // Skip-corrupt scan: a bit-flipped record fails its line checksum
-    // and is dropped *alone* — entries after it still load. A torn
-    // tail still only loses the torn record.
     support::JournalLoad load =
         support::loadJournal(options_.path, kKind,
                              support::JournalScan::SkipCorruptRecords);
@@ -155,206 +110,145 @@ VerdictStore::open(std::string &error)
         return false;
     }
     stats_.droppedRecords = load.truncatedRecords;
-    stats_.garbageRecords = load.truncatedRecords;
-    uint64_t maxGeneration = 1;
-    for (const std::string &payload : load.records) {
-        ParsedRecord record;
-        if (!parseRecord(payload, record)) {
-            // An intact-checksum record with a bad shape means schema
-            // skew, not corruption; count and skip rather than abort.
-            ++stats_.droppedRecords;
-            ++stats_.garbageRecords;
-            continue;
-        }
-        maxGeneration = std::max(maxGeneration, record.generation);
-        uint64_t hash = hash_(record.key);
-        auto it = findLocked(hash, record.key);
-        if (record.kind == ParsedRecord::Tombstone) {
-            if (it != lru_.end()) {
-                removeLocked(it);
-                // The tombstone and the record it killed are both dead
-                // weight now.
-                stats_.garbageRecords += 2;
-            } else {
-                ++stats_.garbageRecords;
-            }
-            continue;
-        }
-        if (it != lru_.end()) {
-            ++stats_.duplicates;
-            ++stats_.garbageRecords;
-            continue;
-        }
-        insertLocked(std::move(record.key), record.verdict,
-                     record.generation);
-        ++stats_.loaded;
-        enforceCapLocked();
-    }
-    generation_ = maxGeneration;
+    uint64_t deadRecords = 0;
+    Verdicts live = replayLocked(std::move(load.records), deadRecords);
+    // Preload: every verdict the journal remembers becomes a warm cache
+    // entry before the first client connects — flagged *unaudited*, so
+    // the trust-but-verify sampler rechecks it before it is blindly
+    // trusted. Preloaded inserts never fire the listener, so nothing
+    // is journaled twice.
+    for (const auto &[key, verdict] : live)
+        cache.insertPreloaded(key, verdict);
+    stats_.loaded = live.size();
 
-    if (stats_.droppedRecords > 0) {
+    if (stats_.droppedRecords + deadRecords > 0) {
         // Corrupt bytes must not stay in an append-only file — and a
-        // torn tail would make post-recovery appends unreachable on
-        // the next open. Compact: rewrite from the surviving entries
-        // so the journal is clean and appendable again.
-        compactLocked();
+        // torn tail would make post-recovery appends unreachable on the
+        // next open. Rewrite from the survivors so the journal is clean
+        // and appendable again.
+        rewriteLocked(live);
     } else {
-        maybeCompactLocked();
-    }
-    if (writer_ == nullptr) {
         writer_ = std::make_unique<support::JournalWriter>(
             options_.path, kKind, options_.fsync);
     }
+    cache.setInsertListener(
+        [this](const std::string &key, SatResult verdict) {
+            append(key, verdict);
+        });
     return true;
 }
 
-VerdictStore::EntryList::iterator
-VerdictStore::findLocked(uint64_t hash, const std::string &key)
+VerdictStore::Verdicts
+VerdictStore::replayLocked(std::vector<std::string> records,
+                           uint64_t &deadRecords)
 {
-    auto it = index_.find(hash);
-    if (it == index_.end())
-        return lru_.end();
-    for (EntryList::iterator slot : it->second) {
-        if (slot->key == key)
-            return slot;
-        // Same hash, different key: a real collision the byte compare
-        // just defused.
-        ++stats_.collisions;
+    std::vector<ParsedRecord> parsed(records.size());
+    std::vector<bool> live(records.size(), false);
+    std::unordered_map<std::string_view, size_t> latest;
+    for (size_t i = 0; i < records.size(); ++i) {
+        ParsedRecord &record = parsed[i];
+        if (!parseRecord(records[i], record)) {
+            // An intact-checksum record with a bad shape means schema
+            // skew, not corruption; count and skip rather than abort.
+            ++stats_.droppedRecords;
+            continue;
+        }
+        generation_ = std::max(generation_, record.generation);
+        auto [it, fresh] = latest.try_emplace(record.key, i);
+        if (!fresh) {
+            // Superseded (or killed, below) by this later record.
+            live[it->second] = false;
+            ++deadRecords;
+            it->second = i;
+        }
+        if (record.tombstone) {
+            ++deadRecords;
+            latest.erase(it);
+            continue;
+        }
+        live[i] = true;
     }
-    return lru_.end();
+    Verdicts verdicts;
+    verdicts.reserve(latest.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+        if (live[i])
+            verdicts.emplace_back(std::string(parsed[i].key),
+                                  parsed[i].verdict);
+    }
+    return verdicts;
 }
 
 void
-VerdictStore::removeLocked(EntryList::iterator it)
+VerdictStore::rewriteLocked(const Verdicts &live)
 {
-    uint64_t hash = hash_(it->key);
-    auto chain = index_.find(hash);
-    KEQ_ASSERT(chain != index_.end(),
-               "VerdictStore: entry missing from index");
-    auto &slots = chain->second;
-    slots.erase(std::remove(slots.begin(), slots.end(), it),
-                slots.end());
-    if (slots.empty())
-        index_.erase(chain);
-    bytes_ -= entryCost(it->key);
-    lru_.erase(it);
+    // A new generation: every live record is re-stamped and rewritten
+    // in file order, then the rewrite atomically replaces the journal.
+    // Crash at any instant leaves either the old file or the new one —
+    // never a mix.
+    ++generation_;
+    writer_.reset();
+    std::string temp = options_.path + ".compact";
+    std::remove(temp.c_str());
+    if (live.empty()) {
+        std::remove(options_.path.c_str());
+    } else {
+        {
+            support::JournalWriter rewrite(temp, kKind,
+                                           support::FsyncPolicy::Off);
+            for (const auto &[key, verdict] : live)
+                rewrite.append(recordPayload(key, verdict, generation_));
+            rewrite.sync(); // one fsync for the whole rewrite
+        }
+        if (std::rename(temp.c_str(), options_.path.c_str()) != 0)
+            support::fatal("verdict-store compaction: cannot rename " +
+                           temp + " over " + options_.path);
+    }
+    writer_ = std::make_unique<support::JournalWriter>(
+        options_.path, kKind, options_.fsync);
+    ++stats_.compactions;
 }
 
 void
-VerdictStore::insertLocked(std::string key, SatResult verdict,
-                           uint64_t generation)
-{
-    uint64_t hash = hash_(key);
-    uint64_t checksum = entryChecksum(key, verdict);
-    bytes_ += entryCost(key);
-    lru_.push_front(Entry{std::move(key), verdict, generation, checksum});
-    index_[hash].push_back(lru_.begin());
-}
-
-void
-VerdictStore::enforceCapLocked()
-{
-    // Evict cold entries until the cap holds, always keeping the entry
-    // just inserted. Evicted entries are not tombstoned — eviction is
-    // a residency decision, not a truth decision — but their journal
-    // records become garbage the next compaction reclaims.
-    while (options_.maxBytes > 0 && bytes_ > options_.maxBytes &&
-           lru_.size() > 1) {
-        removeLocked(std::prev(lru_.end()));
-        ++stats_.evictions;
-        ++stats_.garbageRecords;
-    }
-}
-
-std::optional<SatResult>
-VerdictStore::lookup(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lookups;
-    EntryList::iterator it = findLocked(hash_(key), key);
-    if (it == lru_.end())
-        return std::nullopt;
-    if (entryChecksum(it->key, it->verdict) != it->checksum) {
-        // Integrity scrub on the serve path: a rotten entry is never
-        // served — drop it and let the query re-solve.
-        removeLocked(it);
-        ++stats_.scrubRejected;
-        ++stats_.garbageRecords;
-        return std::nullopt;
-    }
-    // Touch: a hit moves to the LRU front (splice keeps iterators in
-    // the index valid).
-    lru_.splice(lru_.begin(), lru_, it);
-    ++stats_.hits;
-    return it->verdict;
-}
-
-bool
-VerdictStore::record(const std::string &key, SatResult verdict)
+VerdictStore::append(const std::string &key, SatResult verdict)
 {
     KEQ_ASSERT(verdict != SatResult::Unknown,
                "VerdictStore: Unknown verdicts must not be stored");
     std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t hash = hash_(key);
-    EntryList::iterator it = findLocked(hash, key);
-    if (it != lru_.end()) {
-        ++stats_.duplicates;
-        lru_.splice(lru_.begin(), lru_, it);
-        return false;
-    }
-    insertLocked(key, verdict, generation_);
-    if (writer_ != nullptr) {
-        writer_->append(recordPayload(key, verdict, generation_));
-        ++stats_.appended;
-    }
-    enforceCapLocked();
-    maybeCompactLocked();
-    return true;
-}
-
-bool
-VerdictStore::quarantine(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    EntryList::iterator it = findLocked(hash_(key), key);
-    bool resident = it != lru_.end();
-    if (resident)
-        removeLocked(it);
-    if (writer_ != nullptr) {
-        writer_->append(tombstonePayload(key));
-        // The tombstone itself plus the record it kills are both dead
-        // weight until the next compaction.
-        stats_.garbageRecords += resident ? 2 : 1;
-    }
-    ++stats_.quarantined;
-    maybeCompactLocked();
-    return resident;
-}
-
-size_t
-VerdictStore::scrub()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t rejected = 0;
-    for (auto it = lru_.begin(); it != lru_.end();) {
-        auto next = std::next(it);
-        if (entryChecksum(it->key, it->verdict) != it->checksum) {
-            removeLocked(it);
-            ++rejected;
-            ++stats_.scrubRejected;
-            ++stats_.garbageRecords;
-        }
-        it = next;
-    }
-    maybeCompactLocked();
-    return rejected;
+    writer_->append(recordPayload(key, verdict, generation_));
+    ++stats_.appended;
 }
 
 void
+VerdictStore::quarantine(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (writer_ == nullptr)
+        return; // memory-only: the cache eviction is all there is
+    writer_->append(tombstonePayload(key));
+    ++stats_.quarantined;
+}
+
+size_t
 VerdictStore::compact()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    compactLocked();
+    if (writer_ == nullptr)
+        return 0; // memory-only: no journal
+    // The writer flushes every append, so closing it leaves the whole
+    // journal in the file; appends wait behind the mutex until the
+    // rewrite reopens it. Re-reading means every record kept has just
+    // passed its line checksum.
+    writer_.reset();
+    support::JournalLoad load =
+        support::loadJournal(options_.path, kKind,
+                             support::JournalScan::SkipCorruptRecords);
+    if (!load.ok)
+        support::fatal("verdict-store compaction: " + load.error);
+    stats_.droppedRecords += load.truncatedRecords;
+    uint64_t deadRecords = 0;
+    Verdicts live = replayLocked(std::move(load.records), deadRecords);
+    rewriteLocked(live);
+    return live.size();
 }
 
 void
@@ -365,112 +259,13 @@ VerdictStore::sync()
         writer_->sync();
 }
 
-void
-VerdictStore::maybeCompactLocked()
-{
-    if (options_.compactGarbageRatio <= 0.0 || options_.path.empty())
-        return;
-    uint64_t total = stats_.garbageRecords + lru_.size();
-    if (total < options_.compactMinRecords)
-        return;
-    if (static_cast<double>(stats_.garbageRecords) <
-        options_.compactGarbageRatio * static_cast<double>(total))
-        return;
-    compactLocked();
-}
-
-void
-VerdictStore::compactLocked()
-{
-    if (options_.path.empty()) {
-        stats_.garbageRecords = 0;
-        return;
-    }
-    // A new generation: every surviving entry is re-stamped and
-    // rewritten oldest-first (so reload reconstructs the same LRU
-    // order), then the rewrite atomically replaces the journal. Crash
-    // at any instant leaves either the old file or the new one —
-    // never a mix.
-    ++generation_;
-    std::string temp = options_.path + ".compact";
-    std::remove(temp.c_str());
-    if (lru_.empty()) {
-        std::remove(options_.path.c_str());
-    } else {
-        {
-            support::JournalWriter rewrite(temp, kKind,
-                                           support::FsyncPolicy::Off);
-            for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-                it->generation = generation_;
-                rewrite.append(
-                    recordPayload(it->key, it->verdict, generation_));
-            }
-            rewrite.sync(); // one fsync for the whole rewrite
-        }
-        if (std::rename(temp.c_str(), options_.path.c_str()) != 0)
-            support::fatal("verdict-store compaction: cannot rename " +
-                           temp + " over " + options_.path);
-    }
-    writer_ = std::make_unique<support::JournalWriter>(
-        options_.path, kKind, options_.fsync);
-    stats_.garbageRecords = 0;
-    ++stats_.compactions;
-}
-
-void
-VerdictStore::attach(smt::QueryCache &cache)
-{
-    // Preload: every verdict the journal remembers becomes a warm
-    // cache entry before the first client connects — flagged
-    // *unaudited*, so the trust-but-verify sampler rechecks them
-    // before they are blindly trusted. Preloaded inserts never fire
-    // the listener, and record() dedups, so nothing double-appends.
-    std::vector<std::pair<std::string, SatResult>> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        snapshot.reserve(lru_.size());
-        for (const Entry &entry : lru_)
-            snapshot.emplace_back(entry.key, entry.verdict);
-    }
-    for (const auto &[key, verdict] : snapshot)
-        cache.insertPreloaded(key, verdict);
-    cache.setInsertListener(
-        [this](const std::string &key, SatResult verdict) {
-            record(key, verdict);
-        });
-}
-
-size_t
-VerdictStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lru_.size();
-}
-
 VerdictStore::Stats
 VerdictStore::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats snapshot = stats_;
-    snapshot.entries = lru_.size();
-    snapshot.bytes = bytes_;
     snapshot.generation = generation_;
     return snapshot;
-}
-
-bool
-VerdictStore::corruptResidentEntryForTest(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    EntryList::iterator it = findLocked(hash_(key), key);
-    if (it == lru_.end())
-        return false;
-    // Flip the verdict without refreshing the checksum: the scariest
-    // form of rot (a wrong answer with a healthy-looking entry), which
-    // the integrity check must catch before it is served.
-    it->verdict = it->verdict == SatResult::Sat ? SatResult::Unsat
-                                                : SatResult::Sat;
-    return true;
 }
 
 } // namespace keq::service

@@ -3,62 +3,47 @@
 
 /**
  * @file
- * Cross-run verdict store: the daemon's persistent solver memory.
+ * Cross-run verdict store: the write-ahead journal behind the daemon's
+ * shared smt::QueryCache.
  *
- * The in-memory smt::QueryCache already memoizes Sat/Unsat verdicts
- * under canonical alpha-renamed query fingerprints, but it dies with
- * the process. The VerdictStore gives those verdicts a disk life
- * through the PR 4 journal layer (support::Journal: checksummed,
- * escaped, torn-tail tolerant), so two clients validating the same
- * function pair — today or next week — pay for one solve.
+ * The QueryCache memoizes Sat/Unsat verdicts under canonical
+ * alpha-renamed query fingerprints and serves every hit, but it dies
+ * with the process. The VerdictStore gives those verdicts a disk life
+ * through the journal layer (support::Journal: checksummed, escaped,
+ * torn-tail tolerant), so two clients validating the same function
+ * pair — today or next week — pay for one solve. The store keeps no
+ * copy of any verdict in memory: the cache is the only memo.
  *
- * Data flow inside the daemon:
+ * Lifecycle:
+ *  - open() scans the journal, replays it in file order (a later
+ *    record of a key supersedes an earlier one, a tombstone kills the
+ *    record before it), preloads the survivors into the cache as
+ *    *unaudited* entries (month-old claims until the trust-but-verify
+ *    audit confirms them) and subscribes to the cache's fresh inserts;
+ *  - every *fresh* cache insert (a verdict the backend just earned) is
+ *    appended under the current generation stamp;
+ *  - quarantine() appends a tombstone for a verdict an audit recheck
+ *    contradicted (QueryCache::quarantine evicts the entry), so the
+ *    rotten verdict stays dead across restarts;
+ *  - compact() re-reads the journal, keeps the last live record per
+ *    key and rewrites them under a new generation (temp file plus
+ *    rename). Every record it keeps has passed its line checksum, so a
+ *    record that rotted on disk is dropped, never preloaded. open()
+ *    compacts when the load found corrupt or dead records; the daemon
+ *    wires SIGHUP to compact().
  *
- *   startup:  open() loads every intact journal record into memory;
- *   attach(): preloads them into the daemon's shared QueryCache (as
- *             *unaudited* entries — they are month-old claims until
- *             the trust-but-verify audit confirms them) and subscribes
- *             to its insert listener;
- *   runtime:  every *fresh* cache insert (a verdict the backend just
- *             earned) is appended to the journal, once.
- *
- * Month-scale lifecycle (PR 9):
- *  - the resident set is a byte-capped LRU (`--verdict-store-mb`):
- *    recording past the cap evicts the coldest entries, whose journal
- *    records become garbage;
- *  - records are generation-stamped; each compaction opens a new
- *    generation and rewrites the journal from the resident set, so
- *    garbage (duplicates, evicted entries, tombstones, corrupt lines)
- *    is reclaimed. Compaction runs on open when the journal carried
- *    corruption, whenever the garbage ratio crosses the configured
- *    threshold, or on demand (the daemon wires SIGHUP to it);
- *  - every resident entry carries an integrity checksum that lookup()
- *    re-verifies before serving; scrub() sweeps the whole set. A
- *    checksum mismatch drops the entry — a corrupt verdict is never
- *    served, merely re-solved;
- *  - quarantine() removes an entry whose audit recheck contradicted it
- *    and appends a tombstone record, so the rotten verdict stays dead
- *    across restarts.
- *
- * Soundness guards:
- *  - Unknown is never stored (same contract as QueryCache);
- *  - lookups compare the *full key*, not just its hash — the index is
- *    hash -> candidate list, and a hit requires byte equality, so a
- *    fingerprint collision costs a probe, never a wrong verdict
- *    (pinned by the collision test with a degenerate hasher);
- *  - the journal is scanned in skip-corrupt mode: a bit-flipped record
- *    fails its line checksum and is dropped alone — entries after it
- *    still load (a torn *tail* still only loses the torn record).
+ * Soundness guards: Unknown is never stored (same contract as
+ * QueryCache); the journal is scanned in skip-corrupt mode, so a
+ * bit-flipped record fails its line checksum and is dropped alone —
+ * records after it still load, and a torn tail loses only the torn
+ * record.
  */
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/smt/caching_solver.h"
@@ -73,176 +58,70 @@ class VerdictStore
     /** Journal schema tag (support::Journal header). */
     static constexpr const char *kKind = "verdict-store";
 
-    /** Accounting charge per resident entry on top of the key bytes. */
-    static constexpr uint64_t kEntryOverheadBytes = 64;
-
     struct Stats
     {
-        uint64_t entries = 0;   ///< resident verdicts
-        uint64_t bytes = 0;     ///< accounted size of the resident set
-        uint64_t loaded = 0;    ///< entries restored from the journal
-        uint64_t appended = 0;  ///< fresh verdicts journaled this run
-        uint64_t duplicates = 0;///< records already resident (ignored)
-        uint64_t collisions = 0;///< hash collisions resolved by compare
-        uint64_t droppedRecords = 0; ///< corrupt/torn journal records
-        uint64_t lookups = 0;
-        uint64_t hits = 0;
-        uint64_t evictions = 0;   ///< entries evicted by the byte cap
-        uint64_t quarantined = 0; ///< entries tombstoned by audits
-        uint64_t scrubRejected = 0; ///< entries failing their checksum
+        uint64_t loaded = 0;   ///< live verdicts preloaded by open()
+        uint64_t appended = 0; ///< fresh verdicts journaled this run
+        uint64_t droppedRecords = 0; ///< corrupt, torn or unparsable
+        uint64_t quarantined = 0; ///< tombstones written this run
         uint64_t compactions = 0; ///< journal rewrites this run
-        uint64_t garbageRecords = 0; ///< dead journal records right now
         uint64_t generation = 0;  ///< current compaction generation
     };
 
-    /** Hash used for the in-memory index; injectable for the
-     *  collision-safety test (a degenerate hash must still be sound,
-     *  just slower). */
-    using Hasher = std::function<uint64_t(const std::string &)>;
-
     struct Options
     {
-        /** Journal file; empty = memory-only store (tests). */
+        /** Journal file; empty = memory-only (nothing is journaled). */
         std::string path;
-        /** Durability policy for appended verdicts. */
+        /** Durability policy for appended records. */
         support::FsyncPolicy fsync = support::FsyncPolicy::Off;
-        /**
-         * Byte cap on the resident set (0 = unbounded). Recording past
-         * it evicts least-recently-used entries; the newest entry is
-         * never evicted, so one oversized key still records.
-         */
-        uint64_t maxBytes = 0;
-        /**
-         * Auto-compaction threshold: when dead journal records exceed
-         * this fraction of all records (and the floor below is met),
-         * the journal is rewritten in place. <= 0 disables.
-         */
-        double compactGarbageRatio = 0.5;
-        /** Minimum total records before auto-compaction bothers. */
-        uint64_t compactMinRecords = 1024;
-        Hasher hasher;
     };
 
     explicit VerdictStore(Options options);
 
-    /** Legacy convenience constructor (unbounded, default ratios). */
-    explicit VerdictStore(std::string path,
-                          support::FsyncPolicy fsync =
-                              support::FsyncPolicy::Off,
-                          Hasher hasher = nullptr);
-
     /**
-     * Loads the journal (missing file = fresh store). False with
-     * @p error when the file exists but carries the wrong journal kind
+     * Loads the journal (missing file = fresh store) into @p cache as
+     * unaudited entries and journals the cache's fresh inserts from
+     * then on. Call once, before the cache is shared across sessions.
+     * False with @p error when the file carries the wrong journal kind
      * — pointing the daemon at a checkpoint file is a user error.
-     * Corrupt records are skipped (counted in droppedRecords) and
-     * compacted away before the store goes live.
      */
-    bool open(std::string &error);
+    bool open(smt::QueryCache &cache, std::string &error);
 
     /**
-     * Full-key lookup (hash index + byte compare). Verifies the
-     * entry's integrity checksum before serving: a corrupt entry is
-     * dropped and the lookup misses. Thread safe.
+     * Appends a tombstone for @p key, so a verdict an audit recheck
+     * contradicted stays dead across restarts. Thread safe.
      */
-    std::optional<smt::SatResult> lookup(const std::string &key);
+    void quarantine(const std::string &key);
 
     /**
-     * Stores a definitive verdict; appends to the journal only when
-     * the key is new, evicting past the byte cap. Unknown is rejected
-     * by contract. Thread safe.
-     * @return true when the verdict was fresh (journal grew).
+     * Rewrites the journal from its own checksummed records under a
+     * new generation, reclaiming superseded, tombstoned and corrupt
+     * records. Appends wait behind the store mutex. Thread safe.
+     * @return Number of live records kept.
      */
-    bool record(const std::string &key, smt::SatResult verdict);
-
-    /**
-     * Removes @p key (if resident) and appends a tombstone record, so
-     * the verdict stays dead across restarts. Called when an audit
-     * recheck contradicts a stored verdict. Thread safe.
-     * @return true when the key was resident.
-     */
-    bool quarantine(const std::string &key);
-
-    /**
-     * Integrity sweep: re-verifies every resident entry's checksum and
-     * drops (never serves) any that fail. Thread safe.
-     * @return Number of entries rejected.
-     */
-    size_t scrub();
-
-    /**
-     * Rewrites the journal from the resident set under a new
-     * generation, reclaiming garbage records. Safe against concurrent
-     * record()/lookup() (they serialize behind the store mutex). The
-     * daemon wires SIGHUP to scrub() + compact(). Thread safe.
-     */
-    void compact();
+    size_t compact();
 
     /** Flushes the journal to stable storage (drain path). */
     void sync();
 
-    /**
-     * Wires this store to the daemon's shared cache: preloads every
-     * resident verdict as *unaudited* (so clients hit from the first
-     * query, but month-old claims get audited before being trusted)
-     * and subscribes to fresh inserts (so every new verdict persists).
-     * Call once, before the cache is shared across sessions.
-     */
-    void attach(smt::QueryCache &cache);
-
-    size_t size() const;
     Stats stats() const;
 
-    /**
-     * Test hook: flips one byte of a resident entry's key *without*
-     * updating its checksum, simulating in-memory rot so the scrub
-     * path is testable. Returns false when the key is not resident.
-     */
-    bool corruptResidentEntryForTest(const std::string &key);
-
   private:
-    struct Entry
-    {
-        std::string key;
-        smt::SatResult verdict;
-        uint64_t generation = 0;
-        uint64_t checksum = 0; ///< integrity over key + verdict byte
-    };
+    using Verdicts = std::vector<std::pair<std::string, smt::SatResult>>;
 
-    using EntryList = std::list<Entry>;
+    /** The insert listener: journals one fresh verdict. */
+    void append(const std::string &key, smt::SatResult verdict);
 
-    static uint64_t entryChecksum(const std::string &key,
-                                  smt::SatResult verdict);
-    static uint64_t entryCost(const std::string &key);
+    /** Replays @p records in file order; returns the live verdicts. */
+    Verdicts replayLocked(std::vector<std::string> records,
+                          uint64_t &deadRecords);
 
-    /** Resident-entry scan; returns lru_.end() when absent. */
-    EntryList::iterator findLocked(uint64_t hash, const std::string &key);
-
-    /** Detaches @p it from the LRU list and the hash index. */
-    void removeLocked(EntryList::iterator it);
-
-    /** Inserts at the LRU front; no cap enforcement, no journaling. */
-    void insertLocked(std::string key, smt::SatResult verdict,
-                      uint64_t generation);
-
-    /** Evicts LRU-tail entries until the byte cap holds again. */
-    void enforceCapLocked();
-
-    /** Auto-compacts when the garbage ratio crosses the threshold. */
-    void maybeCompactLocked();
-    void compactLocked();
+    /** Replaces the journal with @p live under a new generation. */
+    void rewriteLocked(const Verdicts &live);
 
     Options options_;
-    Hasher hash_;
-    std::unique_ptr<support::JournalWriter> writer_;
-
     mutable std::mutex mutex_;
-    /** LRU order, front = most recently used. */
-    EntryList lru_;
-    /** hash -> entries with that hash (collision chain). */
-    std::unordered_map<uint64_t, std::vector<EntryList::iterator>>
-        index_;
-    uint64_t bytes_ = 0;
+    std::unique_ptr<support::JournalWriter> writer_;
     uint64_t generation_ = 1;
     Stats stats_;
 };

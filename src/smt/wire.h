@@ -318,13 +318,13 @@ struct JobStatusFrame
     uint64_t queuedJobs = 0;
     uint64_t runningJobs = 0;
     uint64_t completedJobs = 0;
-    uint64_t storeEntries = 0; ///< cross-run verdict store size
-    uint64_t activeClients = 0;
+    uint64_t storeEntries = 0; ///< verdicts in the shared query cache
+    uint64_t activeClients = 0;   ///< sessions other than the asker's
     uint64_t busyRejects = 0;
     // Month-scale operability counters.
-    uint64_t storeBytes = 0;      ///< accounted verdict-store bytes
-    uint64_t storeEvictions = 0;  ///< entries evicted by the byte cap
-    uint64_t storeQuarantined = 0;///< entries tombstoned by audits
+    uint64_t storeBytes = 0;      ///< accounted shared-cache bytes
+    uint64_t storeEvictions = 0;  ///< cache LRU evictions (--solver-cache-mb)
+    uint64_t storeQuarantined = 0;///< tombstones the verdict journal wrote
     uint64_t auditMismatches = 0; ///< trust-but-verify contradictions
     uint64_t quotaRejects = 0;    ///< Busy replies from quota/queue caps
     uint8_t draining = 0;         ///< 1 once SIGTERM drain began

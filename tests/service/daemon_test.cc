@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,9 +126,17 @@ TEST(DaemonTest, StartStatusStop)
     EXPECT_EQ(client.serverHello().protocolVersion,
               wire::kProtocolVersion);
 
+    // The asking session is not counted: an idle daemon reports no
+    // active client to its one probe...
     wire::JobStatusFrame status;
     ASSERT_TRUE(client.queryStatus(status, error)) << error;
     EXPECT_EQ(status.completedJobs, 0u);
+    EXPECT_EQ(status.activeClients, 0u);
+
+    // ...and one once a second client is connected.
+    DaemonClient other(copts);
+    ASSERT_TRUE(other.connect(error)) << error;
+    ASSERT_TRUE(client.queryStatus(status, error)) << error;
     EXPECT_EQ(status.activeClients, 1u);
 
     server.stop();
@@ -646,10 +655,10 @@ TEST(DaemonTest, JobDeadlinesExpireQueuedJobsToTimeout)
 
 /**
  * Trust-but-verify end to end: a journal record rewritten with a *lie*
- * (verdict flipped, checksum recomputed — so the integrity scrub cannot
- * catch it) is detected on its first warm hit under --audit-rate=1.0,
- * quarantined in the store, and re-solved fresh. The warm run's
- * verdicts are byte-identical to the honest cold run's.
+ * (verdict flipped, checksum recomputed — so the journal's line
+ * checksums cannot catch it) is detected on its first warm hit under
+ * --audit-rate=1.0, tombstoned in the journal, and re-solved fresh.
+ * The warm run's verdicts are byte-identical to the honest cold run's.
  */
 TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
 {
@@ -680,12 +689,14 @@ TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
 
     // Flip the first stored verdict ('s' <-> 'u') and rewrite the
     // journal; JournalWriter recomputes a valid line checksum, so the
-    // lie is indistinguishable from an honest record at scrub time.
+    // lie is indistinguishable from an honest record at load time.
     support::JournalLoad load =
         support::loadJournal(journal, VerdictStore::kKind);
     ASSERT_TRUE(load.ok) << load.error;
     ASSERT_FALSE(load.records.empty());
     size_t flipped = 0;
+    std::string poisonedKey;
+    smt::SatResult honest = smt::SatResult::Unknown;
     for (std::string &record : load.records) {
         if (flipped > 0 || record.empty() || record[0] != 'g')
             continue;
@@ -694,6 +705,8 @@ TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
         ASSERT_LT(colon + 1, record.size());
         char &verdict = record[colon + 1];
         ASSERT_TRUE(verdict == 's' || verdict == 'u') << record;
+        honest = verdict == 's' ? smt::SatResult::Sat : smt::SatResult::Unsat;
+        poisonedKey = record.substr(colon + 2);
         verdict = verdict == 's' ? 'u' : 's';
         ++flipped;
     }
@@ -726,6 +739,17 @@ TEST(DaemonTest, PoisonedJournalVerdictIsAuditedQuarantinedAndResolved)
             << "the poisoned record was served without an audit";
         EXPECT_GE(server.store().stats().quarantined, 1u);
         server.stop();
+    }
+
+    // The tombstone holds across restarts: a fresh store never
+    // preloads the lie again, only the honest re-solve journaled after
+    // the tombstone.
+    {
+        smt::QueryCache cache;
+        VerdictStore store({journal});
+        std::string error;
+        ASSERT_TRUE(store.open(cache, error)) << error;
+        EXPECT_EQ(cache.lookup(poisonedKey), honest);
     }
     std::filesystem::remove(journal);
 }

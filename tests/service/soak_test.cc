@@ -1,8 +1,8 @@
 /** @file Month-scale soak: several clients hammer one daemon for a
  *  wall-clock budget (KEQ_SOAK_SECONDS, default 2; CI stretches it to
- *  60 under ASan) with trust-but-verify auditing on *every* warm hit,
- *  a byte-capped verdict store, and concurrent SIGHUP-style
- *  scrub+compact maintenance. The invariant under all of that churn:
+ *  60 under ASan) with trust-but-verify auditing on *every* warm hit
+ *  and concurrent SIGHUP-style journal compaction. The invariant under
+ *  all of that churn:
  *  every verdict served is byte-identical to a daemonless run, and the
  *  audit never catches the daemon lying (zero mismatches). */
 
@@ -98,8 +98,6 @@ TEST(DaemonSoakTest, MultiClientSoakWithFullAuditingStaysHonest)
     options.jobs = 4;
     options.verdictJournalPath = journal;
     options.auditRate = 1.0; // audit every journal-preloaded hit
-    options.verdictStoreMaxBytes = 256 * 1024; // exercise LRU eviction
-    options.storeCompactMinRecords = 64;
     options.maxQueuedPerClient = 16;
     Server server(options);
     std::string error;
@@ -157,7 +155,7 @@ TEST(DaemonSoakTest, MultiClientSoakWithFullAuditingStaysHonest)
     uint64_t maintenanceRounds = 0;
     while (std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        server.scrubAndCompactStore();
+        server.compactStore();
         ++maintenanceRounds;
     }
     for (std::thread &client : clients)
@@ -179,7 +177,7 @@ TEST(DaemonSoakTest, MultiClientSoakWithFullAuditingStaysHonest)
     // store never served a verdict a pristine solver disagreed with.
     EXPECT_EQ(stats.auditMismatches, 0u);
     EXPECT_EQ(store.quarantined, 0u);
-    EXPECT_EQ(store.scrubRejected, 0u);
+    EXPECT_EQ(store.droppedRecords, 0u);
 }
 
 } // namespace

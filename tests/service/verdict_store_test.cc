@@ -1,7 +1,7 @@
-/** @file Cross-run verdict store: journal round-trips across restart,
- *  cache attachment (preload + fresh-insert persistence), duplicate
- *  suppression, fingerprint-collision safety under a degenerate
- *  hasher, and torn-tail recovery. */
+/** @file Cross-run verdict store, observed the way the daemon uses it:
+ *  through the QueryCache it journals and through reopening. Journal
+ *  round-trips across restart, preload and fresh-insert persistence,
+ *  torn-tail and bit-flip recovery, tombstones, and compaction. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -54,76 +55,124 @@ struct TempFile
     }
 };
 
+/** A store and the cache it journals, wired as the daemon wires them. */
+struct Journaled
+{
+    smt::QueryCache cache;
+    VerdictStore store;
+
+    explicit Journaled(const std::string &path,
+                       size_t cacheBytes = smt::QueryCache::kDefaultMaxBytes)
+        : cache(smt::QueryCache::kDefaultMaxEntriesPerShard, cacheBytes),
+          store({path})
+    {}
+
+    bool open(std::string &error) { return store.open(cache, error); }
+
+    /** The cached verdict of @p key, if any. */
+    std::optional<smt::SatResult>
+    verdict(const std::string &key)
+    {
+        return cache.lookup(key);
+    }
+};
+
+/** Flips one bit of the first occurrence of @p needle in @p file. */
+void
+flipBitIn(const TempFile &file, const std::string &needle)
+{
+    std::string bytes = file.read();
+    size_t at = bytes.find(needle);
+    ASSERT_NE(at, std::string::npos) << needle;
+    bytes[at] ^= 0x01;
+    file.write(bytes);
+}
+
 TEST(VerdictStoreTest, RecordAndLookupInMemory)
 {
-    VerdictStore store(""); // memory-only
+    Journaled memo(""); // memory-only
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
+    ASSERT_TRUE(memo.open(error)) << error;
 
-    EXPECT_TRUE(store.record("query-a", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("query-b", smt::SatResult::Sat));
-    EXPECT_EQ(store.size(), 2u);
+    memo.cache.insert("query-a", smt::SatResult::Unsat);
+    memo.cache.insert("query-b", smt::SatResult::Sat);
+    EXPECT_EQ(memo.verdict("query-a"), smt::SatResult::Unsat);
+    EXPECT_EQ(memo.verdict("query-b"), smt::SatResult::Sat);
+    EXPECT_FALSE(memo.verdict("query-c").has_value());
 
-    auto a = store.lookup("query-a");
-    ASSERT_TRUE(a.has_value());
-    EXPECT_EQ(*a, smt::SatResult::Unsat);
-    auto b = store.lookup("query-b");
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(*b, smt::SatResult::Sat);
-    EXPECT_FALSE(store.lookup("query-c").has_value());
-
-    VerdictStore::Stats stats = store.stats();
-    EXPECT_EQ(stats.lookups, 3u);
-    EXPECT_EQ(stats.hits, 2u);
+    // A memory-only store journals nothing and has nothing to compact.
+    memo.store.quarantine("query-a");
+    EXPECT_EQ(memo.store.compact(), 0u);
+    VerdictStore::Stats stats = memo.store.stats();
+    EXPECT_EQ(stats.appended, 0u);
+    EXPECT_EQ(stats.quarantined, 0u);
+    EXPECT_EQ(stats.compactions, 0u);
 }
 
 TEST(VerdictStoreTest, DuplicateRecordIsNotReappended)
 {
-    VerdictStore store("");
+    TempFile file("duplicate");
+    {
+        Journaled memo(file.path);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("key", smt::SatResult::Unsat);
+        // Touching an existing key is not a fresh insert: no re-append.
+        memo.cache.insert("key", smt::SatResult::Unsat);
+        EXPECT_EQ(memo.store.stats().appended, 1u);
+    }
+    Journaled reopened(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("key", smt::SatResult::Unsat));
-    EXPECT_FALSE(store.record("key", smt::SatResult::Unsat));
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.stats().duplicates, 1u);
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_EQ(reopened.store.stats().loaded, 1u);
+    EXPECT_EQ(reopened.store.stats().compactions, 0u)
+        << "a journal without dead records needs no rewrite";
 }
 
 TEST(VerdictStoreTest, UnknownVerdictIsRejectedByContract)
 {
-    VerdictStore store("");
+    TempFile file("unknown");
+    {
+        Journaled memo(file.path);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        EXPECT_THROW(memo.cache.insert("key", smt::SatResult::Unknown),
+                     support::InternalError);
+        EXPECT_EQ(memo.store.stats().appended, 0u);
+    }
+    Journaled reopened(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_THROW(store.record("key", smt::SatResult::Unknown),
-                 support::InternalError);
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_EQ(reopened.store.stats().loaded, 0u);
+    EXPECT_FALSE(reopened.verdict("key").has_value());
 }
 
 TEST(VerdictStoreTest, JournalRoundTripAcrossRestart)
 {
     TempFile file("restart");
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_TRUE(store.record("alpha", smt::SatResult::Unsat));
-        EXPECT_TRUE(store.record("beta", smt::SatResult::Sat));
-        EXPECT_EQ(store.stats().appended, 2u);
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("alpha", smt::SatResult::Unsat);
+        memo.cache.insert("beta", smt::SatResult::Sat);
+        EXPECT_EQ(memo.store.stats().appended, 2u);
     } // daemon "dies"
 
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     std::string error;
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 2u);
-    EXPECT_EQ(reopened.stats().loaded, 2u);
-    auto alpha = reopened.lookup("alpha");
-    ASSERT_TRUE(alpha.has_value());
-    EXPECT_EQ(*alpha, smt::SatResult::Unsat);
-    auto beta = reopened.lookup("beta");
-    ASSERT_TRUE(beta.has_value());
-    EXPECT_EQ(*beta, smt::SatResult::Sat);
+    EXPECT_EQ(reopened.store.stats().loaded, 2u);
+    EXPECT_EQ(reopened.cache.stats().preloaded, 2u);
+    bool unaudited = false;
+    EXPECT_EQ(reopened.cache.lookup("alpha", &unaudited),
+              smt::SatResult::Unsat);
+    EXPECT_TRUE(unaudited) << "a journaled verdict is a claim to audit";
+    EXPECT_EQ(reopened.verdict("beta"), smt::SatResult::Sat);
 
-    // Records learned before the restart are resident, not re-journaled.
-    EXPECT_FALSE(reopened.record("alpha", smt::SatResult::Unsat));
-    EXPECT_EQ(reopened.stats().appended, 0u);
+    // Verdicts learned before the restart are cached, not re-journaled.
+    reopened.cache.insert("alpha", smt::SatResult::Unsat);
+    EXPECT_EQ(reopened.store.stats().appended, 0u);
 }
 
 TEST(VerdictStoreTest, WrongJournalKindFailsLoudly)
@@ -133,9 +182,9 @@ TEST(VerdictStoreTest, WrongJournalKindFailsLoudly)
         support::JournalWriter writer(file.path, "pipeline-checkpoint");
         writer.append("not-a-verdict");
     }
-    VerdictStore store(file.path);
+    Journaled memo(file.path);
     std::string error;
-    EXPECT_FALSE(store.open(error));
+    EXPECT_FALSE(memo.open(error));
     EXPECT_NE(error.find("pipeline-checkpoint"), std::string::npos);
 }
 
@@ -143,385 +192,354 @@ TEST(VerdictStoreTest, TornTailDropsOnlyTheDamagedSuffix)
 {
     TempFile file("torn");
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_TRUE(store.record("intact-1", smt::SatResult::Unsat));
-        EXPECT_TRUE(store.record("intact-2", smt::SatResult::Sat));
-        EXPECT_TRUE(store.record("doomed", smt::SatResult::Unsat));
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("intact-1", smt::SatResult::Unsat);
+        memo.cache.insert("intact-2", smt::SatResult::Sat);
+        memo.cache.insert("doomed", smt::SatResult::Unsat);
     }
     // Simulate SIGKILL mid-append: cut the file inside the last record.
     std::string bytes = file.read();
     file.write(bytes.substr(0, bytes.size() - 3));
 
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     std::string error;
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 2u);
-    EXPECT_EQ(reopened.stats().droppedRecords, 1u);
-    EXPECT_TRUE(reopened.lookup("intact-1").has_value());
-    EXPECT_TRUE(reopened.lookup("intact-2").has_value());
-    EXPECT_FALSE(reopened.lookup("doomed").has_value());
+    EXPECT_EQ(reopened.store.stats().loaded, 2u);
+    EXPECT_EQ(reopened.store.stats().droppedRecords, 1u);
+    EXPECT_TRUE(reopened.verdict("intact-1").has_value());
+    EXPECT_TRUE(reopened.verdict("intact-2").has_value());
+    EXPECT_FALSE(reopened.verdict("doomed").has_value());
 
     // The store stays appendable after recovery.
-    EXPECT_TRUE(reopened.record("fresh", smt::SatResult::Sat));
-    VerdictStore again(file.path);
+    reopened.cache.insert("fresh", smt::SatResult::Sat);
+    Journaled again(file.path);
     ASSERT_TRUE(again.open(error)) << error;
-    EXPECT_EQ(again.size(), 3u);
+    EXPECT_EQ(again.store.stats().loaded, 3u);
+    EXPECT_TRUE(again.verdict("fresh").has_value());
 }
 
 /**
- * Collision safety: with a degenerate hasher (every key hashes to 7)
- * the index devolves into one probe chain, but lookups still compare
- * full keys — a collision can never alias one query's verdict to
- * another. This is the soundness half of the content-addressed store.
+ * The generation stamp is parsed strictly: a record whose checksum is
+ * intact but whose generation does not fit 64 bits is schema skew,
+ * dropped like any unparsable record — never wrapped into a valid
+ * generation and preloaded.
  */
-TEST(VerdictStoreTest, DegenerateHasherStaysSound)
+TEST(VerdictStoreTest, OutOfRangeGenerationIsDroppedAsSchemaSkew)
 {
-    VerdictStore store("", support::FsyncPolicy::Off,
-                       [](const std::string &) -> uint64_t {
-                           return 7;
-                       });
+    TempFile file("generation");
+    {
+        support::JournalWriter writer(file.path, VerdictStore::kKind);
+        writer.append("g3:ukept");
+        writer.append("g18446744073709551616:uwrapped"); // 2^64
+        writer.append("g:uempty");
+        writer.append("g7x:ujunk");
+    }
+    Journaled memo(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-
-    EXPECT_TRUE(store.record("colliding-a", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("colliding-b", smt::SatResult::Sat));
-    EXPECT_TRUE(store.record("colliding-c", smt::SatResult::Unsat));
-
-    auto a = store.lookup("colliding-a");
-    ASSERT_TRUE(a.has_value());
-    EXPECT_EQ(*a, smt::SatResult::Unsat);
-    auto b = store.lookup("colliding-b");
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(*b, smt::SatResult::Sat);
-    EXPECT_FALSE(store.lookup("colliding-d").has_value());
-    EXPECT_GT(store.stats().collisions, 0u);
+    ASSERT_TRUE(memo.open(error)) << error;
+    EXPECT_EQ(memo.store.stats().droppedRecords, 3u);
+    EXPECT_EQ(memo.store.stats().loaded, 1u);
+    EXPECT_EQ(memo.verdict("kept"), smt::SatResult::Unsat);
+    EXPECT_FALSE(memo.verdict("wrapped").has_value());
+    EXPECT_FALSE(memo.verdict("empty").has_value());
+    EXPECT_FALSE(memo.verdict("junk").has_value());
 }
 
 TEST(VerdictStoreTest, AttachPreloadsCacheAndPersistsFreshInserts)
 {
     TempFile file("attach");
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_TRUE(store.record("warm", smt::SatResult::Unsat));
-
-        smt::QueryCache cache;
-        store.attach(cache);
-        // Preload: the resident verdict is already a cache hit...
-        auto hit = cache.lookup("warm");
-        ASSERT_TRUE(hit.has_value());
-        EXPECT_EQ(*hit, smt::SatResult::Unsat);
-        // ...and preloading did not double-journal it.
-        EXPECT_EQ(store.stats().appended, 1u);
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("warm", smt::SatResult::Unsat);
+    }
+    {
+        Journaled memo(file.path);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        // Preload: the journaled verdict is already a cache hit...
+        EXPECT_EQ(memo.verdict("warm"), smt::SatResult::Unsat);
+        // ...and preloading did not re-journal it.
+        EXPECT_EQ(memo.store.stats().appended, 0u);
 
         // A fresh solver verdict inserted into the cache is captured.
-        cache.insert("earned", smt::SatResult::Sat);
-        EXPECT_EQ(store.size(), 2u);
-        // Touching an existing key is not a fresh insert: no re-append.
-        cache.insert("earned", smt::SatResult::Sat);
-        EXPECT_EQ(store.stats().appended, 2u);
+        memo.cache.insert("earned", smt::SatResult::Sat);
+        EXPECT_EQ(memo.store.stats().appended, 1u);
     }
 
     // Both the preloaded and the captured verdict survive restart.
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     std::string error;
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 2u);
-    auto earned = reopened.lookup("earned");
-    ASSERT_TRUE(earned.has_value());
-    EXPECT_EQ(*earned, smt::SatResult::Sat);
+    EXPECT_EQ(reopened.store.stats().loaded, 2u);
+    EXPECT_EQ(reopened.verdict("warm"), smt::SatResult::Unsat);
+    EXPECT_EQ(reopened.verdict("earned"), smt::SatResult::Sat);
 }
 
 TEST(VerdictStoreTest, MissingFileIsAFreshStore)
 {
     TempFile file("missing");
-    VerdictStore store(file.path);
+    Journaled memo(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_EQ(store.size(), 0u);
-    EXPECT_TRUE(store.record("first", smt::SatResult::Unsat));
+    ASSERT_TRUE(memo.open(error)) << error;
+    EXPECT_EQ(memo.store.stats().loaded, 0u);
+    EXPECT_EQ(memo.cache.stats().entries, 0u);
+    memo.cache.insert("first", smt::SatResult::Unsat);
+    EXPECT_EQ(memo.store.stats().appended, 1u);
 }
 
-// ---- Month-scale lifecycle: eviction, scrub, compaction, audits ----
-
-/** Two fixed-length keys cost exactly 2 * (8 + overhead) bytes. */
-constexpr uint64_t kKeyLen = 8;
-constexpr uint64_t kCost =
-    kKeyLen + VerdictStore::kEntryOverheadBytes;
-
-VerdictStore
-cappedStore(uint64_t maxBytes)
-{
-    VerdictStore::Options options;
-    options.maxBytes = maxBytes;
-    return VerdictStore(options);
-}
-
-TEST(VerdictStoreLifecycleTest, EvictionBoundaryAtCapMinusOne)
-{
-    // One byte short of two entries: the second record must evict the
-    // first (LRU), never over-run the cap.
-    VerdictStore store = cappedStore(2 * kCost - 1);
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("entry-a1", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("entry-b2", smt::SatResult::Sat));
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.stats().evictions, 1u);
-    EXPECT_FALSE(store.lookup("entry-a1").has_value());
-    EXPECT_TRUE(store.lookup("entry-b2").has_value());
-    EXPECT_LE(store.stats().bytes, 2 * kCost - 1);
-}
-
-TEST(VerdictStoreLifecycleTest, EvictionBoundaryAtExactCap)
-{
-    // Exactly two entries fit: no eviction at the boundary.
-    VerdictStore store = cappedStore(2 * kCost);
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("entry-a1", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("entry-b2", smt::SatResult::Sat));
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.stats().evictions, 0u);
-    EXPECT_EQ(store.stats().bytes, 2 * kCost);
-}
-
-TEST(VerdictStoreLifecycleTest, EvictionBoundaryAtCapPlusOne)
-{
-    VerdictStore store = cappedStore(2 * kCost + 1);
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("entry-a1", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("entry-b2", smt::SatResult::Sat));
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.stats().evictions, 0u);
-    // A third entry pushes past the cap: the coldest goes.
-    EXPECT_TRUE(store.record("entry-c3", smt::SatResult::Unsat));
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.stats().evictions, 1u);
-    EXPECT_FALSE(store.lookup("entry-a1").has_value());
-}
-
-TEST(VerdictStoreLifecycleTest, EvictionIsLeastRecentlyUsed)
-{
-    VerdictStore store = cappedStore(2 * kCost);
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("entry-a1", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("entry-b2", smt::SatResult::Sat));
-    // Touch a1 so b2 becomes the coldest entry.
-    EXPECT_TRUE(store.lookup("entry-a1").has_value());
-    EXPECT_TRUE(store.record("entry-c3", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.lookup("entry-a1").has_value());
-    EXPECT_FALSE(store.lookup("entry-b2").has_value());
-    EXPECT_TRUE(store.lookup("entry-c3").has_value());
-}
+// ---- Month-scale lifecycle: recovery, tombstones, compaction ----
 
 TEST(VerdictStoreLifecycleTest, OversizedSingleEntryStillRecords)
 {
-    // The newest entry is never evicted: a key bigger than the whole
-    // cap still caches (and the cap recovers on the next record).
-    VerdictStore store = cappedStore(kCost / 2);
+    // A key bigger than the cache's whole byte budget still caches (the
+    // newest entry is never evicted) and is journaled like any other.
+    TempFile file("oversized");
+    std::string key(64 * 1024, 'k');
+    {
+        Journaled memo(file.path, /*cacheBytes=*/1024);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert(key, smt::SatResult::Unsat);
+        EXPECT_EQ(memo.verdict(key), smt::SatResult::Unsat);
+        EXPECT_EQ(memo.store.stats().appended, 1u);
+    }
+    Journaled reopened(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("entry-a1", smt::SatResult::Unsat));
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_TRUE(store.lookup("entry-a1").has_value());
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_EQ(reopened.verdict(key), smt::SatResult::Unsat);
 }
 
 TEST(VerdictStoreLifecycleTest, BitFlippedRecordIsSkippedAlone)
 {
     TempFile file("bitflip");
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_TRUE(store.record("before", smt::SatResult::Unsat));
-        EXPECT_TRUE(store.record("victim", smt::SatResult::Sat));
-        EXPECT_TRUE(store.record("after", smt::SatResult::Unsat));
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("before", smt::SatResult::Unsat);
+        memo.cache.insert("victim", smt::SatResult::Sat);
+        memo.cache.insert("after", smt::SatResult::Unsat);
     }
     // Flip one bit inside the *middle* record's line. Unlike a torn
     // tail, records after the damage must still load: the scan skips
     // the checksum-failing line alone.
-    std::string bytes = file.read();
-    size_t at = bytes.find("victim");
-    ASSERT_NE(at, std::string::npos);
-    bytes[at] ^= 0x01;
-    file.write(bytes);
+    flipBitIn(file, "victim");
 
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     std::string error;
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 2u);
-    EXPECT_GE(reopened.stats().droppedRecords, 1u);
-    EXPECT_TRUE(reopened.lookup("before").has_value());
-    EXPECT_FALSE(reopened.lookup("victim").has_value());
-    EXPECT_TRUE(reopened.lookup("after").has_value())
+    EXPECT_EQ(reopened.store.stats().loaded, 2u);
+    EXPECT_GE(reopened.store.stats().droppedRecords, 1u);
+    EXPECT_TRUE(reopened.verdict("before").has_value());
+    EXPECT_FALSE(reopened.verdict("victim").has_value());
+    EXPECT_TRUE(reopened.verdict("after").has_value())
         << "a mid-file bit flip must not shadow later records";
 
     // Recovery compacted the rot away: the next restart loads clean.
-    VerdictStore again(file.path);
+    Journaled again(file.path);
     ASSERT_TRUE(again.open(error)) << error;
-    EXPECT_EQ(again.size(), 2u);
-    EXPECT_EQ(again.stats().droppedRecords, 0u);
+    EXPECT_EQ(again.store.stats().loaded, 2u);
+    EXPECT_EQ(again.store.stats().droppedRecords, 0u);
+    EXPECT_EQ(again.store.stats().compactions, 0u);
 }
 
-TEST(VerdictStoreLifecycleTest, ScrubDropsCorruptResidentEntries)
+/**
+ * Rot while the daemon runs: a record flips on disk after it was
+ * appended. The SIGHUP compaction re-reads the journal, so the flipped
+ * record fails its line checksum and is not rewritten; its neighbours
+ * are.
+ */
+TEST(VerdictStoreLifecycleTest, CompactionDropsARecordThatRottedOnDisk)
 {
-    VerdictStore store("");
+    TempFile file("rot");
+    {
+        Journaled memo(file.path);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("before", smt::SatResult::Unsat);
+        memo.cache.insert("victim", smt::SatResult::Sat);
+        memo.cache.insert("after", smt::SatResult::Unsat);
+        flipBitIn(file, "victim");
+        EXPECT_EQ(memo.store.compact(), 2u);
+        EXPECT_EQ(memo.store.stats().droppedRecords, 1u);
+    }
+    Journaled reopened(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("healthy", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.record("rotten", smt::SatResult::Sat));
-
-    // Simulate in-memory rot: the verdict flips but the checksum
-    // doesn't. The scariest failure — a healthy-looking wrong answer.
-    ASSERT_TRUE(store.corruptResidentEntryForTest("rotten"));
-    EXPECT_EQ(store.scrub(), 1u);
-    EXPECT_EQ(store.stats().scrubRejected, 1u);
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_TRUE(store.lookup("healthy").has_value());
-    EXPECT_FALSE(store.lookup("rotten").has_value());
-}
-
-TEST(VerdictStoreLifecycleTest, LookupNeverServesACorruptEntry)
-{
-    VerdictStore store("");
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_TRUE(store.record("rotten", smt::SatResult::Unsat));
-    ASSERT_TRUE(store.corruptResidentEntryForTest("rotten"));
-    // No scrub ran — the serve path itself must catch the rot.
-    EXPECT_FALSE(store.lookup("rotten").has_value());
-    EXPECT_EQ(store.stats().scrubRejected, 1u);
-    // The key re-records afterwards (re-solved fresh).
-    EXPECT_TRUE(store.record("rotten", smt::SatResult::Unsat));
-    EXPECT_TRUE(store.lookup("rotten").has_value());
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_EQ(reopened.store.stats().droppedRecords, 0u);
+    EXPECT_EQ(reopened.store.stats().loaded, 2u);
+    EXPECT_TRUE(reopened.verdict("before").has_value());
+    EXPECT_FALSE(reopened.verdict("victim").has_value());
+    EXPECT_FALSE(reopened.verdict("wictim").has_value());
+    EXPECT_TRUE(reopened.verdict("after").has_value());
 }
 
 TEST(VerdictStoreLifecycleTest, QuarantineTombstoneSurvivesRestart)
 {
     TempFile file("quarantine");
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_TRUE(store.record("good", smt::SatResult::Unsat));
-        EXPECT_TRUE(store.record("bad", smt::SatResult::Sat));
-        EXPECT_TRUE(store.quarantine("bad"));
-        EXPECT_FALSE(store.lookup("bad").has_value());
-        EXPECT_EQ(store.stats().quarantined, 1u);
+        ASSERT_TRUE(memo.open(error)) << error;
+        memo.cache.insert("good", smt::SatResult::Unsat);
+        memo.cache.insert("bad", smt::SatResult::Sat);
+        // What the daemon does on an audit mismatch: the cache evicts,
+        // the store tombstones.
+        EXPECT_TRUE(memo.cache.quarantine("bad"));
+        memo.store.quarantine("bad");
+        EXPECT_FALSE(memo.verdict("bad").has_value());
+        EXPECT_EQ(memo.store.stats().quarantined, 1u);
     }
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     std::string error;
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 1u);
-    EXPECT_TRUE(reopened.lookup("good").has_value());
-    EXPECT_FALSE(reopened.lookup("bad").has_value())
+    EXPECT_EQ(reopened.store.stats().loaded, 1u);
+    EXPECT_TRUE(reopened.verdict("good").has_value());
+    EXPECT_FALSE(reopened.verdict("bad").has_value())
         << "a quarantined verdict must stay dead across restarts";
 
     // A fresh re-solve after the tombstone resurrects the key — replay
     // order is record, tombstone, record.
-    EXPECT_TRUE(reopened.record("bad", smt::SatResult::Unsat));
-    VerdictStore again(file.path);
+    reopened.cache.insert("bad", smt::SatResult::Unsat);
+    Journaled again(file.path);
     ASSERT_TRUE(again.open(error)) << error;
-    auto bad = again.lookup("bad");
-    ASSERT_TRUE(bad.has_value());
-    EXPECT_EQ(*bad, smt::SatResult::Unsat);
+    EXPECT_EQ(again.verdict("bad"), smt::SatResult::Unsat);
 }
 
 TEST(VerdictStoreLifecycleTest, CompactionReclaimsGarbageAndShrinks)
 {
     TempFile file("compact");
-    VerdictStore::Options options;
-    options.path = file.path;
-    options.compactGarbageRatio = 0.0; // manual compaction only
-    VerdictStore store(options);
+    Journaled memo(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
+    ASSERT_TRUE(memo.open(error)) << error;
 
     for (int i = 0; i < 32; ++i)
-        EXPECT_TRUE(store.record("key-" + std::to_string(i),
-                                 smt::SatResult::Unsat));
+        memo.cache.insert("key-" + std::to_string(i),
+                          smt::SatResult::Unsat);
     for (int i = 0; i < 24; ++i)
-        EXPECT_TRUE(store.quarantine("key-" + std::to_string(i)));
-    store.sync();
+        memo.store.quarantine("key-" + std::to_string(i));
+    memo.store.sync();
     size_t before = file.read().size();
-    uint64_t generation = store.stats().generation;
+    uint64_t generation = memo.store.stats().generation;
 
-    store.compact();
-    store.sync();
+    EXPECT_EQ(memo.store.compact(), 8u);
+    memo.store.sync();
     EXPECT_LT(file.read().size(), before)
         << "compaction must reclaim dead records and tombstones";
-    EXPECT_EQ(store.stats().compactions, 1u);
-    EXPECT_EQ(store.stats().garbageRecords, 0u);
-    EXPECT_GT(store.stats().generation, generation);
+    EXPECT_EQ(memo.store.stats().compactions, 1u);
+    EXPECT_GT(memo.store.stats().generation, generation);
 
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 8u);
+    EXPECT_EQ(reopened.store.stats().loaded, 8u);
+    EXPECT_EQ(reopened.store.stats().compactions, 0u);
     for (int i = 24; i < 32; ++i)
         EXPECT_TRUE(
-            reopened.lookup("key-" + std::to_string(i)).has_value());
+            reopened.verdict("key-" + std::to_string(i)).has_value());
 }
 
-TEST(VerdictStoreLifecycleTest, AutoCompactionTriggersOnGarbageRatio)
+/**
+ * Dead records found at open — a superseded duplicate (the cache
+ * evicted a verdict and the query was solved again), a tombstone and
+ * the record it killed — are compacted away before the store goes
+ * live, keeping the last live record per key.
+ */
+TEST(VerdictStoreLifecycleTest, OpenCompactsDeadRecords)
 {
-    TempFile file("autocompact");
-    VerdictStore::Options options;
-    options.path = file.path;
-    options.compactGarbageRatio = 0.4;
-    options.compactMinRecords = 8;
-    VerdictStore store(options);
+    TempFile file("opencompact");
+    {
+        support::JournalWriter writer(file.path, VerdictStore::kKind);
+        writer.append("g1:uduplicated");
+        writer.append("g1:skilled");
+        writer.append("g1:ukept");
+        writer.append("g1:uduplicated");
+        writer.append("qkilled");
+    }
+    {
+        Journaled memo(file.path);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        EXPECT_EQ(memo.store.stats().loaded, 2u);
+        EXPECT_EQ(memo.store.stats().compactions, 1u);
+        EXPECT_EQ(memo.store.stats().droppedRecords, 0u);
+        EXPECT_FALSE(memo.verdict("killed").has_value());
+    }
+    support::JournalLoad load =
+        support::loadJournal(file.path, VerdictStore::kKind);
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.records,
+              (std::vector<std::string>{"g2:ukept", "g2:uduplicated"}))
+        << "the rewrite keeps each key's last live record, in file order";
+
+    Journaled reopened(file.path);
     std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-
-    for (int i = 0; i < 16; ++i)
-        EXPECT_TRUE(store.record("key-" + std::to_string(i),
-                                 smt::SatResult::Unsat));
-    EXPECT_EQ(store.stats().compactions, 0u);
-    for (int i = 0; i < 12; ++i)
-        EXPECT_TRUE(store.quarantine("key-" + std::to_string(i)));
-    EXPECT_GT(store.stats().compactions, 0u)
-        << "crossing the garbage ratio must compact without SIGHUP";
-    EXPECT_EQ(store.size(), 4u);
-
-    VerdictStore reopened(file.path);
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 4u);
+    EXPECT_EQ(reopened.store.stats().loaded, 2u);
+    EXPECT_EQ(reopened.store.stats().compactions, 0u);
+}
+
+/**
+ * The cache's LRU budget decides what stays in memory, not what stays
+ * journaled: a verdict the cache evicted survives compaction and a
+ * restart, and the journal is what brings it back.
+ */
+TEST(VerdictStoreLifecycleTest, CacheEvictedVerdictsStayJournaled)
+{
+    TempFile file("evicted");
+    constexpr int kKeys = 64;
+    {
+        // A budget of a few entries per shard: most inserts evict.
+        Journaled memo(file.path, /*cacheBytes=*/16 * 256);
+        std::string error;
+        ASSERT_TRUE(memo.open(error)) << error;
+        for (int i = 0; i < kKeys; ++i)
+            memo.cache.insert("key-" + std::to_string(i),
+                              smt::SatResult::Sat);
+        EXPECT_GT(memo.cache.stats().evictions, 0u);
+        EXPECT_EQ(memo.store.compact(), static_cast<size_t>(kKeys));
+    }
+    Journaled reopened(file.path);
+    std::string error;
+    ASSERT_TRUE(reopened.open(error)) << error;
+    EXPECT_EQ(reopened.store.stats().loaded, static_cast<uint64_t>(kKeys));
+    for (int i = 0; i < kKeys; ++i)
+        EXPECT_TRUE(
+            reopened.verdict("key-" + std::to_string(i)).has_value())
+            << i;
 }
 
 TEST(VerdictStoreLifecycleTest, CompactedJournalRoundTripsByteIdentical)
 {
     TempFile file("identical");
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
+        ASSERT_TRUE(memo.open(error)) << error;
         for (int i = 0; i < 10; ++i)
-            EXPECT_TRUE(store.record("key-" + std::to_string(i),
-                                     i % 2 == 0 ? smt::SatResult::Unsat
-                                                : smt::SatResult::Sat));
-        EXPECT_TRUE(store.quarantine("key-3"));
-        store.compact();
-        store.sync();
+            memo.cache.insert("key-" + std::to_string(i),
+                              i % 2 == 0 ? smt::SatResult::Unsat
+                                         : smt::SatResult::Sat);
+        memo.store.quarantine("key-3");
+        memo.store.compact();
+        memo.store.sync();
     }
     std::string first = file.read();
 
-    // Reload the compacted journal and compact again: entry set, LRU
+    // Reload the compacted journal and compact again: record set,
     // order and generation handling must be stable enough that the
     // bytes do not drift across restart cycles.
     std::string second;
     {
-        VerdictStore store(file.path);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_EQ(store.size(), 9u);
-        store.compact();
-        store.sync();
+        ASSERT_TRUE(memo.open(error)) << error;
+        EXPECT_EQ(memo.store.stats().loaded, 9u);
+        memo.store.compact();
+        memo.store.sync();
         second = file.read();
     }
     EXPECT_EQ(first.size(), second.size());
@@ -558,78 +576,49 @@ TEST(VerdictStoreLifecycleTest, CompactionConcurrentWithAppends)
     constexpr int kWriters = 4;
     constexpr int kPerWriter = 64;
     {
-        VerdictStore::Options options;
-        options.path = file.path;
-        options.compactGarbageRatio = 0.0; // only the explicit calls
-        VerdictStore store(options);
+        Journaled memo(file.path);
         std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
+        ASSERT_TRUE(memo.open(error)) << error;
 
         std::vector<std::thread> writers;
         for (int w = 0; w < kWriters; ++w) {
-            writers.emplace_back([&store, w] {
+            writers.emplace_back([&memo, w] {
                 for (int i = 0; i < kPerWriter; ++i) {
-                    store.record("writer-" + std::to_string(w) + "-" +
-                                     std::to_string(i),
-                                 smt::SatResult::Unsat);
+                    memo.cache.insert("writer-" + std::to_string(w) +
+                                          "-" + std::to_string(i),
+                                      smt::SatResult::Unsat);
                 }
             });
         }
-        // Compact repeatedly while the writers hammer the store.
+        // Compact repeatedly while the writers hammer the cache.
         for (int i = 0; i < 8; ++i)
-            store.compact();
+            memo.store.compact();
         for (std::thread &writer : writers)
             writer.join();
-        store.compact();
-        store.sync();
-        EXPECT_EQ(store.size(), kWriters * kPerWriter);
+        EXPECT_EQ(memo.store.compact(),
+                  static_cast<size_t>(kWriters * kPerWriter));
+        memo.store.sync();
+        EXPECT_EQ(memo.store.stats().appended,
+                  static_cast<uint64_t>(kWriters * kPerWriter));
+        EXPECT_EQ(memo.store.stats().droppedRecords, 0u);
     }
 
     // Every record appended around the compactions survives restart.
-    VerdictStore reopened(file.path);
+    Journaled reopened(file.path);
     std::string error;
     ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(),
-              static_cast<size_t>(kWriters * kPerWriter));
-    EXPECT_EQ(reopened.stats().droppedRecords, 0u);
+    EXPECT_EQ(reopened.store.stats().loaded,
+              static_cast<uint64_t>(kWriters * kPerWriter));
+    EXPECT_EQ(reopened.store.stats().droppedRecords, 0u);
     for (int w = 0; w < kWriters; ++w) {
         for (int i = 0; i < kPerWriter; ++i) {
             EXPECT_TRUE(reopened
-                            .lookup("writer-" + std::to_string(w) +
-                                    "-" + std::to_string(i))
+                            .verdict("writer-" + std::to_string(w) +
+                                     "-" + std::to_string(i))
                             .has_value())
                 << "writer " << w << " record " << i;
         }
     }
-}
-
-TEST(VerdictStoreLifecycleTest, EvictedEntriesVanishAfterCompaction)
-{
-    TempFile file("evictcompact");
-    VerdictStore::Options options;
-    options.path = file.path;
-    options.maxBytes = 2 * kCost;
-    options.compactGarbageRatio = 0.0;
-    {
-        VerdictStore store(options);
-        std::string error;
-        ASSERT_TRUE(store.open(error)) << error;
-        EXPECT_TRUE(store.record("entry-a1", smt::SatResult::Unsat));
-        EXPECT_TRUE(store.record("entry-b2", smt::SatResult::Sat));
-        EXPECT_TRUE(store.record("entry-c3", smt::SatResult::Unsat));
-        EXPECT_EQ(store.stats().evictions, 1u);
-        store.compact();
-        store.sync();
-    }
-    // The compacted journal only carries the resident set, so a
-    // restart cannot resurrect the evicted entry.
-    VerdictStore reopened(options);
-    std::string error;
-    ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.size(), 2u);
-    EXPECT_FALSE(reopened.lookup("entry-a1").has_value());
-    EXPECT_TRUE(reopened.lookup("entry-b2").has_value());
-    EXPECT_TRUE(reopened.lookup("entry-c3").has_value());
 }
 
 } // namespace

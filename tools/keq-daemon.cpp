@@ -3,8 +3,8 @@
  * keqd — the persistent validation daemon.
  *
  * Runs a service::Server on one Unix-domain socket: warm solver
- * stacks, a shared query cache backed by the persistent verdict store,
- * and per-client fair queueing. Clients are keqc --daemon=SOCKET (and
+ * stacks, one shared query cache journaled by the verdict store, and
+ * per-client fair queueing. Clients are keqc --daemon=SOCKET (and
  * the service tests/bench).
  *
  * Usage:
@@ -20,10 +20,9 @@
  *     --client-burst=N       token-bucket burst size (default 64)
  *     --job-deadline-ms=N    wall deadline per job, queueing included
  *                            (0 = none)
- *     --verdict-journal=PATH persist the verdict store here; loaded
- *                            on startup, appended per fresh verdict
- *     --verdict-store-mb=N   byte cap on the resident verdict set;
- *                            LRU eviction past it (0 = unbounded)
+ *     --verdict-journal=PATH journal the shared cache's verdicts
+ *                            here; preloaded on startup, appended
+ *                            per fresh verdict
  *     --journal-fsync=record|batch|off
  *                            verdict-journal durability (default off)
  *     --audit-rate=X         trust-but-verify sample of journal-
@@ -32,7 +31,8 @@
  *     --audit-seed=N         deterministic audit sampling seed
  *     --drain-timeout-ms=N   max graceful-drain wait on SIGTERM
  *                            before hard stop (default 30000)
- *     --solver-cache-mb=N    shared query-cache budget (default 512)
+ *     --solver-cache-mb=N    shared query-cache budget, the one
+ *                            memory budget for verdicts (default 512)
  *     --sandbox              solve in sandboxed worker processes
  *     --sandbox-workers=N    sandbox pool size (0 = match --jobs)
  *     --worker-memory-mb=N   RLIMIT_AS per sandbox worker
@@ -46,8 +46,9 @@
  *            flush the journal, exit. Loses zero accepted jobs.
  *   SIGINT   immediate stop — in-flight checks are cancelled, queued
  *            jobs are dropped, the journal stays record-consistent.
- *   SIGHUP   maintenance — integrity-scrub the verdict store and
- *            compact its journal, while serving.
+ *   SIGHUP   maintenance — compact the verdict journal while
+ *            serving: superseded, tombstoned and corrupt records are
+ *            rewritten away.
  *
  * A client Shutdown frame behaves like SIGINT.
  *
@@ -76,7 +77,7 @@ constexpr int kExUsage = 64;
 
 volatile std::sig_atomic_t g_stop = 0;  // SIGINT: immediate
 volatile std::sig_atomic_t g_drain = 0; // SIGTERM: graceful
-volatile std::sig_atomic_t g_hup = 0;   // SIGHUP: scrub + compact
+volatile std::sig_atomic_t g_hup = 0;   // SIGHUP: compact
 
 extern "C" void
 handleStopSignal(int)
@@ -112,7 +113,7 @@ usage(const char *argv0)
               << "  --jobs=N --max-inflight=N --max-queued=N\n"
               << "  --client-rate=X --client-burst=N "
                  "--job-deadline-ms=N\n"
-              << "  --verdict-journal=PATH --verdict-store-mb=N "
+              << "  --verdict-journal=PATH "
                  "--journal-fsync=record|batch|off\n"
               << "  --audit-rate=X --audit-seed=N\n"
               << "  --drain-timeout-ms=N --solver-cache-mb=N\n"
@@ -173,11 +174,6 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--verdict-journal=", 0) == 0) {
             options.server.verdictJournalPath =
                 value_of("--verdict-journal=");
-        } else if (arg.rfind("--verdict-store-mb=", 0) == 0) {
-            options.server.verdictStoreMaxBytes =
-                static_cast<uint64_t>(
-                    number_of("--verdict-store-mb="))
-                << 20;
         } else if (arg.rfind("--journal-fsync=", 0) == 0) {
             if (!keq::support::fsyncPolicyFromName(
                     value_of("--journal-fsync=").c_str(),
@@ -306,7 +302,8 @@ main(int argc, char **argv)
     std::signal(SIGHUP, handleHupSignal);
     std::cerr << "keqd: listening on "
               << service::endpointToString(options.server.listen) << " ("
-              << server.store().size() << " verdicts preloaded)\n";
+              << server.cacheStats().preloaded
+              << " verdicts preloaded)\n";
 
     // Signal handlers cannot take the shutdown mutex, so the main
     // thread polls every stop source.
@@ -315,7 +312,7 @@ main(int argc, char **argv)
     while (!g_stop && !server.shutdownRequested()) {
         if (g_hup) {
             g_hup = 0;
-            server.scrubAndCompactStore();
+            server.compactStore();
         }
         if (g_drain) {
             if (!drainLogged) {
@@ -341,12 +338,12 @@ main(int argc, char **argv)
     server.stop();
 
     service::ServerStats stats = server.stats();
-    service::VerdictStore::Stats store = server.store().stats();
+    smt::CacheStats cache = server.cacheStats();
     std::cerr << "keqd: stopped — " << stats.completed
               << " jobs completed for " << stats.accepted
-              << " connections, " << store.appended
-              << " verdicts journaled (" << store.entries
-              << " in store, " << store.evictions << " evicted), "
+              << " connections, " << server.store().stats().appended
+              << " verdicts journaled (" << cache.entries
+              << " in cache, " << cache.evictions << " evicted), "
               << stats.busyRejects << " busy rejects, "
               << stats.quotaRejects << " quota rejects, "
               << stats.expiredJobs << " deadline-expired, "

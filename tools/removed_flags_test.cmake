@@ -1,8 +1,9 @@
 # Exercised by ctest (see tools/CMakeLists.txt): the racing,
 # batched-discharge and solver-cache flags are gone from keqc, the
-# quick diagonal from keq-conformance, and the TCP listen list and job
-# ledger from keq-daemon, so each must reject them like any unknown
-# option — exit 2 with the usage message — and never solve or serve.
+# quick diagonal from keq-conformance, and the TCP listen list, job
+# ledger and verdict-store byte cap from keq-daemon, so each must reject
+# them like any unknown option — exit 2 with the usage message — and
+# never solve or serve.
 #
 #   cmake -DKEQC=<binary> -DKEQ_CONFORMANCE=<binary> -DKEQD=<binary>
 #         -DWORK_DIR=<dir> -P removed_flags_test.cmake
@@ -58,7 +59,7 @@ expect_usage_exit("keq-conformance --quick" "${KEQ_CONFORMANCE}" --quick)
 # Each keq-daemon case also names a socket, so only the removed flag
 # can be what is rejected.
 set(socket "${WORK_DIR}/keqd-removed-flags.sock")
-foreach(flag --listen=unix:/tmp/x --job-ledger=8)
+foreach(flag --listen=unix:/tmp/x --job-ledger=8 --verdict-store-mb=8)
     expect_usage_exit("keq-daemon ${flag}"
         "${KEQD}" "--socket=${socket}" "${flag}")
 endforeach()

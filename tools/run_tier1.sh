@@ -102,7 +102,7 @@ elif [ "$suite" = service ]; then
 elif [ "$suite" = soak ]; then
     # The month-scale daemon gate: multi-client soak with every warm
     # verdict-store hit audited (trust-but-verify) and concurrent
-    # scrub+compact maintenance, asserting zero audit mismatches and
+    # journal compaction, asserting zero audit mismatches and
     # daemonless verdict parity throughout. KEQ_SOAK_SECONDS stretches
     # the wall-clock budget (CI uses 60 under ASan).
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
